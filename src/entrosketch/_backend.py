@@ -5,8 +5,12 @@ backend parity tests and the benchmark).
 
 Entry points: ``variates(key, k)`` for one item, ``variates_many(keys, k)``
 for a batch (shape (len(keys), k)) and ``accumulate(scaled, key, delta)``.
-The compiled ``variates_many`` calls the kernel once per key, so a batch
-keeps the compiled bits.
+``EntropySketch.update`` uses ``variates``; ``EntropySketch.update_many``,
+the batch entry point behind ``sketch_stream`` and ``entrosketch ingest``,
+calls ``variates_many`` once per group of distinct keys, so its cost
+scales with the distinct items per block of the stream.  The compiled
+``variates_many`` calls the kernel once per key, so a batch keeps the
+compiled bits.
 """
 
 from __future__ import annotations

@@ -37,8 +37,7 @@ def _iter_input(args):
 def cmd_ingest(args) -> int:
     sketch = new_sketch(k=args.k, zeta=args.zeta, master_seed=args.seed)
     try:
-        for item, delta in _iter_input(args):
-            sketch.update(item, delta)
+        sketch.update_many(_iter_input(args))
     except StreamParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,16 +16,25 @@ of these).  Accumulated values must stay below 2^37 in magnitude so they remain
 exactly representable as doubles; update raises if a projection
 leaves that range.
 
-Ingestion: an item's k variates depend only on its key, so each sketch
-keeps the variates of the first items ``update`` sees, up to a fixed cap
-of ``CACHE_VARIATES`` variates (1 MiB); later items are computed afresh
+Ingestion: an item's k variates depend only on its key, so ``update``
+keeps the variates of the first items it sees, up to a fixed cap of
+``CACHE_VARIATES`` variates (1 MiB); later items are computed afresh
 every time.  The cache is filled from the active backend's ``variates``
 and the increment is ``rint(v * delta * 2^16)`` in int64, the arithmetic
 of both ``accumulate`` kernels, so cached and uncached updates give the
-same bits.  ``sketch_stream`` batches instead: it groups a block of
-elements by (key, delta), computes the variates of many keys in one
-backend call and adds ``count * increment``, again bitwise equal to one
-``update`` per element.
+same bits.  ``update_many`` is the batch entry point for streams;
+``sketch_stream`` and ``entrosketch ingest`` both use it.  It takes
+elements in blocks of ``_STREAM_BLOCK``, hashes each distinct item of a
+block once, groups the block by (key, delta), computes the variates of
+many keys per backend call and adds ``count * increment``, again bitwise
+equal to one ``update`` per element.  Its cost scales with the distinct
+items per block, not with the number of updates.
+
+Every state change commits fully or raises with the sketch unchanged.
+An update checks its increment against the 2^53 limit in float before
+any int64 cast, using a running upper bound on the projections that is
+replaced by an exact scan only when it reaches the limit, so churn that
+cancels never raises.
 
 Binary format (little endian): magic b"ESKV", version u16, k u64,
 zeta f64, master_seed u64, total f64, then k f64 projections.  All
@@ -36,6 +45,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -55,11 +65,18 @@ _SCALE = 2.0**QUANTUM_BITS
 _LIMIT = 1 << 53  # beyond this, int64 counts are no longer exact doubles
 
 CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
-_BATCH_VARIATES = 1 << 17  # variates per backend call in sketch_stream
-_STREAM_BLOCK = 1 << 16  # elements grouped together by sketch_stream
+# variates per backend call in update_many (48 KiB per float64 temporary).
+# Measured in CLI ingest processes at k=2217 on an all-distinct stream:
+# from 8192 up, the temporaries freed after each call are trimmed from the
+# C heap and page-faulted back in on the next (about 10x the minor faults),
+# and ingest ran slower than one update() per line; below about 4434 (two
+# keys at that k) the fixed per-call cost dominates.
+_BATCH_VARIATES = 6144
+_STREAM_BLOCK = 1 << 16  # elements grouped together by update_many
 # a batch whose worst case comes this close to _LIMIT is replayed one
 # update at a time, so OverflowError is raised at the same element
 _BATCH_HEADROOM = float(_LIMIT // 2)
+_OVERFLOW = "projection accumulator left the exact-double range"
 
 
 @dataclass(frozen=True)
@@ -90,7 +107,9 @@ class EntropySketch:
         self.config = config
         self._scaled = np.zeros(config.k, dtype=np.int64)
         self._scaled_total = 0
+        self._bound = 0  # upper bound on max |_scaled|, exact after a rescan
         self._cache: dict[int, np.ndarray] = {}  # item key -> variates
+        self._cache_max: dict[int, float] = {}  # item key -> max |variate|
 
     @property
     def k(self) -> int:
@@ -108,24 +127,76 @@ class EntropySketch:
         self._add(self._key(item, delta), delta)
         return self
 
+    def update_many(self, pairs) -> "EntropySketch":
+        """Add every ``(item, delta)`` of an iterable, generators included.
+
+        Bitwise equal to one ``update`` per pair, and it raises what that
+        loop raises, leaving the sketch as the loop leaves it at the failing
+        pair.  Pairs are taken in blocks of ``_STREAM_BLOCK``; within a
+        block each distinct item is hashed once and each distinct key's
+        variates are computed once, in backend calls of at most
+        ``_BATCH_VARIATES`` variates.
+        """
+        seed = self.config.master_seed
+        keys: list[int] = []
+        deltas: list[float] = []
+        key_of: dict[bytes | str, int] = {}
+        try:
+            for item, delta in pairs:
+                if not math.isfinite(delta):
+                    raise ValueError("delta must be finite")
+                key = key_of.get(item)
+                if key is None:
+                    key = key_of[item] = item_key(item, seed)
+                keys.append(key)
+                deltas.append(delta)
+                if len(keys) == _STREAM_BLOCK:
+                    block, keys, deltas, key_of = (keys, deltas), [], [], {}
+                    self._add_batch(*block)
+        finally:
+            # also when a pair is invalid: the ones before it still count,
+            # so an overflow among them is raised first, as the loop would
+            self._add_batch(keys, deltas)
+        return self
+
     def _key(self, item: bytes | str, delta: float) -> int:
-        if not np.isfinite(delta):
+        if not math.isfinite(delta):
             raise ValueError("delta must be finite")
         return item_key(item, self.config.master_seed)
 
-    def _variates(self, key: int) -> np.ndarray:
+    def _variates(self, key: int) -> tuple[np.ndarray, float]:
+        """The key's variates and their largest magnitude."""
         v = self._cache.get(key)
-        if v is None:
-            v = _backend.variates(key, self.config.k)
-            if (len(self._cache) + 1) * self.config.k <= CACHE_VARIATES:
-                self._cache[key] = v
-        return v
+        if v is not None:
+            return v, self._cache_max[key]
+        v = _backend.variates(key, self.config.k)
+        vmax = float(np.abs(v).max())
+        if (len(self._cache) + 1) * self.config.k <= CACHE_VARIATES:
+            self._cache[key] = v
+            self._cache_max[key] = vmax
+        return v, vmax
 
     def _add(self, key: int, delta: float) -> None:
-        self._scaled += np.rint(self._variates(key) * delta * _SCALE).astype(np.int64)
-        self._scaled_total += int(np.rint(delta * _SCALE))
-        if int(np.abs(self._scaled).max()) >= _LIMIT or abs(self._scaled_total) >= _LIMIT:
-            raise OverflowError("projection accumulator left the exact-double range")
+        """Add one update, or raise OverflowError with the sketch unchanged."""
+        v, vmax = self._variates(key)
+        # float rounding is monotone, so step bounds every |v * delta * 2^16|
+        step = vmax * abs(delta) * _SCALE
+        total_step = delta * _SCALE
+        # past 2^54 an increment overflows whatever it is added to
+        if not (step < 2 * _LIMIT and abs(total_step) < 2 * _LIMIT):
+            raise OverflowError(_OVERFLOW)
+        total = self._scaled_total + round(total_step)
+        inc = np.rint(v * delta * _SCALE).astype(np.int64)
+        # the running bound is replaced by an exact scan only at the limit,
+        # so only the exact value raises and cancelling churn never does
+        bound = self._bound + math.ceil(step)
+        if bound >= _LIMIT:
+            bound = int(np.abs(self._scaled + inc).max())
+        if bound >= _LIMIT or abs(total) >= _LIMIT:
+            raise OverflowError(_OVERFLOW)
+        self._scaled += inc
+        self._scaled_total = total
+        self._bound = bound
 
     def _add_batch(self, keys: list[int], deltas: list[float]) -> None:
         """``_add`` over (key, delta) pairs, each distinct key's variates computed once.
@@ -162,6 +233,7 @@ class EntropySketch:
             acc += c[chunk] @ np.rint(scaled).astype(np.int64)
         self._scaled += acc
         self._scaled_total += int(total_inc.astype(np.int64) @ c)
+        self._bound = int(np.abs(self._scaled).max())
 
     def _add_loop(self, keys: list[int], deltas: list[float]) -> None:
         for key, delta in zip(keys, deltas):
@@ -182,12 +254,14 @@ class EntropySketch:
         out = EntropySketch(self.config)
         np.add(self._scaled, other._scaled, out=out._scaled)
         out._scaled_total = self._scaled_total + other._scaled_total
+        out._bound = int(np.abs(out._scaled).max())
         return out
 
     def copy(self) -> "EntropySketch":
         out = EntropySketch(self.config)
         out._scaled[:] = self._scaled
         out._scaled_total = self._scaled_total
+        out._bound = self._bound
         return out
 
     def __eq__(self, other) -> bool:
@@ -270,6 +344,7 @@ class EntropySketch:
         # stored values are exact multiples of the quantum
         self._scaled = np.rint(projections * _SCALE).astype(np.int64)
         self._scaled_total = int(np.rint(total * _SCALE))
+        self._bound = int(np.abs(self._scaled).max())
 
 
 def new_sketch(k: int, zeta: float = 1.0, master_seed: int = 0) -> EntropySketch:
@@ -277,25 +352,5 @@ def new_sketch(k: int, zeta: float = 1.0, master_seed: int = 0) -> EntropySketch
 
 
 def sketch_stream(elements, k: int, zeta: float = 1.0, master_seed: int = 0) -> EntropySketch:
-    """One-pass sketch of an iterable of (item, delta) pairs.
-
-    Bitwise equal to calling ``update(item, delta)`` per element, and it
-    raises what that loop would raise.  Elements are taken in blocks of
-    ``_STREAM_BLOCK``; each block computes the variates of its distinct
-    keys in backend calls of at most ``_BATCH_VARIATES`` variates.
-    """
-    sketch = new_sketch(k, zeta, master_seed)
-    keys: list[int] = []
-    deltas: list[float] = []
-    try:
-        for item, delta in elements:
-            keys.append(sketch._key(item, delta))
-            deltas.append(delta)
-            if len(keys) == _STREAM_BLOCK:
-                block, keys, deltas = (keys, deltas), [], []
-                sketch._add_batch(*block)
-    finally:
-        # also when an element is invalid: the ones before it still count,
-        # so an overflow among them is raised first, as the loop would
-        sketch._add_batch(keys, deltas)
-    return sketch
+    """One-pass sketch of an iterable of (item, delta) pairs, via ``update_many``."""
+    return new_sketch(k, zeta, master_seed).update_many(elements)

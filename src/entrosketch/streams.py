@@ -7,6 +7,8 @@ and lines starting with '#' are skipped.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -32,7 +34,7 @@ def iter_stream_lines(lines, delimiter: str = ","):
             delta = float(qty)
         except ValueError:
             raise StreamParseError(lineno, f"bad quantity {qty!r}") from None
-        if not np.isfinite(delta):
+        if not math.isfinite(delta):
             raise StreamParseError(lineno, f"non-finite quantity {qty!r}")
         yield item, delta
 

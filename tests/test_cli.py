@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+from entrosketch import sketch as sketch_mod
 from entrosketch.cli import main
-from entrosketch.sketch import EntropySketch
+from entrosketch.sketch import EntropySketch, new_sketch
 
 
 def parse_kv(out: str) -> dict:
@@ -21,6 +22,30 @@ def write_stream(tmp_path, name, lines):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def mixed_lines(n):
+    """Repeated items, mixed-sign fractional quantities, bare items, comments."""
+    qty = ["1", "-0.5", "2.75", "3", "-1.25", "0.125", ""]
+    lines = []
+    for i in range(n):
+        item = f"it{(i * 7) % 13}"
+        q = qty[i % len(qty)]
+        lines.append(f"{item},{q}" if q else item)
+        if i % 17 == 0:
+            lines.append("# comment")
+    return lines
+
+
+def loop_bytes(lines, k, seed):
+    """Sketch bytes from one in-process update() per parsed line."""
+    s = new_sketch(k=k, master_seed=seed)
+    for line in lines:
+        if line.startswith("#"):
+            continue
+        item, _, q = line.partition(",")
+        s.update(item, float(q) if q else 1.0)
+    return s.to_bytes()
 
 
 @pytest.fixture
@@ -75,6 +100,32 @@ class TestIngestEstimate:
         out = str(tmp_path / "s.bin")
         assert main(["ingest", "--input", src, "--output", out, "--k", "8"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_ingest_matches_update_loop_bitwise(self, tmp_path, capsys):
+        lines = mixed_lines(300)
+        src = write_stream(tmp_path, "m.csv", lines)
+        out = tmp_path / "m.bin"
+        assert main(["ingest", "--input", src, "--output", str(out),
+                     "--k", "64", "--seed", "3"]) == 0
+        assert out.read_bytes() == loop_bytes(lines, 64, 3)
+
+    def test_ingest_across_block_boundary(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 11)
+        monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", 3 * 64)
+        lines = mixed_lines(100)
+        src = write_stream(tmp_path, "m.csv", lines)
+        out = tmp_path / "m.bin"
+        assert main(["ingest", "--input", src, "--output", str(out),
+                     "--k", "64", "--seed", "3"]) == 0
+        assert out.read_bytes() == loop_bytes(lines, 64, 3)
+
+    def test_parse_error_after_valid_lines(self, tmp_path, capsys):
+        src = write_stream(tmp_path, "bad.csv", ["a,1", "b,2", "# note", "", "a,-1", "c,1e",
+                                                 "d,1"])
+        out = tmp_path / "s.bin"
+        assert main(["ingest", "--input", src, "--output", str(out), "--k", "8"]) == 1
+        assert "line 6" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_estimate_empty_sketch_fails(self, tmp_path, capsys):
         src = write_stream(tmp_path, "e.csv", ["# nothing"])

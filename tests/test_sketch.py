@@ -6,6 +6,7 @@ are not tolerance checks.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,53 @@ class TestUpdates:
         assert np.allclose(s.normalized(), s.projections / 4.0)
 
 
+class TestAtomicUpdates:
+    @pytest.mark.parametrize("delta", [1e15, 1e30, -1e30])
+    def test_overflowing_update_leaves_sketch_unchanged(self, delta):
+        s = new_sketch(k=8).update("a", 2.5).update("x", -1.0)
+        before = s.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no invalid float-to-int cast
+            with pytest.raises(OverflowError):
+                s.update("x", delta)
+        assert s == before
+
+    def test_slow_crossing_raises_at_the_limit_unchanged(self):
+        # each step is far below the limit; the exact check decides
+        s = new_sketch(k=8)
+        for _ in range(200):
+            before = s.copy()
+            try:
+                s.update("x", 2.0**30)
+            except OverflowError:
+                break
+        else:
+            pytest.fail("2^53 was never crossed")
+        assert s == before
+        assert np.abs(s._scaled).max() < 2**53
+
+    def test_churn_does_not_trip_the_running_bound(self):
+        # 2000 updates whose summed magnitudes pass 2^53 many times over,
+        # while the projections stay far below it
+        k, delta = 8, 2.0**30
+        vmax = float(np.abs(_backend.variates(item_key("x", 0), k)).max())
+        assert 2000 * vmax * delta * 65536.0 > 4 * 2**53
+        s = new_sketch(k=k)
+        for _ in range(1000):
+            s.update("x", delta).update("x", -delta)
+        assert s == new_sketch(k=k)
+        assert s._bound < 2**53
+        assert new_sketch(k=k).update_many([("x", delta), ("x", -delta)] * 1000) == s
+
+    def test_bound_covers_projections(self):
+        s = new_sketch(k=16)
+        for item, delta in _mixed_updates(7, 9):
+            s.update(item, delta * 1e3)
+            assert s._bound >= np.abs(s._scaled).max()
+        for t in (s.copy(), s.merge(s), EntropySketch.from_bytes(s.to_bytes())):
+            assert t._bound >= np.abs(t._scaled).max()
+
+
 def _mixed_updates(n_items, repeats):
     """Every item `repeats` times, interleaved, with mixed-sign fractional deltas."""
     cycle = [1.0, -0.5, 2.75, 3.0, -1.25, 0.125]
@@ -195,6 +243,62 @@ class TestSketchStream:
         with pytest.raises(OverflowError):
             sketch_stream([("x", 1e15), ("y", float("nan"))], k=8)
 
+
+def _loop_until_error(updates, k, seed=0):
+    """The update() loop's sketch and error type at its first failing update."""
+    s = new_sketch(k=k, master_seed=seed)
+    for item, delta in updates:
+        try:
+            s.update(item, delta)
+        except (OverflowError, ValueError) as exc:
+            return s, type(exc)
+    return s, None
+
+
+class TestUpdateMany:
+    def test_continues_a_sketch_bitwise(self, monkeypatch):
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 9)
+        head, tail = _mixed_updates(5, 2), _mixed_updates(8, 3) + [(b"i2", -0.5)]
+        s = _loop(head, 32, seed=1)
+        assert s.update_many(iter(tail)) is s
+        assert s.to_bytes() == _loop(head + tail, 32, seed=1).to_bytes()
+
+    def test_hashes_each_item_once_per_block(self, monkeypatch):
+        calls = []
+
+        def counting_item_key(item, seed):
+            calls.append(item)
+            return item_key(item, seed)
+
+        monkeypatch.setattr(sketch_mod, "item_key", counting_item_key)
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 20)
+        updates = _mixed_updates(4, 10)  # 40 updates, 2 blocks of 4 items
+        s = new_sketch(k=16).update_many(updates)
+        assert len(calls) == 8
+        assert s == _loop(updates, 16)
+
+    @pytest.mark.parametrize("block", [3, 16, 1 << 16])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [("x", 1e15)],
+            [("x", 1e30)],
+            [("y", float("nan"))],
+            [("y", float("inf"))],
+            [("x", 2.0**30)] * 200,  # crosses 2^53 only after many updates
+        ],
+    )
+    def test_raises_where_the_update_loop_does(self, monkeypatch, block, bad):
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", block)
+        updates = _mixed_updates(3, 3) + bad + [("z", 1.0)] * 4
+        ref, error = _loop_until_error(updates, 8)
+        assert error is not None
+        s = new_sketch(k=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                s.update_many(updates)
+        assert s == ref and s.to_bytes() == ref.to_bytes()
 
 class TestTurnstile:
     @given(st.lists(st.tuples(items, deltas), max_size=30))
