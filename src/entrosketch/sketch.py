@@ -12,23 +12,24 @@ nearest multiple of 2^-16 and accumulated in a 64-bit integer.
 Integer addition is associative and exactly invertible, so
 insert-then-delete cancellation, merge vs. single-pass equality, and
 order independence all hold bitwise (float summation guarantees none
-of these).  Accumulated values must stay below 2^37 in magnitude so they remain
-exactly representable as doubles; update raises if a projection
-leaves that range.
+of these).  Accumulated values must stay below 2^37 in magnitude so
+they remain exactly representable as doubles; update and merge raise
+OverflowError if a projection or the total would leave that range.
 
 Ingestion: an item's k variates depend only on its key, so ``update``
 keeps the variates of the first items it sees, up to a fixed cap of
 ``CACHE_VARIATES`` variates (1 MiB); later items are computed afresh
-every time.  The cache is filled from the active backend's ``variates``
-and the increment is ``rint(v * delta * 2^16)`` in int64, the arithmetic
-of both ``accumulate`` kernels, so cached and uncached updates give the
-same bits.  ``update_many`` is the batch entry point for streams;
+every time.  Variates come from ``hashing.variates_np`` and the
+increment is ``rint(v * delta * 2^16)`` in int64, the arithmetic of
+``hashing.accumulate_np``, so cached and uncached updates give the same
+bits.  ``update_many`` is the batch entry point for streams;
 ``sketch_stream`` and ``entrosketch ingest`` both use it.  It takes
 elements in blocks of ``_STREAM_BLOCK``, hashes each distinct item of a
 block once, groups the block by (key, delta), computes the variates of
-many keys per backend call and adds ``count * increment``, again bitwise
-equal to one ``update`` per element.  Its cost scales with the distinct
-items per block, not with the number of updates.
+many keys per ``hashing.variates_many_np`` call and adds
+``count * increment``, again bitwise equal to one ``update`` per
+element.  Its cost scales with the distinct items per block, not with
+the number of updates.
 
 Every state change commits fully or raises with the sketch unchanged.
 An update checks its increment against the 2^53 limit in float before
@@ -39,7 +40,9 @@ cancels never raises.
 Binary format (little endian): magic b"ESKV", version u16, k u64,
 zeta f64, master_seed u64, total f64, then k f64 projections.  All
 stored values are exact multiples of 2^-16, so the round trip is
-bit-exact.
+bit-exact.  ``from_bytes`` and ``from_json`` raise ValueError on a value
+that is not finite or not below 2^37 in magnitude, and round a value off
+that grid to the nearest multiple.
 """
 
 from __future__ import annotations
@@ -52,8 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend
-from .hashing import MASK64, item_key
+from .hashing import MASK64, item_key, variates_many_np, variates_np
 
 MAGIC = b"ESKV"
 FORMAT_VERSION = 1
@@ -65,7 +67,7 @@ _SCALE = 2.0**QUANTUM_BITS
 _LIMIT = 1 << 53  # beyond this, int64 counts are no longer exact doubles
 
 CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
-# variates per backend call in update_many (48 KiB per float64 temporary).
+# variates per variates_many_np call in update_many (48 KiB per float64 temporary).
 # Measured in CLI ingest processes at k=2217 on an all-distinct stream:
 # from 8192 up, the temporaries freed after each call are trimmed from the
 # C heap and page-faulted back in on the next (about 10x the minor faults),
@@ -134,8 +136,8 @@ class EntropySketch:
         loop raises, leaving the sketch as the loop leaves it at the failing
         pair.  Pairs are taken in blocks of ``_STREAM_BLOCK``; within a
         block each distinct item is hashed once and each distinct key's
-        variates are computed once, in backend calls of at most
-        ``_BATCH_VARIATES`` variates.
+        variates are computed once, in ``variates_many_np`` calls of at
+        most ``_BATCH_VARIATES`` variates.
         """
         seed = self.config.master_seed
         keys: list[int] = []
@@ -169,7 +171,7 @@ class EntropySketch:
         v = self._cache.get(key)
         if v is not None:
             return v, self._cache_max[key]
-        v = _backend.variates(key, self.config.k)
+        v = variates_np(key, self.config.k)
         vmax = float(np.abs(v).max())
         if (len(self._cache) + 1) * self.config.k <= CACHE_VARIATES:
             self._cache[key] = v
@@ -225,7 +227,7 @@ class EntropySketch:
             distinct, where = np.unique(
                 np.array([key for key, _ in pairs[chunk]], dtype=np.uint64), return_inverse=True
             )
-            scaled = _backend.variates_many(distinct.tolist(), k)[where] * d[chunk, None] * _SCALE
+            scaled = variates_many_np(distinct.tolist(), k)[where] * d[chunk, None] * _SCALE
             bound += float(np.abs(scaled).max(axis=1) @ c[chunk]) + float(c[chunk].sum())
             if not bound < _BATCH_HEADROOM:
                 self._add_loop(keys, deltas)
@@ -255,6 +257,8 @@ class EntropySketch:
         np.add(self._scaled, other._scaled, out=out._scaled)
         out._scaled_total = self._scaled_total + other._scaled_total
         out._bound = int(np.abs(out._scaled).max())
+        if out._bound >= _LIMIT or abs(out._scaled_total) >= _LIMIT:
+            raise OverflowError(_OVERFLOW)
         return out
 
     def copy(self) -> "EntropySketch":
@@ -341,9 +345,16 @@ class EntropySketch:
         return sketch
 
     def _set_projections(self, projections: np.ndarray, total: float) -> None:
-        # stored values are exact multiples of the quantum
-        self._scaled = np.rint(projections * _SCALE).astype(np.int64)
-        self._scaled_total = int(np.rint(total * _SCALE))
+        # stored values must be finite and below the exact-double limit,
+        # checked before any cast; off-grid values round to the quantum
+        scaled = np.append(projections, total) * _SCALE
+        if not np.isfinite(scaled).all():
+            raise ValueError("sketch values must be finite")
+        if not (np.abs(scaled) < _LIMIT).all():
+            raise ValueError("sketch values must be below 2^37 in magnitude")
+        scaled = np.rint(scaled)
+        self._scaled = scaled[:-1].astype(np.int64)
+        self._scaled_total = int(scaled[-1])
         self._bound = int(np.abs(self._scaled).max())
 
 

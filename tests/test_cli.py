@@ -127,6 +127,13 @@ class TestIngestEstimate:
         assert "line 6" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_quantity_fails_cleanly(self, tmp_path, capsys):
+        src = write_stream(tmp_path, "big.csv", ["a,1", "x,1e15"])
+        out = tmp_path / "s.bin"
+        assert main(["ingest", "--input", src, "--output", str(out), "--k", "8"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_estimate_empty_sketch_fails(self, tmp_path, capsys):
         src = write_stream(tmp_path, "e.csv", ["# nothing"])
         out = str(tmp_path / "s.bin")

@@ -86,6 +86,16 @@ class TestVariates:
         scalar = np.array([[variate_from_key(key, row, k) for row in range(k)] for key in keys])
         assert np.array_equal(many.view(np.uint64), scalar.view(np.uint64))
 
+    def test_scalar_reference_within_rounding(self):
+        # the scalar reference evaluates tan/log with libm, the sketch with
+        # numpy's SIMD loops; they agree within rounding, not bit for bit
+        keys = [item_key(f"item-{i}", 0) for i in range(100)]
+        k = 256
+        many = variates_many_np(keys, k)
+        scalar = np.array([[variate_from_key(key, row, k) for row in range(k)] for key in keys])
+        scale = np.maximum(np.abs(scalar), 1.0)
+        assert np.all(np.abs(many - scalar) <= 1e-12 * scale)
+
     def test_plan_row_bounds(self):
         plan = VariatePlan(master_seed=0, k=4)
         item_variate("a", 3, plan)

@@ -6,6 +6,7 @@ are not tolerance checks.
 """
 
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -13,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrosketch import _backend
 from entrosketch import sketch as sketch_mod
-from entrosketch.hashing import item_key
+from entrosketch.hashing import accumulate_np, item_key, variates_np
 from entrosketch.sketch import (
     CACHE_VARIATES,
     FORMAT_VERSION,
     MAGIC,
     QUANTUM,
     QUANTUM_BITS,
+    _HEADER,
     EntropySketch,
     SketchConfig,
     StreamElement,
@@ -140,7 +141,7 @@ class TestAtomicUpdates:
         # 2000 updates whose summed magnitudes pass 2^53 many times over,
         # while the projections stay far below it
         k, delta = 8, 2.0**30
-        vmax = float(np.abs(_backend.variates(item_key("x", 0), k)).max())
+        vmax = float(np.abs(variates_np(item_key("x", 0), k)).max())
         assert 2000 * vmax * delta * 65536.0 > 4 * 2**53
         s = new_sketch(k=k)
         for _ in range(1000):
@@ -182,7 +183,7 @@ class TestVariateCache:
         scaled = np.zeros(k, dtype=np.int64)
         total = 0
         for item, delta in updates:
-            _backend.accumulate(scaled, item_key(item, 4), delta)
+            accumulate_np(scaled, item_key(item, 4), delta)
             total += int(np.rint(delta * 65536.0))
         s = _loop(updates, k, seed=4)
         assert np.array_equal(s._scaled, scaled)
@@ -203,7 +204,7 @@ class TestVariateCache:
 class TestSketchStream:
     @pytest.mark.parametrize("block, batch_variates", [(7, 3 * 16), (7, 5), (1, 16), (1 << 16, 1 << 17)])
     def test_matches_update_loop_bitwise(self, monkeypatch, block, batch_variates):
-        # small blocks and backend calls put many block and call boundaries
+        # small blocks and variate calls put many block and call boundaries
         # inside the stream, including keys split across calls
         monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", block)
         monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", batch_variates)
@@ -340,6 +341,26 @@ class TestTurnstile:
         c.update("b")
         assert a != c
 
+    @pytest.mark.parametrize("field", ["projection", "total"])
+    def test_merge_past_the_limit_raises_inputs_unchanged(self, field):
+        near = (2**52 + 5) * QUANTUM  # on the grid, below the limit
+        a = EntropySketch.from_json(_json_with(new_sketch(k=4).update("a"), field, near))
+        b = EntropySketch.from_json(_json_with(new_sketch(k=4).update("b"), field, near))
+        a_bytes, b_bytes = a.to_bytes(), b.to_bytes()
+        with pytest.raises(OverflowError):
+            a.merge(b)
+        assert a.to_bytes() == a_bytes and b.to_bytes() == b_bytes
+
+
+def _json_with(s, field, value):
+    """``s.to_json()`` with its first projection, or its total, set to ``value``."""
+    doc = json.loads(s.to_json())
+    if field == "projection":
+        doc["projections"][0] = value
+    else:
+        doc["total"] = value
+    return json.dumps(doc)
+
 
 class TestSerialization:
     def _sample(self):
@@ -386,3 +407,48 @@ class TestSerialization:
 
     def test_identical_seeds_identical_bytes(self):
         assert self._sample().to_bytes() == self._sample().to_bytes()
+
+    BAD_VALUES = [
+        pytest.param(float("nan"), "finite", id="nan"),
+        pytest.param(float("inf"), "finite", id="inf"),
+        pytest.param(-float("inf"), "finite", id="-inf"),
+        pytest.param(2.0**37, "2\\^37", id="2^37"),
+        pytest.param(-(2.0**37), "2\\^37", id="-2^37"),
+        pytest.param(2.0**40, "2\\^37", id="2^40"),
+    ]
+
+    @pytest.mark.parametrize("field", ["projection", "total"])
+    @pytest.mark.parametrize("value, match", BAD_VALUES)
+    def test_from_bytes_rejects_bad_values(self, field, value, match):
+        data = bytearray(self._sample().to_bytes())
+        offset = _HEADER.size if field == "projection" else _HEADER.size - 8
+        struct.pack_into("<d", data, offset, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any int64 cast
+            with pytest.raises(ValueError, match=match):
+                EntropySketch.from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("field", ["projection", "total"])
+    @pytest.mark.parametrize("value, match", BAD_VALUES)
+    def test_from_json_rejects_bad_values(self, field, value, match):
+        text = _json_with(self._sample(), field, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                EntropySketch.from_json(text)
+
+    @pytest.mark.parametrize("field", ["projection", "total"])
+    @pytest.mark.parametrize("value, stored", [(0.1, 6554 * QUANTUM), (-(2.0**-17) - 2.0**-40, -QUANTUM)])
+    def test_off_grid_values_round_to_the_quantum(self, field, value, stored):
+        s = EntropySketch.from_json(_json_with(self._sample(), field, value))
+        got = s.projections[0] if field == "projection" else s.total
+        assert got == stored
+        assert EntropySketch.from_bytes(s.to_bytes()) == s
+
+    @pytest.mark.parametrize("field", ["projection", "total"])
+    @pytest.mark.parametrize("value", [2.0**37 - QUANTUM, -(2.0**37) + QUANTUM, QUANTUM, 0.0])
+    def test_values_in_range_load_and_roundtrip(self, field, value):
+        s = EntropySketch.from_json(_json_with(self._sample(), field, value))
+        assert EntropySketch.from_bytes(s.to_bytes()).to_bytes() == s.to_bytes()
+        assert EntropySketch.from_json(s.to_json()) == s
+        assert s._bound >= np.abs(s._scaled).max()
