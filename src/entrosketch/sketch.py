@@ -329,19 +329,24 @@ class EntropySketch:
     @classmethod
     def from_json(cls, text: str) -> "EntropySketch":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("sketch document must be a JSON object")
         if obj.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported format version")
-        sketch = cls(
-            SketchConfig(
+        try:
+            config = SketchConfig(
                 k=int(obj["k"]),
                 zeta=float(obj["zeta"]),
                 master_seed=int(obj["master_seed"]),
             )
-        )
-        proj = np.asarray(obj["projections"], dtype=np.float64)
-        if proj.shape != (sketch.config.k,):
+            proj = np.asarray(obj["projections"], dtype=np.float64)
+            total = float(obj["total"])
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed sketch document: {exc!r}") from exc
+        if proj.shape != (config.k,):
             raise ValueError("projections length does not match k")
-        sketch._set_projections(proj, float(obj["total"]))
+        sketch = cls(config)
+        sketch._set_projections(proj, total)
         return sketch
 
     def _set_projections(self, projections: np.ndarray, total: float) -> None:

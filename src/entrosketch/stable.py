@@ -86,17 +86,33 @@ def _open_unit(words: np.ndarray) -> np.ndarray:
     return (words.astype(np.float64) + 0.5) * 2.0**-64
 
 
+def _words(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.integers(0, 2**64, size=n, dtype=np.uint64)
+
+
+def _endpoint(u01: np.ndarray, w01: np.ndarray) -> np.ndarray:
+    return ~((u01 > 0.0) & (u01 < 1.0) & (w01 > 0.0) & (w01 < 1.0))
+
+
 def _draw_uniform_exp(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n pairs (u, w) with endpoint words rejected and redrawn."""
-    u01 = _open_unit(rng.integers(0, 2**64, size=n, dtype=np.uint64))
-    w01 = _open_unit(rng.integers(0, 2**64, size=n, dtype=np.uint64))
-    bad = ~((u01 > 0.0) & (u01 < 1.0) & (w01 > 0.0) & (w01 < 1.0))
+    u01 = _open_unit(_words(rng, n))
+    w01 = _open_unit(_words(rng, n))
+    bad = _endpoint(u01, w01)
     while np.any(bad):
         m = int(bad.sum())
-        u01[bad] = _open_unit(rng.integers(0, 2**64, size=m, dtype=np.uint64))
-        w01[bad] = _open_unit(rng.integers(0, 2**64, size=m, dtype=np.uint64))
-        bad = ~((u01 > 0.0) & (u01 < 1.0) & (w01 > 0.0) & (w01 < 1.0))
+        u01[bad] = _open_unit(_words(rng, m))
+        w01[bad] = _open_unit(_words(rng, m))
+        bad = _endpoint(u01, w01)
+    return _uniform_exp(u01, w01)
+
+
+def _uniform_exp(u01: np.ndarray, w01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.pi * (u01 - 0.5), -np.log(w01)
+
+
+def _g0(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return (HALF_PI - u) * np.tan(u) + np.log(w * np.cos(u) / (HALF_PI - u))
 
 
 def sample_g0(rng: np.random.Generator, size: int | None = None):
@@ -105,11 +121,36 @@ def sample_g0(rng: np.random.Generator, size: int | None = None):
     Identical generator state gives identical output.  For reproducible
     Monte Carlo across worker counts pass a counter-based generator,
     e.g. np.random.Generator(np.random.Philox(key=(seed, stream))).
+    The first n words drawn give the u of the n samples and the next n
+    their w; only a pair with an endpoint word draws more.
     """
     n = 1 if size is None else int(size)
-    u, w = _draw_uniform_exp(rng, n)
-    y = (HALF_PI - u) * np.tan(u) + np.log(w * np.cos(u) / (HALF_PI - u))
+    y = _g0(*_draw_uniform_exp(rng, n))
     return float(y[0]) if size is None else y
+
+
+def sample_g0_slices(key, size: int, start: int, stop: int, step: int):
+    """Samples [start, stop) of ``sample_g0(Generator(Philox(key=key)), size)``,
+    yielded at most ``step`` at a time, without drawing the ones before
+    ``start``.  A slice holding an endpoint word is yielded as None: there
+    ``sample_g0`` draws more words, so its output depends on the whole draw.
+    """
+    u_rng = _philox_at(key, start)
+    w_rng = _philox_at(key, size + start)
+    for lo in range(start, stop, step):
+        m = min(step, stop - lo)
+        u01 = _open_unit(_words(u_rng, m))
+        w01 = _open_unit(_words(w_rng, m))
+        yield None if np.any(_endpoint(u01, w01)) else _g0(*_uniform_exp(u01, w01))
+
+
+def _philox_at(key, offset: int) -> np.random.Generator:
+    """A Philox generator that has already drawn ``offset`` words."""
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(offset // 4)  # one counter step makes four words
+    rng = np.random.Generator(bitgen)
+    _words(rng, offset % 4)
+    return rng
 
 
 def char_fn(theta: float) -> complex:

@@ -86,6 +86,17 @@ class TestIngestEstimate:
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["bias_correction"]) == 0.0
 
+    def test_monte_carlo_estimate_prints_no_log(self, tmp_path, capsys):
+        # the Monte Carlo fallback logs at INFO, which the CLI does not show
+        src = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
+        out = str(tmp_path / "s.bin")
+        main(["ingest", "--input", src, "--output", out, "--k", "11", "--zeta", "0.9"])
+        capsys.readouterr()
+        assert main(["estimate", out, "--reps", "500"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert list(parse_kv(captured.out)) == ["entropy", "delta", "bias_correction", "asymptotic_se"]
+
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         src = write_stream(tmp_path, "s.csv", ["a,1"])
         out_a = str(tmp_path / "a.bin")

@@ -1,11 +1,16 @@
 """Log-mean entropy estimator and its small-sample bias correction."""
 
+import logging
 import math
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from entrosketch import estimator as estimator_mod
+from entrosketch import stable
 from entrosketch.estimator import (
     FISHER_INFO,
     BiasTable,
@@ -18,6 +23,7 @@ from entrosketch.estimator import (
     shipped_bias_table,
 )
 from entrosketch.sketch import new_sketch, sketch_stream
+from entrosketch.stable import sample_g0
 
 
 class TestLogMean:
@@ -98,15 +104,100 @@ class TestBiasCorrection:
         est = bias_correction(10, 1.0, reps=10_000, seed=0)
         assert abs(est.value - (-0.1617)) <= 0.01
 
-    def test_worker_independent_chunking(self):
-        # counter-based streams: the result depends only on (reps, seed)
-        a = bias_correction(25, 1.0, reps=30_000, seed=4)
-        b = bias_correction(25, 1.0, reps=30_000, seed=4)
-        assert a.value == b.value
+    # (k, zeta, reps, seed, chunk samples): several chunks with a shorter
+    # last one, k above one block (of both sizes below), one replicate per
+    # chunk, n*k % 4 != 0, one replicate, a last block shorter than the others
+    GRID = [
+        pytest.param(7, 1.3, 2000, 9, 5000, id="several-chunks"),
+        pytest.param(20_001, 1.0, 3, 2, 8_000_000, id="k-above-block"),
+        pytest.param(20_000, 0.9, 3, 5, 5000, id="k-above-chunk"),
+        pytest.param(7, 1.3, 12_345, 9, 8_000_000, id="nk-mod-4"),
+        pytest.param(5, 1.0, 1, 0, 8_000_000, id="one-rep"),
+        pytest.param(20, 0.9, 2000, 0, 8_000_000, id="short-last-block"),
+        pytest.param(3, 0.5, 77, 5, 8_000_000, id="tiny"),
+    ]
+
+    def test_worker_independent_chunking(self, monkeypatch):
+        # counter-based streams: the bits depend only on (k, zeta, reps, seed),
+        # also with more workers than cores switching threads often
+        reference = _whole_chunks(25, 1.0, 30_000, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(estimator_mod, "_worker_count", lambda: workers)
+                _assert_same_bits(bias_correction(25, 1.0, reps=30_000, seed=4), reference)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [64, None])
+    @pytest.mark.parametrize("k, zeta, reps, seed, chunk_samples", GRID)
+    def test_matches_whole_chunk_draw(
+        self, monkeypatch, k, zeta, reps, seed, chunk_samples, block, workers
+    ):
+        # the chunk partition defines the stream; block size and worker
+        # count must not change a single bit
+        monkeypatch.setattr(estimator_mod, "_CHUNK_SAMPLES", chunk_samples)
+        if block is not None:
+            monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(estimator_mod, "_worker_count", lambda: workers)
+        _assert_same_bits(
+            bias_correction(k, zeta, reps=reps, seed=seed), _whole_chunks(k, zeta, reps, seed, chunk_samples)
+        )
+
+    def test_endpoint_words_redraw_the_whole_chunk(self, monkeypatch):
+        # a coarser unit map puts about one word in 2000 on the endpoint 1,
+        # so some chunks take the sample_g0 redraw path and others do not
+        monkeypatch.setattr(
+            stable, "_open_unit", lambda words: (words.astype(np.float64) + 0.5) * (2.0**-64 * 1.0005)
+        )
+        monkeypatch.setattr(estimator_mod, "_CHUNK_SAMPLES", 400)
+        monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", 64)
+        redrawn = []
+        monkeypatch.setattr(
+            estimator_mod, "sample_g0", lambda rng, n: redrawn.append(n) or sample_g0(rng, n)
+        )
+        monkeypatch.setattr(estimator_mod, "_worker_count", lambda: 2)
+        est = bias_correction(10, 1.0, reps=2000, seed=3)
+        assert 0 < len(redrawn) < 50  # of 50 chunks
+        _assert_same_bits(est, _whole_chunks(10, 1.0, 2000, 3, chunk_samples=400))
+
+    def test_memory_is_bounded_by_blocks(self):
+        # drawing each chunk whole peaked at about 155 MiB here
+        tracemalloc.start()
+        try:
+            bias_correction(20, 0.9, reps=200_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_single_rep_has_nan_se(self):
         est = bias_correction(10, 1.0, reps=1, seed=0)
         assert math.isnan(est.std_error)
+
+
+def _whole_chunks(k, zeta, reps, seed, chunk_samples=8_000_000):
+    """Reference Monte Carlo BC: each chunk's n*k samples from one
+    ``sample_g0`` draw, log-means row by row over the whole chunk."""
+    chunk = max(1, min(reps, chunk_samples // k))
+    parts = []
+    for chunk_idx, start in enumerate(range(0, reps, chunk)):
+        n = min(chunk, reps - start)
+        rng = np.random.Generator(np.random.Philox(key=[seed, chunk_idx]))
+        v = zeta * sample_g0(rng, n * k).reshape(n, k)
+        m = v.max(axis=1)
+        parts.append((m + np.log(np.mean(np.exp(v - m[:, None]), axis=1))) / zeta - math.log(zeta))
+    values = np.concatenate(parts)
+    se = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else float("nan")
+    return float(values.mean()), se
+
+
+def _assert_same_bits(est, reference):
+    value, se = reference
+    assert est.value.hex() == value.hex()
+    assert est.std_error.hex() == se.hex()
 
 
 class TestResolveBias:
@@ -123,6 +214,16 @@ class TestResolveBias:
         a = resolve_bias(12, 1.0, mode="mc", mc_reps=20_000)
         b = resolve_bias(12, 1.0, mode="mc", mc_reps=20_000)
         assert a == b
+
+    def test_monte_carlo_fallback_is_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="entrosketch.estimator"):
+            resolve_bias(10, 1.0, mode="auto")
+            assert not caplog.records  # a table hit takes no slow path
+            resolve_bias(13, 0.77, mode="auto", mc_reps=500)
+        (record,) = caplog.records
+        assert record.levelno == logging.INFO
+        msg = record.getMessage()
+        assert "k=13" in msg and "zeta=0.77" in msg and "reps=500" in msg
 
     def test_zero_above_cutoff(self):
         with warnings.catch_warnings():

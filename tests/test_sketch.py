@@ -437,6 +437,36 @@ class TestSerialization:
             with pytest.raises(ValueError, match=match):
                 EntropySketch.from_json(text)
 
+    @pytest.mark.parametrize("field", ["format_version", "k", "zeta", "master_seed", "total", "projections"])
+    def test_from_json_rejects_missing_field(self, field):
+        doc = json.loads(self._sample().to_json())
+        del doc[field]
+        with pytest.raises(ValueError):
+            EntropySketch.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("total", 10**400, id="huge-int-total"),
+            pytest.param("zeta", 10**400, id="huge-int-zeta"),
+            pytest.param("k", None, id="null-k"),
+            pytest.param("projections", 5.0, id="number-projections"),
+            pytest.param("projections", {"0": 1.0}, id="object-projections"),
+            pytest.param("projections", "abc", id="string-projections"),
+            pytest.param("projections", [[0.0] * 12], id="nested-projections"),
+        ],
+    )
+    def test_from_json_rejects_malformed_field(self, field, value):
+        doc = json.loads(self._sample().to_json())
+        doc[field] = value
+        with pytest.raises(ValueError):
+            EntropySketch.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["[]", "5", "null", '"sketch"'])
+    def test_from_json_rejects_non_object(self, text):
+        with pytest.raises(ValueError):
+            EntropySketch.from_json(text)
+
     @pytest.mark.parametrize("field", ["projection", "total"])
     @pytest.mark.parametrize("value, stored", [(0.1, 6554 * QUANTUM), (-(2.0**-17) - 2.0**-40, -QUANTUM)])
     def test_off_grid_values_round_to_the_quantum(self, field, value, stored):
