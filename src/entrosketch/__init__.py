@@ -12,7 +12,7 @@ from .estimator import (
 )
 from .hashing import VariatePlan, item_variate
 from .oracle import AccumulationVector, exact_entropies, limit_check
-from .sketch import EntropySketch, SketchConfig, StreamElement, new_sketch, sketch_stream
+from .sketch import EntropySketch, SketchConfig, new_sketch, sketch_stream
 from .stable import (
     G0_PARAMS,
     StableParams,
@@ -41,7 +41,6 @@ __all__ = [
     "G0_PARAMS",
     "SketchConfig",
     "StableParams",
-    "StreamElement",
     "TailBoundResult",
     "UniformExpPair",
     "VariatePlan",

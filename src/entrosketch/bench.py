@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import FISHER_INFO, bias_correction, log_mean, resolve_bias
+from .estimator import FISHER_INFO, bias_correction, log_mean, log_mean_replicates, resolve_bias
 from .oracle import AccumulationVector, shannon_entropy
 from .sketch import sketch_stream
-from .stable import sample_g0
 from .streams import counts_to_stream, uniform_stream, zipf_counts
 from .tailbounds import tail_constants
 
@@ -78,22 +77,7 @@ def run_bias_table(spec: ExperimentSpec):
 
 def _delta_hat_replicates(k: int, zeta: float, reps: int, seed: int, delta: float) -> np.ndarray:
     """Replicated raw log-mean estimates at a known location delta."""
-    out = np.empty(reps, dtype=np.float64)
-    chunk = max(1, min(reps, 8_000_000 // k))
-    done = 0
-    block = 0
-    while done < reps:
-        n = min(chunk, reps - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, block]))
-        y = delta + sample_g0(rng, n * k).reshape(n, k)
-        v = zeta * y
-        m = v.max(axis=1)
-        out[done : done + n] = (
-            m + np.log(np.mean(np.exp(v - m[:, None]), axis=1))
-        ) / zeta - math.log(zeta)
-        done += n
-        block += 1
-    return out
+    return log_mean_replicates(k, zeta, reps, seed, shift=delta)
 
 
 def run_mse_curve(spec: ExperimentSpec, delta: float = DEFAULT_DELTA):

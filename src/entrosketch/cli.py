@@ -130,7 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="entropy estimate from a sketch file")
     p.add_argument("sketch")
-    p.add_argument("--bc-mode", default="auto", choices=["auto", "table", "mc", "none"])
+    p.add_argument(
+        "--bc-mode",
+        default="auto",
+        choices=["auto", "mc", "none"],
+        help="auto: closed-form bias correction for zeta <= 1.5 and k large enough "
+        "(k >= 8 at zeta=1), else Monte Carlo; mc: always Monte Carlo; none: no correction",
+    )
     p.add_argument("--reps", type=int, default=500_000, help="Monte Carlo BC replicates")
     p.set_defaults(fn=cmd_estimate)
 

@@ -3,18 +3,20 @@
 The raw estimator is
     delta_raw = zeta^-1 * log( zeta^-zeta * k^-1 * sum_j exp(zeta*y_j) )
 with y_j = projections[j]/total, evaluated through a max-shifted
-log-sum-exp.  A small-sample additive bias BC is subtracted; shipped
-constants live in data/bias_table.txt, anything else is recomputed by
-Monte Carlo or interpolated in 1/k.  The Shannon entropy is -delta.
+log-sum-exp.  A small-sample additive bias BC is subtracted.  The
+paper's identity E exp(m X) = m^m gives every moment of
+W = exp(zeta X)/zeta^zeta in closed form, so BC has a delta-method
+expansion in 1/k through 1/k^3.  That expansion is used for zeta <= 1.5
+wherever its 1/k^3 term is at most 2e-3; everywhere else BC is computed
+by Monte Carlo.  The Shannon entropy is -delta.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from importlib import resources
 
 import numpy as np
@@ -23,9 +25,11 @@ from .stable import sample_g0, sample_g0_slices
 
 FISHER_INFO = 0.3445  # Fisher information for delta per sketch coordinate
 
-# Monte Carlo BC is interpolated in 1/k inside the shipped-table range
-# and treated as zero above this width (trend extrapolates to < 0.002).
-_BC_ZERO_ABOVE = 1000
+# Region of the closed-form BC.  Against Monte Carlo, the residual was
+# within noise wherever the 1/k^3 term is at most _CLOSED_FORM_T3_MAX for
+# zeta <= 1.5, but negative at every k tried for zeta 2 and 2.5.
+_CLOSED_FORM_T3_MAX = 2e-3
+_CLOSED_FORM_ZETA_MAX = 1.5
 
 _ZETA_TOL = 1e-9
 
@@ -56,7 +60,11 @@ class EstimateResult:
 
 
 class BiasTable:
-    """(k, zeta) -> BC lookup backed by the shipped data asset."""
+    """(k, zeta) -> BC lookup of the shipped Monte Carlo reference values.
+
+    The estimate path does not read it; tests check the closed form and
+    ``bias_correction`` against it.
+    """
 
     def __init__(self, entries=None):
         # entries: {(k, zeta): (bc, std_error, provenance)}
@@ -74,50 +82,14 @@ class BiasTable:
             table.entries[(int(k_s), float(zeta_s))] = (float(bc_s), float(se_s), "shipped")
         return table
 
-    def add(self, k: int, zeta: float, bc: float, std_error: float, provenance: str = "recomputed"):
-        self.entries[(k, zeta)] = (bc, std_error, provenance)
-
     def lookup(self, k: int, zeta: float):
         for (tk, tz), entry in self.entries.items():
             if tk == k and abs(tz - zeta) < _ZETA_TOL:
                 return entry
         return None
 
-    def _column(self, zeta: float):
-        col = sorted(
-            (tk, entry[0]) for (tk, tz), entry in self.entries.items() if abs(tz - zeta) < _ZETA_TOL
-        )
-        return col
-
-    def interpolate(self, k: int, zeta: float) -> float:
-        """BC linear in 1/k between table nodes; extrapolated above the
-        last node up to k=1000, zero (with a warning) beyond."""
-        col = self._column(zeta)
-        if len(col) < 2:
-            raise KeyError(f"no table column for zeta={zeta}")
-        ks = [c[0] for c in col]
-        if k < ks[0]:
-            raise KeyError(f"k={k} below table range {ks[0]}")
-        if k > _BC_ZERO_ABOVE:
-            warnings.warn(
-                f"k={k} beyond bias table; using BC=0 (residual bias < 0.002)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 0.0
-        if k > ks[-1]:
-            lo, hi = col[-2], col[-1]
-        else:
-            i = next(i for i in range(len(ks) - 1) if ks[i] <= k <= ks[i + 1])
-            lo, hi = col[i], col[i + 1]
-        x0, y0 = 1.0 / lo[0], lo[1]
-        x1, y1 = 1.0 / hi[0], hi[1]
-        x = 1.0 / k
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
-
 
 _SHIPPED: BiasTable | None = None
-_MC_CACHE: dict[tuple[int, float], float] = {}
 
 
 def shipped_bias_table() -> BiasTable:
@@ -148,19 +120,22 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _fill_rows(out, key, n: int, k: int, zeta: float, rows: int, a: int, b: int) -> bool:
-    """out[a:b] = log-means of rows [a, b) of the chunk's n x k samples,
-    ``rows`` rows at a time; False if an endpoint word was met."""
+def _fill_rows(
+    out, key, n: int, k: int, zeta: float, shift: float, rows: int, a: int, b: int
+) -> bool:
+    """out[a:b] = log-means of rows [a, b) of the chunk's n x k samples
+    plus ``shift``, ``rows`` rows at a time; False if an endpoint word was met."""
     for r0, z in zip(range(a, b, rows), sample_g0_slices(key, n * k, a * k, b * k, rows * k)):
         if z is None:
             return False
-        out[r0 : r0 + len(z) // k] = _log_means(z.reshape(-1, k), zeta)
+        out[r0 : r0 + len(z) // k] = _log_means(z.reshape(-1, k) + shift, zeta)
     return True
 
 
-def bias_correction(k: int, zeta: float, reps: int = 500_000, seed: int = 0) -> BiasEstimate:
-    """Monte Carlo BC: mean over replicates of the log-mean of k pure
-    G(z;0) samples, with its standard error (sample sd / sqrt(reps)).
+def log_mean_replicates(
+    k: int, zeta: float, reps: int, seed: int, shift: float = 0.0
+) -> np.ndarray:
+    """``reps`` replicates of the log-mean of k G(z;0) samples plus ``shift``.
 
     The chunk partition defines the stream: replicates come in chunks of
     ``max(1, min(reps, _CHUNK_SAMPLES // k))``, and chunk i is the
@@ -189,67 +164,85 @@ def bias_correction(k: int, zeta: float, reps: int = 500_000, seed: int = 0) -> 
             blocks = -(-n // rows)
             parts = min(workers, blocks)
             cuts = [min(n, blocks * i // parts * rows) for i in range(parts + 1)]
-            fill = partial(_fill_rows, out, key, n, k, zeta, rows)
+            fill = partial(_fill_rows, out, key, n, k, zeta, shift, rows)
             if not all(list(pool.map(fill, cuts[:-1], cuts[1:]))):
                 rng = np.random.Generator(np.random.Philox(key=key))
-                out[:] = _log_means(sample_g0(rng, n * k).reshape(n, k), zeta)
+                out[:] = _log_means(sample_g0(rng, n * k).reshape(n, k) + shift, zeta)
+    return values
+
+
+def bias_correction(k: int, zeta: float, reps: int = 500_000, seed: int = 0) -> BiasEstimate:
+    """Monte Carlo BC: mean over replicates of the log-mean of k pure
+    G(z;0) samples, with its standard error (sample sd / sqrt(reps)).
+    The replicates are ``log_mean_replicates(k, zeta, reps, seed)``."""
+    values = log_mean_replicates(k, zeta, reps, seed)
     value = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else float("nan")
     return BiasEstimate(value=value, std_error=se, reps=reps)
+
+
+def _bias_terms(k: int, zeta: float) -> tuple[float, float, float]:
+    """The 1/k, 1/k^2 and 1/k^3 terms of BC = zeta^-1 E log(mean of k W's).
+
+    W = exp(zeta X)/zeta^zeta has E W^m = m^(m zeta), from the paper's
+    E exp(m X) = m^m; c2, c3, c4 are its central moments (E W = 1).
+    """
+    c2 = 4.0**zeta - 1.0
+    c3 = 27.0**zeta - 3.0 * 4.0**zeta + 2.0
+    c4 = 256.0**zeta - 4.0 * 27.0**zeta + 6.0 * 4.0**zeta - 3.0
+    t1 = -c2 / (2.0 * k)
+    t2 = (c3 / 3.0 - 0.75 * c2**2) / k**2
+    t3 = (2.0 * c2 * c3 - (c4 - 3.0 * c2**2) / 4.0 - 2.5 * c2**3) / k**3
+    return t1 / zeta, t2 / zeta, t3 / zeta
+
+
+@lru_cache(maxsize=64)
+def _monte_carlo_bias(k: int, zeta: float, reps: int, seed: int) -> float:
+    import logging  # imported here, as concurrent.futures in log_mean_replicates
+
+    logging.getLogger(__name__).info(
+        "bias correction by Monte Carlo: k=%d, zeta=%r, reps=%d", k, zeta, reps
+    )
+    return bias_correction(k, zeta, reps=reps, seed=seed).value
 
 
 def resolve_bias(
     k: int,
     zeta: float,
     mode: str = "auto",
-    table: BiasTable | None = None,
     mc_reps: int = 500_000,
     mc_seed: int = 0,
 ) -> float:
     """BC for (k, zeta) per the configured policy.
 
-    auto: exact table hit, else 1/k interpolation when the zeta column
-    exists, else cached Monte Carlo.  table: no Monte Carlo fallback.
-    mc: always Monte Carlo.  none: BC = 0 (the raw estimator).
-    Each Monte Carlo computation is logged at INFO with k, zeta and reps.
+    auto: the closed-form expansion of ``_bias_terms`` where it holds
+    (zeta <= 1.5 and a 1/k^3 term of at most 2e-3; k >= 8 at zeta = 1,
+    k >= 28 at zeta = 1.5), else Monte Carlo.  mc: always Monte Carlo.
+    none: BC = 0 (the raw estimator).  Monte Carlo values are cached per
+    (k, zeta, mc_reps, mc_seed), and each computation is logged at INFO
+    with k, zeta and reps.
     """
+    if mode not in ("auto", "mc", "none"):
+        raise ValueError(f"unknown bias mode {mode!r}")
+    if k < 1 or not zeta > 0.0:
+        raise ValueError("k must be >= 1 and zeta positive")
     if mode == "none":
         return 0.0
-    if table is None:
-        table = shipped_bias_table()
-    if mode in ("auto", "table"):
-        hit = table.lookup(k, zeta)
-        if hit is not None:
-            return hit[0]
-        try:
-            return table.interpolate(k, zeta)
-        except KeyError:
-            if mode == "table":
-                raise
-    cache_key = (k, round(zeta, 12))
-    if cache_key not in _MC_CACHE:
-        import logging  # imported here, as in bias_correction
-
-        logging.getLogger(__name__).info(
-            "bias correction by Monte Carlo: k=%d, zeta=%r, reps=%d", k, zeta, mc_reps
-        )
-        _MC_CACHE[cache_key] = bias_correction(k, zeta, reps=mc_reps, seed=mc_seed).value
-    return _MC_CACHE[cache_key]
+    if mode == "auto" and zeta <= _CLOSED_FORM_ZETA_MAX:
+        terms = _bias_terms(k, zeta)
+        if abs(terms[2]) <= _CLOSED_FORM_T3_MAX:
+            return sum(terms)
+    return _monte_carlo_bias(k, zeta, mc_reps, mc_seed)
 
 
-def estimate(
-    sketch,
-    bc_mode: str = "auto",
-    table: BiasTable | None = None,
-    mc_reps: int = 500_000,
-) -> EstimateResult:
+def estimate(sketch, bc_mode: str = "auto", mc_reps: int = 500_000) -> EstimateResult:
     """Entropy estimate from a sketch: H = -(log-mean - BC)."""
     if not sketch.total > 0.0:
         raise ValueError("sketch total must be positive (frequencies undefined)")
     zeta = sketch.config.zeta
     k = sketch.config.k
     raw = log_mean(sketch.normalized(), zeta)
-    bc = resolve_bias(k, zeta, mode=bc_mode, table=table, mc_reps=mc_reps)
+    bc = resolve_bias(k, zeta, mode=bc_mode, mc_reps=mc_reps)
     delta_hat = raw - bc
     return EstimateResult(
         delta_hat=delta_hat,

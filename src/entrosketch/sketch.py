@@ -96,12 +96,6 @@ class SketchConfig:
             raise ValueError("master_seed must fit in 64 bits")
 
 
-@dataclass(frozen=True)
-class StreamElement:
-    item: bytes | str
-    delta: float = 1.0
-
-
 class EntropySketch:
     """O(k) one-pass summary of a turnstile stream.  Single-writer."""
 
@@ -240,9 +234,6 @@ class EntropySketch:
     def _add_loop(self, keys: list[int], deltas: list[float]) -> None:
         for key, delta in zip(keys, deltas):
             self._add(key, delta)
-
-    def update_element(self, element: StreamElement) -> "EntropySketch":
-        return self.update(element.item, element.delta)
 
     def normalized(self) -> np.ndarray:
         """y_l = projections[l]/total, the estimator's input."""

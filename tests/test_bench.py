@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from entrosketch import estimator as estimator_mod
+from entrosketch import stable
 from entrosketch.bench import (
     DEFAULT_DELTA,
     ExperimentSpec,
@@ -16,6 +18,7 @@ from entrosketch.bench import (
     run_mse_curve,
     run_tail_curve,
 )
+from entrosketch.stable import sample_g0
 
 
 class TestSpec:
@@ -36,11 +39,60 @@ class TestReplicates:
         b = _delta_hat_replicates(30, 1.0, 5000, 2, DEFAULT_DELTA)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "k, zeta, reps, seed, chunk_samples",
+        [
+            # acceptance criterion 5
+            (20, 1.0, 100_000, 3, 8_000_000),
+            (50, 1.0, 100_000, 3, 8_000_000),
+            (100, 1.0, 100_000, 3, 8_000_000),
+            # several chunks with a shorter last one, n*k % 4 != 0
+            (7, 1.3, 2001, 9, 5000),
+        ],
+    )
+    def test_matches_whole_chunk_draw(self, monkeypatch, k, zeta, reps, seed, chunk_samples):
+        monkeypatch.setattr(estimator_mod, "_CHUNK_SAMPLES", chunk_samples)
+        new = _delta_hat_replicates(k, zeta, reps, seed, DEFAULT_DELTA)
+        old = _whole_chunk_replicates(k, zeta, reps, seed, DEFAULT_DELTA, chunk_samples)
+        assert new.tobytes() == old.tobytes()
+
+    def test_endpoint_words_match_whole_chunk_draw(self, monkeypatch):
+        # a coarser unit map puts about one word in 2000 on the endpoint 1,
+        # so some chunks take the whole-chunk redraw path, shift included
+        monkeypatch.setattr(
+            stable, "_open_unit", lambda words: (words.astype(np.float64) + 0.5) * (2.0**-64 * 1.0005)
+        )
+        monkeypatch.setattr(estimator_mod, "_CHUNK_SAMPLES", 400)
+        new = _delta_hat_replicates(10, 1.0, 2000, 3, DEFAULT_DELTA)
+        old = _whole_chunk_replicates(10, 1.0, 2000, 3, DEFAULT_DELTA, chunk_samples=400)
+        assert new.tobytes() == old.tobytes()
+
     def test_centering(self):
         raw = _delta_hat_replicates(50, 1.0, 20_000, 0, DEFAULT_DELTA)
         se = math.sqrt(3.0 / 50 / 20_000)
         # raw estimates sit at delta + BC(k); BC(50) is about -0.031
         assert abs(float(raw.mean()) - DEFAULT_DELTA - (-0.031)) < 0.01
+
+
+def _whole_chunk_replicates(k, zeta, reps, seed, delta, chunk_samples=8_000_000):
+    """Reference replicates: each chunk's n*k samples from one ``sample_g0``
+    draw, shifted by delta, log-means row by row over the whole chunk."""
+    out = np.empty(reps, dtype=np.float64)
+    chunk = max(1, min(reps, chunk_samples // k))
+    done = 0
+    block = 0
+    while done < reps:
+        n = min(chunk, reps - done)
+        rng = np.random.Generator(np.random.Philox(key=[seed, block]))
+        y = delta + sample_g0(rng, n * k).reshape(n, k)
+        v = zeta * y
+        m = v.max(axis=1)
+        out[done : done + n] = (
+            m + np.log(np.mean(np.exp(v - m[:, None]), axis=1))
+        ) / zeta - math.log(zeta)
+        done += n
+        block += 1
+    return out
 
 
 class TestRunners:

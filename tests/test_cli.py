@@ -2,6 +2,7 @@
 
 import io
 import math
+from pathlib import Path
 
 import pytest
 
@@ -74,7 +75,7 @@ class TestIngestEstimate:
         monkeypatch.setattr("sys.stdin", io.StringIO("a,1\nb,1\n"))
         out = str(tmp_path / "s.bin")
         assert main(["ingest", "--output", out, "--k", "10"]) == 0
-        sketch = EntropySketch.from_bytes(open(out, "rb").read())
+        sketch = EntropySketch.from_bytes(Path(out).read_bytes())
         assert sketch.total == 2.0
 
     def test_bc_none_mode(self, tmp_path, capsys):
@@ -87,15 +88,27 @@ class TestIngestEstimate:
         assert float(kv["bias_correction"]) == 0.0
 
     def test_monte_carlo_estimate_prints_no_log(self, tmp_path, capsys):
-        # the Monte Carlo fallback logs at INFO, which the CLI does not show
+        # the Monte Carlo fallback logs at INFO, which the CLI does not show;
+        # k=5 is below the closed form's region
         src = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
         out = str(tmp_path / "s.bin")
-        main(["ingest", "--input", src, "--output", out, "--k", "11", "--zeta", "0.9"])
+        main(["ingest", "--input", src, "--output", out, "--k", "5", "--zeta", "0.9"])
         capsys.readouterr()
         assert main(["estimate", out, "--reps", "500"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert list(parse_kv(captured.out)) == ["entropy", "delta", "bias_correction", "asymptotic_se"]
+
+    def test_recommended_width_estimate_is_corrected_silently(self, tmp_path, capsys):
+        # k=2217 is the width `size --epsilon 0.1 --gamma 0.05` recommends
+        src = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
+        out = str(tmp_path / "s.bin")
+        main(["ingest", "--input", src, "--output", out, "--k", "2217"])
+        capsys.readouterr()
+        assert main(["estimate", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert float(parse_kv(captured.out)["bias_correction"]) == pytest.approx(-6.77e-4, abs=5e-7)
 
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         src = write_stream(tmp_path, "s.csv", ["a,1"])
@@ -104,7 +117,7 @@ class TestIngestEstimate:
         monkeypatch.setenv("ENTROSKETCH_SEED", "99")
         main(["ingest", "--input", src, "--output", out_a, "--k", "8"])
         main(["ingest", "--input", src, "--output", out_b, "--k", "8", "--seed", "99"])
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         src = write_stream(tmp_path, "bad.csv", ["a,notanumber"])
@@ -168,7 +181,7 @@ class TestMerge:
             main(["ingest", "--input", src, "--output", dst, "--k", "16", "--seed", "7"])
         capsys.readouterr()
         assert main(["merge", a, b, "--output", merged]) == 0
-        assert open(merged, "rb").read() == open(ab, "rb").read()
+        assert Path(merged).read_bytes() == Path(ab).read_bytes()
 
     def test_mismatched_configs_fail(self, tmp_path, capsys):
         src = write_stream(tmp_path, "s.csv", ["a,1"])
@@ -217,11 +230,11 @@ class TestBench:
         assert main(["bench", "--kind", "tail_curve", "--epsilon", "0.1",
                      "--output", out]) == 0
         assert "wrote" in capsys.readouterr().out
-        assert open(out).readline().startswith("zeta,")
+        assert Path(out).read_text().startswith("zeta,")
 
     def test_json_config(self, tmp_path, capsys):
         cfg = tmp_path / "spec.json"
         cfg.write_text('{"kind": "bias_table", "k_values": [10], "reps": 2000}')
         out = str(tmp_path / "res.csv")
         assert main(["bench", "--config", str(cfg), "--output", out]) == 0
-        assert open(out).readline().startswith("k,")
+        assert Path(out).read_text().startswith("k,")

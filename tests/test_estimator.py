@@ -13,7 +13,8 @@ from entrosketch import estimator as estimator_mod
 from entrosketch import stable
 from entrosketch.estimator import (
     FISHER_INFO,
-    BiasTable,
+    _bias_terms,
+    _monte_carlo_bias,
     are,
     asymptotic_std_error,
     bias_correction,
@@ -65,37 +66,15 @@ class TestBiasTable:
     def test_lookup_miss(self):
         assert shipped_bias_table().lookup(37, 1.0) is None
 
-    def test_interpolation_between_rows(self):
-        # between k rows the 1/k interpolant must stay between the endpoints
+    def test_closed_form_matches_every_shipped_row(self):
+        # the shipped rows are Monte Carlo values (5e5 replicates) at
+        # k=10..150, zeta in {1, 1.15}, all inside the closed form's region
         table = shipped_bias_table()
-        lo = table.lookup(30, 1.0)[0]
-        hi = table.lookup(40, 1.0)[0]
-        mid = table.interpolate(34, 1.0)
-        assert min(lo, hi) <= mid <= max(lo, hi)
-
-    def test_interpolation_matches_monte_carlo(self):
-        est = bias_correction(34, 1.0, reps=200_000, seed=1)
-        mid = shipped_bias_table().interpolate(34, 1.0)
-        assert abs(mid - est.value) <= 5 * est.std_error + 1e-3
-
-    def test_extrapolation_above_table(self):
-        # BC shrinks roughly like 1/k, so extrapolating the last two nodes
-        # stays small and negative
-        val = shipped_bias_table().interpolate(500, 1.0)
-        assert -0.01 < val < 0.0
-
-    def test_zero_with_warning_beyond_cutoff(self):
-        with pytest.warns(RuntimeWarning):
-            assert shipped_bias_table().interpolate(2000, 1.0) == 0.0
-
-    def test_unknown_zeta_column(self):
-        with pytest.raises(KeyError):
-            shipped_bias_table().interpolate(20, 0.77)
-
-    def test_add_then_lookup(self):
-        table = BiasTable()
-        table.add(7, 1.0, -0.2, 0.001)
-        assert table.lookup(7, 1.0)[0] == -0.2
+        assert len(table.entries) == 30
+        for (k, zeta), (bc, se, _) in table.entries.items():
+            closed_form = sum(_bias_terms(k, zeta))
+            assert resolve_bias(k, zeta) == closed_form
+            assert abs(closed_form - bc) <= 3 * se, (k, zeta)
 
 
 class TestBiasCorrection:
@@ -203,11 +182,14 @@ def _assert_same_bits(est, reference):
 class TestResolveBias:
     def test_modes(self):
         assert resolve_bias(10, 1.0, mode="none") == 0.0
-        assert resolve_bias(10, 1.0, mode="table") == pytest.approx(-0.1617)
-        assert resolve_bias(10, 1.0, mode="auto") == pytest.approx(-0.1617)
+        assert resolve_bias(10, 1.0, mode="auto") == sum(_bias_terms(10, 1.0))
+        # mc runs Monte Carlo also inside the closed form's region
+        mc = resolve_bias(10, 1.0, mode="mc", mc_reps=2000)
+        assert mc == bias_correction(10, 1.0, reps=2000).value
 
-    def test_table_mode_raises_off_grid(self):
-        with pytest.raises(KeyError):
+    def test_unknown_mode_raises(self):
+        # "table" was a mode once; it must not fall through to Monte Carlo
+        with pytest.raises(ValueError):
             resolve_bias(10, 0.77, mode="table")
 
     def test_mc_mode_cached(self):
@@ -215,20 +197,43 @@ class TestResolveBias:
         b = resolve_bias(12, 1.0, mode="mc", mc_reps=20_000)
         assert a == b
 
-    def test_monte_carlo_fallback_is_logged(self, caplog):
-        with caplog.at_level(logging.INFO, logger="entrosketch.estimator"):
-            resolve_bias(10, 1.0, mode="auto")
-            assert not caplog.records  # a table hit takes no slow path
-            resolve_bias(13, 0.77, mode="auto", mc_reps=500)
-        (record,) = caplog.records
-        assert record.levelno == logging.INFO
-        msg = record.getMessage()
-        assert "k=13" in msg and "zeta=0.77" in msg and "reps=500" in msg
+    def test_mc_cache_keys_on_reps(self):
+        # a cache keyed on (k, zeta) alone returned the 50-replicate value here
+        _monte_carlo_bias.cache_clear()
+        resolve_bias(12, 0.8, mode="mc", mc_reps=50)
+        many = resolve_bias(12, 0.8, mode="mc", mc_reps=50_000)
+        assert many == bias_correction(12, 0.8, reps=50_000).value
+        assert many != bias_correction(12, 0.8, reps=50).value
 
-    def test_zero_above_cutoff(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert resolve_bias(5000, 1.0, mode="auto") == 0.0
+    @pytest.mark.parametrize("k, zeta", [(10, 1.0), (20, 0.9), (15, 1.3), (28, 1.5), (100, 1.15)])
+    def test_closed_form_matches_monte_carlo(self, caplog, k, zeta):
+        # inside the region, near its edge (k=15 at 1.3, k=28 at 1.5) and
+        # at the benchmark's Monte Carlo class (20, 0.9)
+        with caplog.at_level(logging.INFO, logger="entrosketch.estimator"):
+            closed_form = resolve_bias(k, zeta)
+        assert not caplog.records  # no Monte Carlo ran
+        est = bias_correction(k, zeta, seed=0)
+        assert abs(closed_form - est.value) <= 3 * est.std_error
+
+    def test_monte_carlo_fallback_is_logged(self, caplog):
+        # outside the closed form's region: (20, 1.5) and (5, 1) have a
+        # 1/k^3 term above 2e-3; (100, 2) has a small one, but zeta > 1.5
+        _monte_carlo_bias.cache_clear()
+        for k, zeta in ((20, 1.5), (5, 1.0), (100, 2.0)):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="entrosketch.estimator"):
+                bc = resolve_bias(k, zeta, mc_reps=500)
+            assert bc == bias_correction(k, zeta, reps=500).value
+            (record,) = caplog.records
+            assert record.levelno == logging.INFO
+            msg = record.getMessage()
+            assert f"k={k}" in msg and f"zeta={zeta!r}" in msg and "reps=500" in msg
+
+    def test_no_cutoff_at_large_k(self):
+        # the closed form replaces the old table's "BC = 0 above k=1000"
+        bc = resolve_bias(5000, 1.0)
+        assert bc == sum(_bias_terms(5000, 1.0))
+        assert bc == pytest.approx(-3.0 / 10_000, rel=1e-3)
 
 
 class TestEstimate:
@@ -253,10 +258,25 @@ class TestEstimate:
     def test_bc_mode_none_differs(self):
         s = sketch_stream([("a", 1.0), ("b", 1.0)], k=10, master_seed=0)
         raw = estimate(s, bc_mode="none")
-        corrected = estimate(s, bc_mode="table")
+        corrected = estimate(s, bc_mode="auto")
         assert raw.bias_correction == 0.0
-        assert corrected.bias_correction == pytest.approx(-0.1617)
-        assert corrected.delta_hat == pytest.approx(raw.delta_hat + 0.1617)
+        assert corrected.bias_correction == sum(_bias_terms(10, 1.0))
+        assert corrected.delta_hat == pytest.approx(raw.delta_hat - corrected.bias_correction)
+
+    def test_recommended_width_is_corrected_without_warning(self):
+        # k=2217 is what `entrosketch size --epsilon 0.1 --gamma 0.05` gives;
+        # BC there is t1 + t2 + t3 from the moments of W, about -6.77e-4
+        c2, c3, c4 = 3.0, 27.0 - 12.0 + 2.0, 256.0 - 108.0 + 24.0 - 3.0
+        k = 2217
+        t1 = -c2 / (2 * k)
+        t2 = (c3 / 3 - 3 * c2**2 / 4) / k**2
+        t3 = (2 * c2 * c3 - (c4 - 3 * c2**2) / 4 - 5 * c2**3 / 2) / k**3
+        s = sketch_stream([("a", 1.0), ("b", 1.0)], k=k, master_seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate(s)
+        assert result.bias_correction == pytest.approx(t1 + t2 + t3, rel=1e-12)
+        assert result.bias_correction == pytest.approx(-6.77e-4, abs=5e-7)
 
 
 class TestEfficiency:

@@ -25,7 +25,6 @@ from entrosketch.sketch import (
     _HEADER,
     EntropySketch,
     SketchConfig,
-    StreamElement,
     new_sketch,
     sketch_stream,
 )
@@ -66,11 +65,6 @@ class TestUpdates:
         s = new_sketch(k=4)
         s.update("a", 3.5)
         assert s.total == 3.5
-
-    def test_update_element(self):
-        s = new_sketch(k=4)
-        s.update_element(StreamElement(item="a", delta=2.0))
-        assert s.total == 2.0
 
     def test_linearity_in_delta(self):
         # each update quantizes once, so grouping deltas differently can
