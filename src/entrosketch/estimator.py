@@ -17,7 +17,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from importlib import resources
 
 import numpy as np
 
@@ -30,8 +29,6 @@ FISHER_INFO = 0.3445  # Fisher information for delta per sketch coordinate
 # zeta <= 1.5, but negative at every k tried for zeta 2 and 2.5.
 _CLOSED_FORM_T3_MAX = 2e-3
 _CLOSED_FORM_ZETA_MAX = 1.5
-
-_ZETA_TOL = 1e-9
 
 # Monte Carlo chunks hold max(1, min(reps, _CHUNK_SAMPLES // k)) replicates
 # and chunk i is drawn from Philox(key=[seed, i]): this defines every MC value
@@ -59,59 +56,17 @@ class EstimateResult:
         assert self.entropy_hat == -self.delta_hat
 
 
-class BiasTable:
-    """(k, zeta) -> BC lookup of the shipped Monte Carlo reference values.
-
-    The estimate path does not read it; tests check the closed form and
-    ``bias_correction`` against it.
-    """
-
-    def __init__(self, entries=None):
-        # entries: {(k, zeta): (bc, std_error, provenance)}
-        self.entries = dict(entries) if entries else {}
-
-    @classmethod
-    def shipped(cls) -> "BiasTable":
-        table = cls()
-        text = resources.files("entrosketch.data").joinpath("bias_table.txt").read_text()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            k_s, zeta_s, bc_s, se_s = line.split()
-            table.entries[(int(k_s), float(zeta_s))] = (float(bc_s), float(se_s), "shipped")
-        return table
-
-    def lookup(self, k: int, zeta: float):
-        for (tk, tz), entry in self.entries.items():
-            if tk == k and abs(tz - zeta) < _ZETA_TOL:
-                return entry
-        return None
-
-
-_SHIPPED: BiasTable | None = None
-
-
-def shipped_bias_table() -> BiasTable:
-    global _SHIPPED
-    if _SHIPPED is None:
-        _SHIPPED = BiasTable.shipped()
-    return _SHIPPED
-
-
-def log_mean(y: np.ndarray, zeta: float) -> float:
-    """zeta^-1 log(zeta^-zeta k^-1 sum exp(zeta y)) via max-shifted LSE."""
-    v = zeta * np.asarray(y, dtype=np.float64)
-    m = float(np.max(v))
-    s = float(np.log(np.mean(np.exp(v - m))))
-    return (m + s) / zeta - math.log(zeta)
-
-
 def _log_means(z: np.ndarray, zeta: float) -> np.ndarray:
-    """Row-wise ``log_mean`` of a (rows, k) array of samples."""
+    """Row-wise zeta^-1 log(zeta^-zeta k^-1 sum exp(zeta z)) of a (rows, k)
+    array, each row through a max-shifted log-sum-exp."""
     v = zeta * z
     m = v.max(axis=1)
     return (m + np.log(np.mean(np.exp(v - m[:, None]), axis=1))) / zeta - math.log(zeta)
+
+
+def log_mean(y: np.ndarray, zeta: float) -> float:
+    """The log-mean of one vector: the one-row case of ``_log_means``."""
+    return float(_log_means(np.asarray(y, dtype=np.float64).reshape(1, -1), zeta)[0])
 
 
 def _worker_count() -> int:

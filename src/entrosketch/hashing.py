@@ -10,31 +10,29 @@ memoize an item's variates, but that never changes them.
 The sketch's variates come from one vectorized numpy routine,
 ``variates_many_np`` (many keys, all k rows, in one pass);
 ``variates_np`` is its one-key case and ``accumulate_np`` adds
-``rint(v * delta * 2^16)`` of it to a fixed-point sketch.  These define
-the sketch's bits.
+``rint(v * delta * 2^16)`` of it to a fixed-point sketch.  The routine
+turns hash words into variates with the array helpers of ``stable``'s
+sampler (open-unit mapping, endpoint rule, G(x;0) formula).  These
+define the sketch's bits.
 
-``variate_from_key`` (and ``item_variate`` through it) is the scalar
-reference: the same hash words, rejection rule and formula, evaluated
-with ``math.tan``/``math.log`` where the numpy routine uses numpy's
-CPU-dispatched SIMD ``np.tan``/``np.log``.  The two agree within
-rounding, not bit for bit: on numpy 2.4 with AVX-512, about 0.3% of
-variates differ, by at most 64 ulp over 100 keys x 256 rows.
+``variate_from_key`` is the scalar reference: the same hash words,
+rejection rule and formula, evaluated with ``math.tan``/``math.log``
+where the numpy routine uses numpy's CPU-dispatched SIMD
+``np.tan``/``np.log``.  The two agree within rounding, not bit for bit:
+on numpy 2.4 with AVX-512, about 0.3% of variates differ, by at most
+64 ulp over 100 keys x 256 rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .stable import g0_from_uniform_exp
+from .stable import _INV_2_64, _endpoint, _g0, _open_unit, _uniform_exp, g0_from_uniform_exp
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-
-_INV_2_64 = 2.0 ** -64
 
 
 def mix64(x: int) -> int:
@@ -68,36 +66,10 @@ def hash_word(key: int, n: int) -> int:
     return mix64((key + (n & MASK64) * GOLDEN) & MASK64)
 
 
-@dataclass(frozen=True)
-class VariatePlan:
-    """Width and seed that fix the whole item -> variates mapping."""
-
-    master_seed: int
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0 <= self.master_seed <= MASK64:
-            raise ValueError("master_seed must fit in 64 bits")
-
-
 def uniform_exp_words(key: int, row: int, k: int, attempt: int = 0) -> tuple[int, int]:
     """The two hash words feeding row ``row`` (attempt counts redraws)."""
     idx = attempt * k + row
     return hash_word(key, 2 * idx), hash_word(key, 2 * idx + 1)
-
-
-def item_variate(item: bytes | str, row: int, plan: VariatePlan) -> float:
-    """One G(x;0) realization for (item, row); pure and deterministic.
-
-    Scalar reference: equal to the sketch's variate within rounding, not
-    necessarily bit for bit.
-    """
-    if not 0 <= row < plan.k:
-        raise IndexError(f"row {row} out of range [0, {plan.k})")
-    key = item_key(item, plan.master_seed)
-    return variate_from_key(key, row, plan.k)
 
 
 def variate_from_key(key: int, row: int, k: int) -> float:
@@ -133,17 +105,9 @@ def _uniforms_np(key: np.ndarray, row: np.ndarray, k: int, attempt: int):
     """(u01, w01, usable) from ``uniform_exp_words`` for broadcast key and row arrays."""
     idx = np.uint64(attempt) * np.uint64(k) + row
     golden = np.uint64(GOLDEN)
-    wu = _mix64_np(key + (np.uint64(2) * idx) * golden)
-    ww = _mix64_np(key + (np.uint64(2) * idx + np.uint64(1)) * golden)
-    u01 = (wu.astype(np.float64) + 0.5) * _INV_2_64
-    w01 = (ww.astype(np.float64) + 0.5) * _INV_2_64
-    return u01, w01, (u01 > 0.0) & (u01 < 1.0) & (w01 > 0.0) & (w01 < 1.0)
-
-
-def _g0_np(u01: np.ndarray, w01: np.ndarray) -> np.ndarray:
-    u = np.pi * (u01 - 0.5)
-    w = -np.log(w01)
-    return (np.pi / 2 - u) * np.tan(u) + np.log(w * np.cos(u) / (np.pi / 2 - u))
+    u01 = _open_unit(_mix64_np(key + (np.uint64(2) * idx) * golden))
+    w01 = _open_unit(_mix64_np(key + (np.uint64(2) * idx + np.uint64(1)) * golden))
+    return u01, w01, ~_endpoint(u01, w01)
 
 
 def variates_many_np(keys, k: int) -> np.ndarray:
@@ -158,17 +122,17 @@ def variates_many_np(keys, k: int) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
     u01, w01, ok = _uniforms_np(keys[:, None], np.arange(k, dtype=np.uint64), k, 0)
     if ok.all():
-        return _g0_np(u01, w01)
+        return _g0(*_uniform_exp(u01, w01))
     # endpoints are excluded by construction but float rounding can
     # still land on 0.0/1.0; redraw those pairs from the next counter block
     out = np.empty(u01.shape, dtype=np.float64)
-    out[ok] = _g0_np(u01[ok], w01[ok])
+    out[ok] = _g0(*_uniform_exp(u01[ok], w01[ok]))
     pending = np.argwhere(~ok)
     attempt = 1
     while pending.size:
         i, row = pending.T
         u01, w01, ok = _uniforms_np(keys[i], row.astype(np.uint64), k, attempt)
-        out[i[ok], row[ok]] = _g0_np(u01[ok], w01[ok])
+        out[i[ok], row[ok]] = _g0(*_uniform_exp(u01[ok], w01[ok]))
         pending = pending[~ok]
         attempt += 1
     return out

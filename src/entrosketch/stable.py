@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HALF_PI = math.pi / 2
+_INV_2_64 = 2.0**-64
 
 # G(x;0) in the four-parameter convention used throughout this package:
 # cf = exp(gamma*(-|th| - i*th*beta*(2/pi)*log|th|) + i*delta*th)
@@ -83,7 +84,7 @@ def g0_from_uniform_exp(u: float, w: float) -> float:
 
 
 def _open_unit(words: np.ndarray) -> np.ndarray:
-    return (words.astype(np.float64) + 0.5) * 2.0**-64
+    return (words.astype(np.float64) + 0.5) * _INV_2_64
 
 
 def _words(rng: np.random.Generator, n: int) -> np.ndarray:

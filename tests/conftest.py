@@ -1,0 +1,18 @@
+"""Shared test data."""
+
+from importlib import resources
+
+import pytest
+
+
+@pytest.fixture(scope="session")
+def shipped_bias_rows():
+    """{(k, zeta): (bc, std_error)} from the package's Monte Carlo reference
+    table, ``entrosketch/data/bias_table.txt`` (5e5 replicates per row)."""
+    text = (resources.files("entrosketch") / "data" / "bias_table.txt").read_text()
+    rows = {}
+    for line in text.splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            k, zeta, bc, se = line.split()
+            rows[(int(k), float(zeta))] = (float(bc), float(se))
+    return rows

@@ -2,10 +2,14 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import entrosketch
 from entrosketch import sketch as sketch_mod
 from entrosketch.cli import main
 from entrosketch.sketch import EntropySketch, new_sketch
@@ -223,6 +227,13 @@ class TestOracle:
         assert float(kv["shannon"]) == pytest.approx(math.log(4), rel=1e-12)
         assert float(kv["renyi"]) == pytest.approx(math.log(4), rel=1e-9)
 
+    def test_parse_error_exit_code(self, tmp_path, capsys):
+        src = write_stream(tmp_path, "bad.csv", ["a,1", "b,inf"])
+        assert main(["oracle", "--input", src]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: ")
+
 
 class TestBench:
     def test_flags(self, tmp_path, capsys):
@@ -238,3 +249,49 @@ class TestBench:
         out = str(tmp_path / "res.csv")
         assert main(["bench", "--config", str(cfg), "--output", out]) == 0
         assert Path(out).read_text().startswith("k,")
+
+    def test_unknown_kind_fails(self, tmp_path, capsys):
+        out = tmp_path / "res.csv"
+        assert main(["bench", "--kind", "nope", "--output", str(out)]) == 1
+        assert "kind must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def modules_after(code: str) -> set:
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
+    src_root = str(Path(entrosketch.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
+    probe = code + "\nimport sys\nsys.stderr.write('\\n' + ' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+class TestImportGraph:
+    """Each CLI process imports only the modules its subcommand runs."""
+
+    def test_cli_import_loads_no_numpy(self):
+        modules = modules_after("import entrosketch.cli")
+        assert "numpy" not in modules
+        assert {m for m in modules if m.startswith("entrosketch")} == {
+            "entrosketch", "entrosketch.cli"}
+
+    def test_size_loads_no_numpy(self):
+        modules = modules_after(
+            "from entrosketch.cli import main\n"
+            "assert main(['size', '--epsilon', '0.1', '--gamma', '0.05']) == 0")
+        assert "entrosketch.tailbounds" in modules
+        assert "numpy" not in modules
+
+    def test_estimate_loads_only_its_modules(self, tmp_path):
+        path = tmp_path / "s.bin"
+        s = new_sketch(k=64, master_seed=1)
+        s.update_many([("a", 1.0), ("b", 2.0)])
+        path.write_bytes(s.to_bytes())
+        modules = modules_after(
+            "from entrosketch.cli import main\n"
+            f"assert main(['estimate', {str(path)!r}]) == 0")
+        assert "entrosketch.estimator" in modules
+        unused = {"entrosketch.bench", "entrosketch.oracle", "entrosketch.streams",
+                  "entrosketch.tailbounds", "csv"}
+        assert not unused & modules

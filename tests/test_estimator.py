@@ -21,7 +21,6 @@ from entrosketch.estimator import (
     estimate,
     log_mean,
     resolve_bias,
-    shipped_bias_table,
 )
 from entrosketch.sketch import new_sketch, sketch_stream
 from entrosketch.stable import sample_g0
@@ -55,23 +54,18 @@ class TestLogMean:
 
 
 class TestBiasTable:
-    def test_shipped_reference_rows(self):
-        table = shipped_bias_table()
-        bc10, se10, src10 = table.lookup(10, 1.0)
+    def test_shipped_reference_rows(self, shipped_bias_rows):
+        bc10, se10 = shipped_bias_rows[(10, 1.0)]
         assert bc10 == pytest.approx(-0.1617, abs=1e-12)
-        assert se10 > 0 and src10 == "shipped"
-        bc100, _, _ = table.lookup(100, 1.15)
+        assert se10 > 0
+        bc100, _ = shipped_bias_rows[(100, 1.15)]
         assert bc100 == pytest.approx(-0.01719, abs=1e-12)
 
-    def test_lookup_miss(self):
-        assert shipped_bias_table().lookup(37, 1.0) is None
-
-    def test_closed_form_matches_every_shipped_row(self):
+    def test_closed_form_matches_every_shipped_row(self, shipped_bias_rows):
         # the shipped rows are Monte Carlo values (5e5 replicates) at
         # k=10..150, zeta in {1, 1.15}, all inside the closed form's region
-        table = shipped_bias_table()
-        assert len(table.entries) == 30
-        for (k, zeta), (bc, se, _) in table.entries.items():
+        assert len(shipped_bias_rows) == 30
+        for (k, zeta), (bc, se) in shipped_bias_rows.items():
             closed_form = sum(_bias_terms(k, zeta))
             assert resolve_bias(k, zeta) == closed_form
             assert abs(closed_form - bc) <= 3 * se, (k, zeta)
