@@ -14,13 +14,12 @@ by Monte Carlo.  The Shannon entropy is -delta.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .stable import sample_g0, sample_g0_slices
+from .stable import _worker_count, sample_g0, sample_g0_slices
 
 FISHER_INFO = 0.3445  # Fisher information for delta per sketch coordinate
 
@@ -67,12 +66,6 @@ def _log_means(z: np.ndarray, zeta: float) -> np.ndarray:
 def log_mean(y: np.ndarray, zeta: float) -> float:
     """The log-mean of one vector: the one-row case of ``_log_means``."""
     return float(_log_means(np.asarray(y, dtype=np.float64).reshape(1, -1), zeta)[0])
-
-
-def _worker_count() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _fill_rows(

@@ -3,17 +3,26 @@
 Every distinct item gets k stationary draws from the skewed stable law
 G(x;0) by feeding a counter-based 64-bit hash stream (splitmix64 over a
 keyed index) into the stable sampler.  The mapping is a pure function of
-(item bytes, row, master seed), so sketches built anywhere from the same
-seed agree and can be merged.  No per-item state is needed; a sketch may
-memoize an item's variates, but that never changes them.
+(item bytes, row, master seed).  No per-item state is needed; a sketch
+may memoize an item's variates, but that never changes them.
+
+Sketches built from the same seed merge exactly in practice, not by
+construction: a variate's last bits depend on which SIMD loops numpy
+picks for tan, cos and log, so another CPU or numpy version can change
+them, and nothing detects it.  On numpy 2.4 with AVX-512, disabling the
+AVX512_SPR, AVX512_ICL and X86_V4 loops (``NPY_DISABLE_CPU_FEATURES``)
+changed 416 to 453 of 102,400 variates (two key sets), by at most
+2.6e-14 relative; no grid increment ``rint(v * delta * 2^16)`` changed
+for |delta| <= 10^6.
 
 The sketch's variates come from one vectorized numpy routine,
-``variates_many_np`` (many keys, all k rows, in one pass);
-``variates_np`` is its one-key case and ``accumulate_np`` adds
+``_variates_into`` (many keys, all k rows, one ufunc pass at a time into
+given arrays).  ``VariateWorkspace.variates`` runs it in preallocated
+arrays that each call reuses, ``variates_many_np`` in fresh ones;
+``variates_np`` is the one-key case and ``accumulate_np`` adds
 ``rint(v * delta * 2^16)`` of it to a fixed-point sketch.  The routine
-turns hash words into variates with the array helpers of ``stable``'s
-sampler (open-unit mapping, endpoint rule, G(x;0) formula).  These
-define the sketch's bits.
+uses the arithmetic of ``stable``'s sampler (open-unit mapping, endpoint
+rule, G(x;0) formula).  It defines the sketch's bits.
 
 ``variate_from_key`` is the scalar reference: the same hash words,
 rejection rule and formula, evaluated with ``math.tan``/``math.log``
@@ -25,9 +34,12 @@ on numpy 2.4 with AVX-512, about 0.3% of variates differ, by at most
 
 from __future__ import annotations
 
+import mmap
+from functools import lru_cache
+
 import numpy as np
 
-from .stable import _INV_2_64, _endpoint, _g0, _open_unit, _uniform_exp, g0_from_uniform_exp
+from .stable import _INV_2_64, HALF_PI, _endpoint, g0_from_uniform_exp
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -54,11 +66,16 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+@lru_cache(maxsize=64)
+def _seed_word(master_seed: int) -> int:
+    return mix64((master_seed ^ GOLDEN) & MASK64)
+
+
 def item_key(item: bytes | str, master_seed: int) -> int:
     """Combine item bytes and master seed into the per-item hash key."""
     if isinstance(item, str):
         item = item.encode("utf-8")
-    return mix64(fnv1a64(item) ^ mix64((master_seed ^ GOLDEN) & MASK64))
+    return mix64(fnv1a64(item) ^ _seed_word(master_seed))
 
 
 def hash_word(key: int, n: int) -> int:
@@ -90,52 +107,169 @@ def variate_from_key(key: int, row: int, k: int) -> float:
 
 # vectorized (numpy) variates: the one implementation the sketch uses
 
-
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return x
+_MIX_STEPS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+_MIX_LAST_SHIFT = np.uint64(31)
 
 
-def _uniforms_np(key: np.ndarray, row: np.ndarray, k: int, attempt: int):
-    """(u01, w01, usable) from ``uniform_exp_words`` for broadcast key and row arrays."""
-    idx = np.uint64(attempt) * np.uint64(k) + row
+def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
+    """``mix64`` of every word of ``x``, in place; ``tmp`` is scratch of its shape."""
+    for shift, multiplier in _MIX_STEPS:
+        np.right_shift(x, shift, out=tmp)
+        x ^= tmp
+        x *= multiplier
+    np.right_shift(x, _MIX_LAST_SHIFT, out=tmp)
+    x ^= tmp
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _open_unit_into(words: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
+    """out = (float(words) + 0.5) * 2^-64, the arithmetic of ``stable._open_unit``.
+
+    numpy has no SIMD loop for the uint64 -> float64 cast (about 6 ns per
+    word against under 1 ns from int64), so float(words) is formed as
+    hi * 2^32 + lo from the two 32-bit halves, each cast from int64.  Both
+    terms are exact doubles, so the one rounding of their sum gives the
+    correctly rounded cast, bit for bit.  ``tmp`` is uint64 scratch.
+    """
+    np.right_shift(words, np.uint64(32), out=tmp)
+    np.multiply(tmp.view(np.int64), 2.0**32, out=out)
+    np.bitwise_and(words, _LOW32, out=tmp)
+    np.add(out, tmp.view(np.int64), out=out)
+    out += 0.5
+    out *= _INV_2_64
+
+
+@lru_cache(maxsize=16)
+def _row_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Counter offsets 2*row*GOLDEN and (2*row+1)*GOLDEN of rows 0..k-1 (read-only)."""
+    rows = np.arange(k, dtype=np.uint64)
     golden = np.uint64(GOLDEN)
-    u01 = _open_unit(_mix64_np(key + (np.uint64(2) * idx) * golden))
-    w01 = _open_unit(_mix64_np(key + (np.uint64(2) * idx + np.uint64(1)) * golden))
-    return u01, w01, ~_endpoint(u01, w01)
+    offsets = ((np.uint64(2) * rows) * golden, (np.uint64(2) * rows + np.uint64(1)) * golden)
+    for off in offsets:
+        off.setflags(write=False)
+    return offsets
+
+
+_NO_REDRAW = np.empty(0, dtype=np.intp)
+
+
+def _g0_from_words(xu, xw, tmp, a, b, c, out):
+    """out = the G(x;0) variates of hash inputs ``xu``, ``xw`` (key + counter*GOLDEN).
+
+    Every argument is an array of one shape; ``xu``, ``xw``, ``tmp``, ``a``,
+    ``b`` and ``c`` are overwritten.  The arithmetic is that of
+    ``variate_from_key`` with numpy's ufuncs, one pass at a time.  Returns
+    the flat indices of the entries whose uniforms hit an endpoint: those
+    hold no variate and must be redrawn.
+    """
+    for x, unit in ((xu, a), (xw, b)):
+        _mix64_into(x, tmp)
+        _open_unit_into(x, tmp, unit)
+    redraw = _NO_REDRAW
+    # (word + 0.5) * 2^-64 is never 0.0, so only 1.0 needs the full check
+    if a.size and not (a.max() < 1.0 and b.max() < 1.0):
+        redraw = np.flatnonzero(_endpoint(a, b))
+        np.put(a, redraw, 0.5)  # placeholders, so the formula below stays finite
+        np.put(b, redraw, 0.5)
+    a -= 0.5
+    a *= np.pi  # u
+    np.log(b, out=b)
+    np.negative(b, out=b)  # w
+    np.subtract(HALF_PI, a, out=c)  # pi/2 - u
+    np.tan(a, out=out)
+    out *= c
+    np.cos(a, out=a)
+    b *= a
+    b /= c
+    np.log(b, out=b)
+    out += b
+    return redraw
+
+
+def _scratch(n: int) -> list[np.ndarray]:
+    """Fresh (xu, xw, tmp, a, b, c, out) arrays of n words for ``_g0_from_words``."""
+    return [np.empty(n, np.uint64) for _ in range(3)] + [np.empty(n) for _ in range(4)]
+
+
+def _variates_into(keys: np.ndarray, k: int, buffers) -> np.ndarray:
+    """Row variates of uint64 ``keys``, shape (keys.size, k), computed in the
+    first keys.size * k words of ``buffers`` (as from ``_scratch``); the
+    result is a view of the last one."""
+    shape = (keys.size, k)
+    xu, xw, *rest = (buf[: keys.size * k].reshape(shape) for buf in buffers)
+    off_u, off_w = _row_offsets(k)
+    np.add(keys[:, None], off_u, out=xu)
+    np.add(keys[:, None], off_w, out=xw)
+    i, row = np.divmod(_g0_from_words(xu, xw, *rest), k)
+    out = rest[-1]
+    # endpoints are excluded by construction but float rounding can
+    # still land on 0.0/1.0; redraw those pairs from the next counter
+    # block until none is left
+    golden = np.uint64(GOLDEN)
+    attempt = 1
+    while i.size:
+        idx = np.uint64(attempt) * np.uint64(k) + row.astype(np.uint64)
+        redo = _scratch(i.size)
+        np.add(keys[i], (np.uint64(2) * idx) * golden, out=redo[0])
+        np.add(keys[i], (np.uint64(2) * idx + np.uint64(1)) * golden, out=redo[1])
+        redraw = _g0_from_words(*redo)
+        out[i, row] = redo[-1]
+        i, row = i[redraw], row[redraw]
+        attempt += 1
+    return out
+
+
+def _mapped_words(n: int, count: int) -> list[np.ndarray]:
+    """``count`` uint64 arrays of n words in one anonymous memory mapping.
+
+    The mapping is returned to the OS when the last array is dropped.
+    Blocks of this size from malloc are not: freed in a worker thread, they
+    stay in that thread's arena, and a threaded ingest would keep its
+    buffers resident (about 10 MiB at k=2217 on two threads) after it
+    returns.
+    """
+    words = np.frombuffer(mmap.mmap(-1, 8 * max(1, n * count)), dtype=np.uint64)
+    return [words[i * n : (i + 1) * n] for i in range(count)]
+
+
+class VariateWorkspace:
+    """Preallocated arrays for the variates of up to ``keys`` item keys at width k.
+
+    ``variates`` computes into the same arrays on every call, so a caller
+    that needs many batches allocates (and page-faults) them once.  The
+    arrays live in one memory mapping (``_mapped_words``) that is returned
+    to the OS with the workspace.  Not shareable between threads: give
+    each thread its own workspace.
+    """
+
+    def __init__(self, k: int, keys: int):
+        self.k = k
+        words = _mapped_words(k * max(1, keys), 7)
+        self._buffers = words[:3] + [w.view(np.float64) for w in words[3:]]
+
+    def variates(self, keys) -> np.ndarray:
+        """Row variates of many item keys, shape (len(keys), k).
+
+        The result is a view of the workspace that the next call
+        overwrites.  Each (key, row) pair goes through the hash words,
+        rejection rule and arithmetic of ``variate_from_key``,
+        elementwise, so a row does not depend on which other keys share
+        the call; it matches that scalar reference within rounding (see
+        the module docstring).
+        """
+        return _variates_into(np.asarray(keys, dtype=np.uint64).reshape(-1), self.k, self._buffers)
 
 
 def variates_many_np(keys, k: int) -> np.ndarray:
-    """Row variates of many item keys in one numpy pass, shape (len(keys), k).
-
-    This is the one vectorized variate routine.  Each (key, row) pair
-    goes through the hash words, rejection rule and arithmetic of
-    ``variate_from_key``, elementwise, so a row of the result does not
-    depend on which other keys share the pass; it matches that scalar
-    reference within rounding (see the module docstring).
-    """
+    """Row variates of many item keys in one numpy pass, shape (len(keys), k):
+    the arithmetic of ``VariateWorkspace.variates`` in fresh arrays."""
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
-    u01, w01, ok = _uniforms_np(keys[:, None], np.arange(k, dtype=np.uint64), k, 0)
-    if ok.all():
-        return _g0(*_uniform_exp(u01, w01))
-    # endpoints are excluded by construction but float rounding can
-    # still land on 0.0/1.0; redraw those pairs from the next counter block
-    out = np.empty(u01.shape, dtype=np.float64)
-    out[ok] = _g0(*_uniform_exp(u01[ok], w01[ok]))
-    pending = np.argwhere(~ok)
-    attempt = 1
-    while pending.size:
-        i, row = pending.T
-        u01, w01, ok = _uniforms_np(keys[i], row.astype(np.uint64), k, attempt)
-        out[i[ok], row[ok]] = _g0(*_uniform_exp(u01[ok], w01[ok]))
-        pending = pending[~ok]
-        attempt += 1
-    return out
+    return _variates_into(keys, k, _scratch(keys.size * k))
 
 
 def variates_np(key: int, k: int) -> np.ndarray:

@@ -19,17 +19,23 @@ OverflowError if a projection or the total would leave that range.
 Ingestion: an item's k variates depend only on its key, so ``update``
 keeps the variates of the first items it sees, up to a fixed cap of
 ``CACHE_VARIATES`` variates (1 MiB); later items are computed afresh
-every time.  Variates come from ``hashing.variates_np`` and the
-increment is ``rint(v * delta * 2^16)`` in int64, the arithmetic of
-``hashing.accumulate_np``, so cached and uncached updates give the same
-bits.  ``update_many`` is the batch entry point for streams;
-``sketch_stream`` and ``entrosketch ingest`` both use it.  It takes
-elements in blocks of ``_STREAM_BLOCK``, hashes each distinct item of a
-block once, groups the block by (key, delta), computes the variates of
-many keys per ``hashing.variates_many_np`` call and adds
+every time.  For a cached item it also keeps the item's key and the
+int64 increment of the key's last delta, so a repeated update costs a
+few dict lookups and one int64 add.  Variates come from
+``hashing.variates_np`` and the increment is ``rint(v * delta * 2^16)``
+in int64, the arithmetic of ``hashing.accumulate_np``, so cached and
+uncached updates give the same bits.  ``update_many`` is the batch entry
+point for streams; ``sketch_stream`` and ``entrosketch ingest`` both use
+it.  It takes elements in blocks of ``_STREAM_BLOCK``, hashes each
+distinct item of a block once, groups the block by (key, delta) and adds
 ``count * increment``, again bitwise equal to one ``update`` per
 element.  Its cost scales with the distinct items per block, not with
-the number of updates.
+the number of updates.  The variates are computed in a reused
+``hashing.VariateWorkspace``, ``_BATCH_VARIATES`` at a time, and a block
+of at least 2 * ``_THREAD_VARIATES`` variates is split over threads, one
+per CPU that ``os.sched_getaffinity`` allows.  Integer sums are exact, so
+the bytes do not depend on the split: ``taskset -c 0`` gives serial
+ingest with the same bytes.
 
 Every state change commits fully or raises with the sketch unchanged.
 An update checks its increment against the 2^53 limit in float before
@@ -52,10 +58,12 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .hashing import MASK64, item_key, variates_many_np, variates_np
+from .hashing import MASK64, VariateWorkspace, _mapped_words, item_key, variates_np
+from .stable import _worker_count
 
 MAGIC = b"ESKV"
 FORMAT_VERSION = 1
@@ -67,13 +75,17 @@ _SCALE = 2.0**QUANTUM_BITS
 _LIMIT = 1 << 53  # beyond this, int64 counts are no longer exact doubles
 
 CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
-# variates per variates_many_np call in update_many (48 KiB per float64 temporary).
-# Measured in CLI ingest processes at k=2217 on an all-distinct stream:
-# from 8192 up, the temporaries freed after each call are trimmed from the
-# C heap and page-faulted back in on the next (about 10x the minor faults),
-# and ingest ran slower than one update() per line; below about 4434 (two
-# keys at that k) the fixed per-call cost dominates.
-_BATCH_VARIATES = 6144
+# variates per VariateWorkspace.variates call in update_many: at most
+# max(1, _BATCH_VARIATES // k) keys, 512 KiB per work array.  The arrays
+# are allocated once per thread and block, so no call pays for fresh pages.
+# Of 2^14, 2^15 and 2^16, 2^16 was fastest at k=2217 on the 2-vCPU Xeon
+# (46 / 51 / 55 ns per variate on one thread, 30 / 33 / 42 on two).
+_BATCH_VARIATES = 1 << 16
+# a block is split over threads only with at least this many variates per
+# thread.  In fresh processes at k=200 on the same machine, two threads
+# (with the concurrent.futures import and thread start-up) lost at 0.8M
+# variates per block (64 vs 60 ms) and won at 1.6M (113 vs 134 ms).
+_THREAD_VARIATES = 1 << 19
 _STREAM_BLOCK = 1 << 16  # elements grouped together by update_many
 # a batch whose worst case comes this close to _LIMIT is replayed one
 # update at a time, so OverflowError is raised at the same element
@@ -106,6 +118,9 @@ class EntropySketch:
         self._bound = 0  # upper bound on max |_scaled|, exact after a rescan
         self._cache: dict[int, np.ndarray] = {}  # item key -> variates
         self._cache_max: dict[int, float] = {}  # item key -> max |variate|
+        # cached item key -> (its last delta, that delta's int64 increment)
+        self._cache_inc: dict[int, tuple[float, np.ndarray]] = {}
+        self._cached_keys: dict[bytes | str, int] = {}  # item -> key, cached keys only
 
     @property
     def k(self) -> int:
@@ -120,7 +135,14 @@ class EntropySketch:
         return self._scaled_total * QUANTUM
 
     def update(self, item: bytes | str, delta: float = 1.0) -> "EntropySketch":
-        self._add(self._key(item, delta), delta)
+        if not math.isfinite(delta):
+            raise ValueError("delta must be finite")
+        key = self._cached_keys.get(item)
+        if key is None:
+            key = item_key(item, self.config.master_seed)
+            if key in self._cache:
+                self._cached_keys[item] = key
+        self._add(key, delta)
         return self
 
     def update_many(self, pairs) -> "EntropySketch":
@@ -130,8 +152,7 @@ class EntropySketch:
         loop raises, leaving the sketch as the loop leaves it at the failing
         pair.  Pairs are taken in blocks of ``_STREAM_BLOCK``; within a
         block each distinct item is hashed once and each distinct key's
-        variates are computed once, in ``variates_many_np`` calls of at
-        most ``_BATCH_VARIATES`` variates.
+        variates are computed once (see ``_add_batch``).
         """
         seed = self.config.master_seed
         keys: list[int] = []
@@ -155,11 +176,6 @@ class EntropySketch:
             self._add_batch(keys, deltas)
         return self
 
-    def _key(self, item: bytes | str, delta: float) -> int:
-        if not math.isfinite(delta):
-            raise ValueError("delta must be finite")
-        return item_key(item, self.config.master_seed)
-
     def _variates(self, key: int) -> tuple[np.ndarray, float]:
         """The key's variates and their largest magnitude."""
         v = self._cache.get(key)
@@ -182,7 +198,7 @@ class EntropySketch:
         if not (step < 2 * _LIMIT and abs(total_step) < 2 * _LIMIT):
             raise OverflowError(_OVERFLOW)
         total = self._scaled_total + round(total_step)
-        inc = np.rint(v * delta * _SCALE).astype(np.int64)
+        inc = self._increment(key, v, delta)
         # the running bound is replaced by an exact scan only at the limit,
         # so only the exact value raises and cancelling churn never does
         bound = self._bound + math.ceil(step)
@@ -194,12 +210,29 @@ class EntropySketch:
         self._scaled_total = total
         self._bound = bound
 
+    def _increment(self, key: int, v: np.ndarray, delta: float) -> np.ndarray:
+        """``rint(v * delta * 2^16)`` in int64, kept for a cached key's last delta."""
+        last = self._cache_inc.get(key)
+        if last is not None and last[0] == delta:
+            return last[1]
+        inc = np.rint(v * delta * _SCALE).astype(np.int64)
+        if key in self._cache:
+            self._cache_inc[key] = (delta, inc)
+        return inc
+
     def _add_batch(self, keys: list[int], deltas: list[float]) -> None:
         """``_add`` over (key, delta) pairs, each distinct key's variates computed once.
 
-        Equal pairs are summed as ``count * increment``; integer sums are
-        exact, so the bits equal the per-pair loop's.  A batch that could
-        get within 2x of the 2^53 limit runs that loop instead.
+        Equal pairs are summed as ``count * increment``.  The pairs, sorted
+        by key, are split into contiguous parts, one per thread when the
+        block has at least ``_THREAD_VARIATES`` variates per thread for
+        up to ``_worker_count()`` threads, else one part on this thread.
+        Each part returns its int64 sum and a float bound on it
+        (``_part_sum``).  Integer sums are exact, so the bits equal the
+        per-pair loop's for any split.  Nothing is committed until every
+        part is in: a part that raises leaves the sketch unchanged, and a
+        batch whose summed bound could get within 2x of the 2^53 limit
+        runs the per-pair loop instead.
         """
         counts = Counter(zip(keys, deltas))
         if not counts:
@@ -213,21 +246,27 @@ class EntropySketch:
         if not abs(self._scaled_total) + float(np.abs(total_inc) @ c) < _BATCH_HEADROOM:
             self._add_loop(keys, deltas)
             return
-        bound = float(np.abs(self._scaled).max())
-        acc = np.zeros(k, dtype=np.int64)
-        per = max(1, _BATCH_VARIATES // k)
-        for start in range(0, len(pairs), per):
-            chunk = slice(start, start + per)
-            distinct, where = np.unique(
-                np.array([key for key, _ in pairs[chunk]], dtype=np.uint64), return_inverse=True
-            )
-            scaled = variates_many_np(distinct.tolist(), k)[where] * d[chunk, None] * _SCALE
-            bound += float(np.abs(scaled).max(axis=1) @ c[chunk]) + float(c[chunk].sum())
-            if not bound < _BATCH_HEADROOM:
-                self._add_loop(keys, deltas)
-                return
-            acc += c[chunk] @ np.rint(scaled).astype(np.int64)
-        self._scaled += acc
+        base = float(np.abs(self._scaled).max())
+        distinct, where = np.unique(
+            np.array([key for key, _ in pairs], dtype=np.uint64), return_inverse=True
+        )
+        part_sum = partial(_part_sum, k, distinct, where, d, c, _BATCH_HEADROOM - base)
+        parts = max(1, min(_worker_count(), len(pairs), len(pairs) * k // _THREAD_VARIATES))
+        cuts = [len(pairs) * i // parts for i in range(parts + 1)]
+        if parts == 1:
+            sums = [part_sum(0, len(pairs))]
+        else:
+            # imported here, as in estimator: small blocks never get this far
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=parts) as pool:
+                sums = list(pool.map(part_sum, cuts[:-1], cuts[1:]))
+        if any(acc is None for acc, _ in sums) or not (
+            base + sum(bound for _, bound in sums) < _BATCH_HEADROOM
+        ):
+            self._add_loop(keys, deltas)
+            return
+        self._scaled += sum(acc for acc, _ in sums)
         self._scaled_total += int(total_inc.astype(np.int64) @ c)
         self._bound = int(np.abs(self._scaled).max())
 
@@ -352,6 +391,43 @@ class EntropySketch:
         self._scaled = scaled[:-1].astype(np.int64)
         self._scaled_total = int(scaled[-1])
         self._bound = int(np.abs(self._scaled).max())
+
+
+def _part_sum(k, distinct, where, d, c, limit, start, stop):
+    """(acc, bound) over pairs [start, stop) of ``_add_batch``'s key-sorted
+    arrays: acc is the int64 sum of ``c * rint(v * d * 2^16)``, v the
+    variates of the pair's key ``distinct[where]``, and bound is the float
+    sum of ``c * (max |v * d * 2^16| + 1)``.
+
+    The variates are computed in one ``VariateWorkspace``, for at most
+    ``_BATCH_VARIATES`` variates of pairs at a time.  Once the bound
+    reaches ``limit``, acc is None: the sum stops before any cast to
+    int64 could overflow.
+    """
+    per = max(1, _BATCH_VARIATES // k)
+    rows = min(per, stop - start)
+    workspace = VariateWorkspace(k, rows)
+    words = _mapped_words(rows * k, 2)
+    scaled_buf = words[0].view(np.float64).reshape(rows, k)
+    ints_buf = words[1].view(np.int64).reshape(rows, k)
+    acc = np.zeros(k, dtype=np.int64)
+    bound = 0.0
+    for lo in range(start, stop, per):
+        hi = min(lo + per, stop)
+        first, last = where[lo], where[hi - 1]
+        v = workspace.variates(distinct[first : last + 1])
+        scaled = np.take(v, where[lo:hi] - first, axis=0, out=scaled_buf[: hi - lo], mode="clip")
+        scaled *= d[lo:hi, None]
+        scaled *= _SCALE
+        peak = np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
+        bound += float(peak @ c[lo:hi]) + float(c[lo:hi].sum())
+        if not bound < limit:
+            return None, bound
+        np.rint(scaled, out=scaled)
+        ints = ints_buf[: hi - lo]
+        np.copyto(ints, scaled, casting="unsafe")
+        acc += c[lo:hi] @ ints
+    return acc, bound
 
 
 def new_sketch(k: int, zeta: float = 1.0, master_seed: int = 0) -> EntropySketch:

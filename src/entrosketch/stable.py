@@ -11,6 +11,7 @@ references, so the moment check, not a convention, is authoritative).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,13 @@ def cms_transform(pair: UniformExpPair, params: StableParams) -> float:
 def g0_from_uniform_exp(u: float, w: float) -> float:
     """cms_transform specialized to G(x;0); the sketch's hot formula."""
     return (HALF_PI - u) * math.tan(u) + math.log(w * math.cos(u) / (HALF_PI - u))
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on: the thread count of the parallel paths."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _open_unit(words: np.ndarray) -> np.ndarray:

@@ -283,6 +283,19 @@ class TestImportGraph:
         assert "entrosketch.tailbounds" in modules
         assert "numpy" not in modules
 
+    def test_ingest_loads_only_its_modules(self, tmp_path):
+        # 3 distinct items at k=64 are far below the threading threshold
+        stream = tmp_path / "s.csv"
+        stream.write_text("a,1\nb,2\na,-1\n")
+        modules = modules_after(
+            "from entrosketch.cli import main\n"
+            f"assert main(['ingest', '--input', {str(stream)!r}, "
+            f"'--output', {str(tmp_path / 's.bin')!r}, '--k', '64']) == 0")
+        assert {"entrosketch.sketch", "entrosketch.streams"} <= modules
+        unused = {"entrosketch.estimator", "entrosketch.bench", "entrosketch.oracle",
+                  "entrosketch.tailbounds", "concurrent.futures"}
+        assert not unused & modules
+
     def test_estimate_loads_only_its_modules(self, tmp_path):
         path = tmp_path / "s.bin"
         s = new_sketch(k=64, master_seed=1)

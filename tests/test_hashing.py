@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from entrosketch import hashing, stable
 from entrosketch.hashing import (
     GOLDEN,
+    VariateWorkspace,
+    _open_unit_into,
     accumulate_np,
     fnv1a64,
     hash_word,
@@ -22,6 +24,42 @@ from entrosketch.hashing import (
 )
 
 U64 = 1 << 64
+WIDTHS = [1, 2, 7, 16, 17, 200, 256, 2217]
+
+
+def _reference_variates(keys, k):
+    """The variates with one allocating numpy expression per step of
+    ``stable``'s sampler helpers: the arithmetic ``VariateWorkspace`` must
+    reproduce bit for bit, redraws included."""
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+
+    def mix(x):
+        x = x ^ (x >> np.uint64(30))
+        x = x * np.uint64(0xBF58476D1CE4E5B9)
+        x = x ^ (x >> np.uint64(27))
+        x = x * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+    def uniforms(key, row, attempt):
+        idx = np.uint64(attempt) * np.uint64(k) + row
+        u01 = stable._open_unit(mix(key + (np.uint64(2) * idx) * np.uint64(GOLDEN)))
+        w01 = stable._open_unit(mix(key + (np.uint64(2) * idx + np.uint64(1)) * np.uint64(GOLDEN)))
+        return u01, w01, ~stable._endpoint(u01, w01)
+
+    out = np.full((keys.size, k), np.nan)
+    pending = np.argwhere(np.ones(out.shape, dtype=bool))
+    attempt = 0
+    while pending.size:
+        i, row = pending.T
+        u01, w01, ok = uniforms(keys[i], row.astype(np.uint64), attempt)
+        out[i[ok], row[ok]] = stable._g0(*stable._uniform_exp(u01[ok], w01[ok]))
+        pending = pending[~ok]
+        attempt += 1
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestPrimitives:
@@ -85,6 +123,42 @@ class TestVariates:
         many = variates_many_np(keys, k)
         scalar = np.array([[variate_from_key(key, row, k) for row in range(k)] for key in keys])
         assert np.array_equal(many.view(np.uint64), scalar.view(np.uint64))
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_workspace_matches_reference_bitwise(self, k):
+        # one workspace serves calls of any key count up to its size, and
+        # a call leaves nothing behind that changes the next
+        keys = [item_key(f"w{i}", 8) for i in range(12)] + [0, U64 - 1]
+        reference = _reference_variates(keys, k)
+        assert _same_bits(variates_many_np(keys, k), reference)
+        workspace = VariateWorkspace(k, len(keys))
+        for lo, hi in [(0, 14), (3, 4), (0, 1), (5, 14), (0, 14)]:
+            assert _same_bits(workspace.variates(keys[lo:hi]), reference[lo:hi])
+
+    @pytest.mark.parametrize("k", WIDTHS)
+    def test_workspace_redraw_matches_reference(self, monkeypatch, k):
+        # the coarser scale of test_many_keys_redraw_matches_scalar: about
+        # three pairs in four redraw, some of them several times
+        monkeypatch.setattr(hashing, "_INV_2_64", 2.0**-63)
+        monkeypatch.setattr(stable, "_INV_2_64", 2.0**-63)
+        keys = [item_key(str(i), 1) for i in range(5)]
+        reference = _reference_variates(keys, k)
+        assert not np.isnan(reference).any()
+        workspace = VariateWorkspace(k, len(keys))
+        assert _same_bits(workspace.variates(keys), reference)
+        assert _same_bits(workspace.variates(keys[2:]), reference[2:])
+
+    def test_open_unit_matches_the_uint64_cast(self):
+        # ties of the uint64 -> float64 rounding at every exponent the
+        # split into 32-bit halves can meet, and random words
+        edges = [0, 1, 2**32 - 1, 2**32, 2**53 - 1, 2**53 + 1, 2**53 + 3, 2**63 - 1,
+                 2**63, 2**63 + 2**10, 2**63 + 3 * 2**10, 2**64 - 2**10, 2**64 - 2**11, U64 - 1]
+        rng = np.random.default_rng(3)
+        words = np.concatenate([np.array(edges, dtype=np.uint64),
+                                rng.integers(0, U64, 100_000, dtype=np.uint64, endpoint=False)])
+        out = np.empty(words.shape)
+        _open_unit_into(words, np.empty_like(words), out)
+        assert _same_bits(out, stable._open_unit(words))
 
     def test_scalar_reference_within_rounding(self):
         # the scalar reference evaluates tan/log with libm, the sketch with

@@ -7,6 +7,7 @@ are not tolerance checks.
 
 import json
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -184,10 +185,43 @@ class TestVariateCache:
         assert s._scaled_total == total
 
     def test_cache_is_capped(self):
-        s = _loop(_mixed_updates(300, 1), k=1000)
+        s = _loop(_mixed_updates(300, 2), k=1000)
         assert CACHE_VARIATES == 2**17
         assert len(s._cache) == CACHE_VARIATES // 1000
         assert sum(v.size for v in s._cache.values()) <= CACHE_VARIATES
+        # increments and item -> key entries are kept for cached keys only
+        assert s._cache_inc.keys() == s._cache.keys()
+        assert set(s._cached_keys.values()) == s._cache.keys()
+
+    def test_kept_increment_follows_the_last_delta(self):
+        # a cached key keeps the increment of its last delta only, and the
+        # str and bytes forms of an item share one key
+        k = 64
+        updates = [("a", 1.0), (b"a", 1.0), ("a", 2.5), ("a", 1.0), ("b", -0.0), ("b", 0.0),
+                   (b"b", 3), ("b", 3.0), ("a", 2.5), ("a", -1.0), (b"a", -1.0)] * 3
+        scaled = np.zeros(k, dtype=np.int64)
+        total = 0
+        for item, delta in updates:
+            accumulate_np(scaled, item_key(item, 4), delta)
+            total += int(np.rint(delta * 65536.0))
+        s = _loop(updates, k, seed=4)
+        assert np.array_equal(s._scaled, scaled)
+        assert s._scaled_total == total
+
+    def test_cached_item_is_not_hashed_again(self, monkeypatch):
+        calls = []
+
+        def counting_item_key(item, seed):
+            calls.append(item)
+            return item_key(item, seed)
+
+        monkeypatch.setattr(sketch_mod, "item_key", counting_item_key)
+        s = new_sketch(k=16)
+        for _ in range(10):
+            s.update("a").update(b"a", 2.0)
+        # at most twice per form of the item, not once per update
+        assert len(calls) <= 4
+        assert s == _loop([("a", 1.0), (b"a", 2.0)] * 10, 16)
 
     def test_width_beyond_cap_caches_nothing(self):
         s = new_sketch(k=CACHE_VARIATES + 1).update("a").update("a", -1.0)
@@ -216,27 +250,39 @@ class TestSketchStream:
     def test_empty_stream(self):
         assert sketch_stream(iter(()), k=8) == new_sketch(k=8)
 
-    def test_overflow_like_update_loop(self):
-        # the test_overflow_guard stream
-        with pytest.raises(OverflowError):
-            sketch_stream([("x", 1e15)] * 64, k=8)
+    def test_overflow_like_update_loop(self, monkeypatch):
         # crossing 2^53 only after many updates
         with pytest.raises(OverflowError):
             _loop([("x", 2.0**30)] * 200, 8)
-        with pytest.raises(OverflowError):
-            sketch_stream([("x", 2.0**30)] * 200, k=8)
+        for workers in (1, 2):
+            _split_blocks(monkeypatch, workers)
+            # the test_overflow_guard stream
+            with pytest.raises(OverflowError):
+                sketch_stream([("x", 1e15)] * 64, k=8)
+            with pytest.raises(OverflowError):
+                sketch_stream([("x", 2.0**30)] * 200, k=8)
 
-    def test_near_limit_matches_update_loop(self):
+    def test_near_limit_matches_update_loop(self, monkeypatch):
         # the loop peaks just below 2^53 and does not raise; the batch's
         # worst case is past its headroom, so it replays the loop
         updates = [("x", 2.0**30)] * 12 + [("x", -(2.0**30))] * 12 + [("y", 1.0)]
-        assert sketch_stream(updates, k=8) == _loop(updates, 8)
+        for workers in (1, 2):
+            _split_blocks(monkeypatch, workers)
+            assert sketch_stream(updates, k=8) == _loop(updates, 8)
 
     def test_invalid_element_after_overflow_raises_overflow(self):
         with pytest.raises(ValueError):
             sketch_stream([("a", 1.0), ("y", float("nan"))], k=8)
         with pytest.raises(OverflowError):
             sketch_stream([("x", 1e15), ("y", float("nan"))], k=8)
+
+
+def _split_blocks(monkeypatch, workers):
+    """Split every block of more than one (key, delta) group over ``workers``
+    threads.  The tests that take both 1 and 2 loop over them in their body,
+    which keeps their test ids."""
+    monkeypatch.setattr(sketch_mod, "_THREAD_VARIATES", 1)
+    monkeypatch.setattr(sketch_mod, "_worker_count", lambda: workers)
 
 
 def _loop_until_error(updates, k, seed=0):
@@ -288,12 +334,62 @@ class TestUpdateMany:
         updates = _mixed_updates(3, 3) + bad + [("z", 1.0)] * 4
         ref, error = _loop_until_error(updates, 8)
         assert error is not None
-        s = new_sketch(k=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(error):
-                s.update_many(updates)
-        assert s == ref and s.to_bytes() == ref.to_bytes()
+        for workers in (1, 2):
+            _split_blocks(monkeypatch, workers)
+            s = new_sketch(k=8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error):
+                    s.update_many(updates)
+            assert s == ref and s.to_bytes() == ref.to_bytes()
+
+    def test_worker_counts_give_the_same_bytes(self, monkeypatch):
+        # any split of a block over threads sums to the same int64 bits, also
+        # with more threads than cores switching often.  Small blocks and
+        # batches put block, batch and part boundaries inside the stream,
+        # and repeated items give one key several (key, delta) groups.
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 50)
+        monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", 3 * 16)
+        monkeypatch.setattr(sketch_mod, "_THREAD_VARIATES", 16)
+        parts = []
+        real_part_sum = sketch_mod._part_sum
+
+        def recording_part_sum(*args):
+            parts.append(args[-2:])
+            return real_part_sum(*args)
+
+        monkeypatch.setattr(sketch_mod, "_part_sum", recording_part_sum)
+        updates = _mixed_updates(37, 4) + [("i5", 7.0), (b"i5", 7.0), ("z", 0.0)]
+        ref = _loop(updates, 16, seed=9).to_bytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(sketch_mod, "_worker_count", lambda: workers)
+                parts.clear()
+                s = new_sketch(k=16, master_seed=9).update_many(updates)
+                assert s.to_bytes() == ref
+                # 151 updates: three full blocks of 50 and one of 1
+                assert len(parts) == 3 * workers + 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_part_that_raises_leaves_the_sketch_unchanged(self, monkeypatch):
+        _split_blocks(monkeypatch, 2)
+        real_part_sum = sketch_mod._part_sum
+
+        def failing_part_sum(*args):
+            if args[-2] > 0:  # the second part
+                raise MemoryError("part failed")
+            return real_part_sum(*args)
+
+        monkeypatch.setattr(sketch_mod, "_part_sum", failing_part_sum)
+        s = _loop(_mixed_updates(5, 2), 16)
+        before, bound = s.to_bytes(), s._bound
+        with pytest.raises(MemoryError, match="part failed"):
+            s.update_many(_mixed_updates(9, 3))
+        assert s.to_bytes() == before and s._bound == bound
+
 
 class TestTurnstile:
     @given(st.lists(st.tuples(items, deltas), max_size=30))
