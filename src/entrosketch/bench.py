@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import FISHER_INFO, bias_correction, log_mean, log_mean_replicates, resolve_bias
+from .estimator import FISHER_INFO, estimate, resolve_bias
+from .montecarlo import bias_correction, log_mean_replicates
 from .oracle import AccumulationVector, shannon_entropy
 from .sketch import sketch_stream
 from .streams import counts_to_stream, uniform_stream, zipf_counts
@@ -136,9 +137,7 @@ def run_end_to_end(spec: ExperimentSpec):
                 sketch = sketch_stream(elements, k=k, zeta=zeta, master_seed=spec.seed + rep)
                 acc = AccumulationVector.from_stream(elements)
                 h_true = shannon_entropy(acc)
-                raw = log_mean(sketch.normalized(), zeta)
-                bc = resolve_bias(k, zeta, mode="auto")
-                h_hat = -(raw - bc)
+                h_hat = estimate(sketch).entropy_hat
                 rows.append((rep, k, zeta, h_hat, h_true, h_hat - h_true))
     return ["replicate", "k", "zeta", "entropy_hat", "entropy_oracle", "error"], rows
 

@@ -5,6 +5,9 @@ numbers are printed as key=value with 17 significant digits so values
 round-trip.  The default master seed comes from ENTROSKETCH_SEED.
 Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
+``estimate`` and ``merge`` read sketch files through the stdlib-only
+``sketchfile``; only ``ingest``, ``oracle``, ``bench`` and a Monte Carlo
+bias correction load numpy.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ def cmd_ingest(args) -> int:
 
 
 def _load_sketch(path: str):
-    from .sketch import EntropySketch
+    from .sketchfile import SketchFile
 
     with open(path, "rb") as fp:
-        return EntropySketch.from_bytes(fp.read())
+        return SketchFile.from_bytes(fp.read())
 
 
 def cmd_estimate(args) -> int:

@@ -9,17 +9,18 @@ W = exp(zeta X)/zeta^zeta in closed form, so BC has a delta-method
 expansion in 1/k through 1/k^3.  That expansion is used for zeta <= 1.5
 wherever its 1/k^3 term is at most 2e-3; everywhere else BC is computed
 by Monte Carlo.  The Shannon entropy is -delta.
+
+This module is pure Python.  ``estimate`` takes any loaded sketch (an
+``EntropySketch`` or a ``sketchfile.SketchFile``), and the Monte Carlo
+engine, ``montecarlo``, is imported only when a Monte Carlo BC is
+computed, so an estimate inside the closed form's region loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-
-import numpy as np
-
-from .stable import _worker_count, sample_g0, sample_g0_slices
+from functools import lru_cache
 
 FISHER_INFO = 0.3445  # Fisher information for delta per sketch coordinate
 
@@ -28,20 +29,6 @@ FISHER_INFO = 0.3445  # Fisher information for delta per sketch coordinate
 # zeta <= 1.5, but negative at every k tried for zeta 2 and 2.5.
 _CLOSED_FORM_T3_MAX = 2e-3
 _CLOSED_FORM_ZETA_MAX = 1.5
-
-# Monte Carlo chunks hold max(1, min(reps, _CHUNK_SAMPLES // k)) replicates
-# and chunk i is drawn from Philox(key=[seed, i]): this defines every MC value
-_CHUNK_SAMPLES = 8_000_000
-# samples per Monte Carlo block, so that a block's temporaries stay in cache;
-# 2^14 was the fastest of 2^12..2^18 in a fresh estimate process
-_BLOCK_SAMPLES = 1 << 14
-
-
-@dataclass(frozen=True)
-class BiasEstimate:
-    value: float
-    std_error: float
-    reps: int
 
 
 @dataclass(frozen=True)
@@ -55,78 +42,22 @@ class EstimateResult:
         assert self.entropy_hat == -self.delta_hat
 
 
-def _log_means(z: np.ndarray, zeta: float) -> np.ndarray:
-    """Row-wise zeta^-1 log(zeta^-zeta k^-1 sum exp(zeta z)) of a (rows, k)
-    array, each row through a max-shifted log-sum-exp."""
-    v = zeta * z
-    m = v.max(axis=1)
-    return (m + np.log(np.mean(np.exp(v - m[:, None]), axis=1))) / zeta - math.log(zeta)
+def log_mean(y, zeta: float) -> float:
+    """zeta^-1 log(zeta^-zeta k^-1 sum_j exp(zeta y_j)) of a sequence of k
+    floats, through a max-shifted log-sum-exp summed by ``math.fsum``.
 
-
-def log_mean(y: np.ndarray, zeta: float) -> float:
-    """The log-mean of one vector: the one-row case of ``_log_means``."""
-    return float(_log_means(np.asarray(y, dtype=np.float64).reshape(1, -1), zeta)[0])
-
-
-def _fill_rows(
-    out, key, n: int, k: int, zeta: float, shift: float, rows: int, a: int, b: int
-) -> bool:
-    """out[a:b] = log-means of rows [a, b) of the chunk's n x k samples
-    plus ``shift``, ``rows`` rows at a time; False if an endpoint word was met."""
-    for r0, z in zip(range(a, b, rows), sample_g0_slices(key, n * k, a * k, b * k, rows * k)):
-        if z is None:
-            return False
-        out[r0 : r0 + len(z) // k] = _log_means(z.reshape(-1, k) + shift, zeta)
-    return True
-
-
-def log_mean_replicates(
-    k: int, zeta: float, reps: int, seed: int, shift: float = 0.0
-) -> np.ndarray:
-    """``reps`` replicates of the log-mean of k G(z;0) samples plus ``shift``.
-
-    The chunk partition defines the stream: replicates come in chunks of
-    ``max(1, min(reps, _CHUNK_SAMPLES // k))``, and chunk i is the
-    ``sample_g0`` draw of its n*k samples from the counter-based
-    ``Philox(key=[seed, i])``, one replicate per k consecutive samples.
-    Each chunk is computed in blocks of about ``_BLOCK_SAMPLES`` samples,
-    split across the CPUs this process may run on; a chunk that meets an
-    endpoint word is drawn whole instead.  Block size and worker count do
-    not change the result, bit for bit.
+    Pure Python, so an estimate needs no numpy.  The Monte Carlo
+    engine's row-wise ``montecarlo._log_means`` computes the same
+    expression with numpy's SIMD ``exp`` and pairwise sum, which round
+    differently: the two agree within 2 ulp of max(1, |m| + |log s|)/zeta,
+    m the largest zeta*y_j and s the mean of exp(zeta*y_j - m).
     """
-    # imported here, not at the top: every CLI process imports this module,
-    # few take this path, and concurrent.futures plus logging cost ~6 ms
-    from concurrent.futures import ThreadPoolExecutor
-
-    if k < 1 or reps < 1:
-        raise ValueError("k and reps must be >= 1")
-    chunk = max(1, min(reps, _CHUNK_SAMPLES // k))
-    rows = max(1, _BLOCK_SAMPLES // k)
-    workers = min(_worker_count(), -(-chunk // rows))
-    values = np.empty(reps, dtype=np.float64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk_idx, start in enumerate(range(0, reps, chunk)):
-            n = min(chunk, reps - start)
-            key = [seed, chunk_idx]
-            out = values[start : start + n]
-            blocks = -(-n // rows)
-            parts = min(workers, blocks)
-            cuts = [min(n, blocks * i // parts * rows) for i in range(parts + 1)]
-            fill = partial(_fill_rows, out, key, n, k, zeta, shift, rows)
-            if not all(list(pool.map(fill, cuts[:-1], cuts[1:]))):
-                rng = np.random.Generator(np.random.Philox(key=key))
-                out[:] = _log_means(sample_g0(rng, n * k).reshape(n, k) + shift, zeta)
-    return values
-
-
-def bias_correction(k: int, zeta: float, reps: int = 500_000, seed: int = 0) -> BiasEstimate:
-    """Monte Carlo BC: mean over replicates of the log-mean of k pure
-    G(z;0) samples, with its standard error (sample sd / sqrt(reps)).
-    The replicates are ``log_mean_replicates(k, zeta, reps, seed)``."""
-    values = log_mean_replicates(k, zeta, reps, seed)
-    value = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else float("nan")
-    return BiasEstimate(value=value, std_error=se, reps=reps)
+    v = [zeta * float(x) for x in y]
+    if not v:
+        raise ValueError("log_mean needs at least one value")
+    m = max(v)
+    mean = math.fsum([math.exp(x - m) for x in v]) / len(v)
+    return (m + math.log(mean)) / zeta - math.log(zeta)
 
 
 def _bias_terms(k: int, zeta: float) -> tuple[float, float, float]:
@@ -146,7 +77,10 @@ def _bias_terms(k: int, zeta: float) -> tuple[float, float, float]:
 
 @lru_cache(maxsize=64)
 def _monte_carlo_bias(k: int, zeta: float, reps: int, seed: int) -> float:
-    import logging  # imported here, as concurrent.futures in log_mean_replicates
+    # imported here: only this path needs numpy and logging
+    import logging
+
+    from .montecarlo import bias_correction
 
     logging.getLogger(__name__).info(
         "bias correction by Monte Carlo: k=%d, zeta=%r, reps=%d", k, zeta, reps
@@ -184,7 +118,11 @@ def resolve_bias(
 
 
 def estimate(sketch, bc_mode: str = "auto", mc_reps: int = 500_000) -> EstimateResult:
-    """Entropy estimate from a sketch: H = -(log-mean - BC)."""
+    """Entropy estimate from a sketch: H = -(log-mean - BC).
+
+    ``sketch`` is anything with ``config.k``, ``config.zeta``, ``total``
+    and ``normalized()``: an ``EntropySketch`` or a ``SketchFile``.
+    """
     if not sketch.total > 0.0:
         raise ValueError("sketch total must be positive (frequencies undefined)")
     zeta = sketch.config.zeta

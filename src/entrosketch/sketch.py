@@ -43,36 +43,32 @@ any int64 cast, using a running upper bound on the projections that is
 replaced by an exact scan only when it reaches the limit, so churn that
 cancels never raises.
 
-Binary format (little endian): magic b"ESKV", version u16, k u64,
-zeta f64, master_seed u64, total f64, then k f64 projections.  All
-stored values are exact multiples of 2^-16, so the round trip is
-bit-exact.  ``from_bytes`` and ``from_json`` raise ValueError on a value
-that is not finite or not below 2^37 in magnitude, and round a value off
-that grid to the nearest multiple.
+The file format, its loaders' checks and the merge checks live in
+``sketchfile``, which ``to_bytes``, ``from_bytes``, ``to_json``,
+``from_json`` and ``merge`` call.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .hashing import MASK64, VariateWorkspace, _mapped_words, item_key, variates_np
+from .hashing import VariateWorkspace, _mapped_words, item_key, variates_np
+from .sketchfile import FORMAT_VERSION  # noqa: F401  (the benchmark reads sketch.FORMAT_VERSION)
+from .sketchfile import (
+    LIMIT,
+    OVERFLOW,
+    QUANTUM,
+    SCALE,
+    SketchConfig,
+    SketchFile,
+    check_exact,
+    check_mergeable,
+)
 from .stable import _worker_count
-
-MAGIC = b"ESKV"
-FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sHQdQd")
-
-QUANTUM_BITS = 16
-QUANTUM = 2.0**-QUANTUM_BITS
-_SCALE = 2.0**QUANTUM_BITS
-_LIMIT = 1 << 53  # beyond this, int64 counts are no longer exact doubles
 
 CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
 # variates per VariateWorkspace.variates call in update_many: at most
@@ -87,25 +83,9 @@ _BATCH_VARIATES = 1 << 16
 # variates per block (64 vs 60 ms) and won at 1.6M (113 vs 134 ms).
 _THREAD_VARIATES = 1 << 19
 _STREAM_BLOCK = 1 << 16  # elements grouped together by update_many
-# a batch whose worst case comes this close to _LIMIT is replayed one
+# a batch whose worst case comes this close to LIMIT is replayed one
 # update at a time, so OverflowError is raised at the same element
-_BATCH_HEADROOM = float(_LIMIT // 2)
-_OVERFLOW = "projection accumulator left the exact-double range"
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    k: int
-    zeta: float = 1.0
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if not self.zeta > 0.0:
-            raise ValueError("zeta must be positive")
-        if not 0 <= self.master_seed <= MASK64:
-            raise ValueError("master_seed must fit in 64 bits")
+_BATCH_HEADROOM = float(LIMIT // 2)
 
 
 class EntropySketch:
@@ -192,20 +172,19 @@ class EntropySketch:
         """Add one update, or raise OverflowError with the sketch unchanged."""
         v, vmax = self._variates(key)
         # float rounding is monotone, so step bounds every |v * delta * 2^16|
-        step = vmax * abs(delta) * _SCALE
-        total_step = delta * _SCALE
+        step = vmax * abs(delta) * SCALE
+        total_step = delta * SCALE
         # past 2^54 an increment overflows whatever it is added to
-        if not (step < 2 * _LIMIT and abs(total_step) < 2 * _LIMIT):
-            raise OverflowError(_OVERFLOW)
+        if not (step < 2 * LIMIT and abs(total_step) < 2 * LIMIT):
+            raise OverflowError(OVERFLOW)
         total = self._scaled_total + round(total_step)
         inc = self._increment(key, v, delta)
         # the running bound is replaced by an exact scan only at the limit,
         # so only the exact value raises and cancelling churn never does
         bound = self._bound + math.ceil(step)
-        if bound >= _LIMIT:
+        if bound >= LIMIT:
             bound = int(np.abs(self._scaled + inc).max())
-        if bound >= _LIMIT or abs(total) >= _LIMIT:
-            raise OverflowError(_OVERFLOW)
+        check_exact(bound, total)
         self._scaled += inc
         self._scaled_total = total
         self._bound = bound
@@ -215,7 +194,7 @@ class EntropySketch:
         last = self._cache_inc.get(key)
         if last is not None and last[0] == delta:
             return last[1]
-        inc = np.rint(v * delta * _SCALE).astype(np.int64)
+        inc = np.rint(v * delta * SCALE).astype(np.int64)
         if key in self._cache:
             self._cache_inc[key] = (delta, inc)
         return inc
@@ -242,7 +221,7 @@ class EntropySketch:
         c = np.array([counts[pair] for pair in pairs], dtype=np.int64)
         d = np.array([delta for _, delta in pairs], dtype=np.float64)
 
-        total_inc = np.rint(d * _SCALE)
+        total_inc = np.rint(d * SCALE)
         if not abs(self._scaled_total) + float(np.abs(total_inc) @ c) < _BATCH_HEADROOM:
             self._add_loop(keys, deltas)
             return
@@ -256,7 +235,7 @@ class EntropySketch:
         if parts == 1:
             sums = [part_sum(0, len(pairs))]
         else:
-            # imported here, as in estimator: small blocks never get this far
+            # imported here, as in montecarlo: small blocks never get this far
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=parts) as pool:
@@ -281,14 +260,12 @@ class EntropySketch:
         return self.projections / self.total
 
     def merge(self, other: "EntropySketch") -> "EntropySketch":
-        if self.config != other.config:
-            raise ValueError("cannot merge sketches with different configs")
+        check_mergeable(self.config, other.config)
         out = EntropySketch(self.config)
         np.add(self._scaled, other._scaled, out=out._scaled)
         out._scaled_total = self._scaled_total + other._scaled_total
         out._bound = int(np.abs(out._scaled).max())
-        if out._bound >= _LIMIT or abs(out._scaled_total) >= _LIMIT:
-            raise OverflowError(_OVERFLOW)
+        check_exact(out._bound, out._scaled_total)
         return out
 
     def copy(self) -> "EntropySketch":
@@ -313,84 +290,32 @@ class EntropySketch:
             f"seed={self.config.master_seed}, total={self.total})"
         )
 
-    # serialization
+    # serialization: the format and its checks are in sketchfile
+
+    def _file(self) -> SketchFile:
+        return SketchFile(self.config, tuple(self._scaled.tolist()), self._scaled_total)
+
+    @classmethod
+    def _from_file(cls, loaded: SketchFile) -> "EntropySketch":
+        sketch = cls(loaded.config)
+        sketch._scaled = np.array(loaded.scaled, dtype=np.int64)
+        sketch._scaled_total = loaded.scaled_total
+        sketch._bound = int(np.abs(sketch._scaled).max())
+        return sketch
 
     def to_bytes(self) -> bytes:
-        header = _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            self.config.k,
-            self.config.zeta,
-            self.config.master_seed,
-            self.total,
-        )
-        return header + self.projections.astype("<f8").tobytes()
+        return self._file().to_bytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "EntropySketch":
-        if len(data) < _HEADER.size:
-            raise ValueError("truncated sketch: header incomplete")
-        magic, version, k, zeta, seed, total = _HEADER.unpack_from(data)
-        if magic != MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported format version {version}")
-        expected = _HEADER.size + 8 * k
-        if len(data) != expected:
-            raise ValueError(f"sketch length {len(data)} != expected {expected}")
-        sketch = cls(SketchConfig(k=k, zeta=zeta, master_seed=seed))
-        sketch._set_projections(
-            np.frombuffer(data, dtype="<f8", offset=_HEADER.size), total
-        )
-        return sketch
+        return cls._from_file(SketchFile.from_bytes(data))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format_version": FORMAT_VERSION,
-                "k": self.config.k,
-                "zeta": self.config.zeta,
-                "master_seed": self.config.master_seed,
-                "total": self.total,
-                "projections": self.projections.tolist(),
-            }
-        )
+        return self._file().to_json()
 
     @classmethod
     def from_json(cls, text: str) -> "EntropySketch":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("sketch document must be a JSON object")
-        if obj.get("format_version") != FORMAT_VERSION:
-            raise ValueError("unsupported format version")
-        try:
-            config = SketchConfig(
-                k=int(obj["k"]),
-                zeta=float(obj["zeta"]),
-                master_seed=int(obj["master_seed"]),
-            )
-            proj = np.asarray(obj["projections"], dtype=np.float64)
-            total = float(obj["total"])
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed sketch document: {exc!r}") from exc
-        if proj.shape != (config.k,):
-            raise ValueError("projections length does not match k")
-        sketch = cls(config)
-        sketch._set_projections(proj, total)
-        return sketch
-
-    def _set_projections(self, projections: np.ndarray, total: float) -> None:
-        # stored values must be finite and below the exact-double limit,
-        # checked before any cast; off-grid values round to the quantum
-        scaled = np.append(projections, total) * _SCALE
-        if not np.isfinite(scaled).all():
-            raise ValueError("sketch values must be finite")
-        if not (np.abs(scaled) < _LIMIT).all():
-            raise ValueError("sketch values must be below 2^37 in magnitude")
-        scaled = np.rint(scaled)
-        self._scaled = scaled[:-1].astype(np.int64)
-        self._scaled_total = int(scaled[-1])
-        self._bound = int(np.abs(self._scaled).max())
+        return cls._from_file(SketchFile.from_json(text))
 
 
 def _part_sum(k, distinct, where, d, c, limit, start, stop):
@@ -418,7 +343,7 @@ def _part_sum(k, distinct, where, d, c, limit, start, stop):
         v = workspace.variates(distinct[first : last + 1])
         scaled = np.take(v, where[lo:hi] - first, axis=0, out=scaled_buf[: hi - lo], mode="clip")
         scaled *= d[lo:hi, None]
-        scaled *= _SCALE
+        scaled *= SCALE
         peak = np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
         bound += float(peak @ c[lo:hi]) + float(c[lo:hi].sum())
         if not bound < limit:

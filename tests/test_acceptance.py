@@ -18,12 +18,8 @@ from entrosketch.bench import (
     _delta_hat_replicates,
     run_end_to_end,
 )
-from entrosketch.estimator import (
-    FISHER_INFO,
-    are,
-    bias_correction,
-    estimate,
-)
+from entrosketch.estimator import FISHER_INFO, are, estimate
+from entrosketch.montecarlo import bias_correction
 from entrosketch.oracle import AccumulationVector, limit_check, shannon_entropy
 from entrosketch.sketch import EntropySketch, new_sketch, sketch_stream
 from entrosketch.stable import char_fn, sample_g0

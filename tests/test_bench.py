@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from entrosketch import estimator as estimator_mod
+from entrosketch import montecarlo
 from entrosketch import stable
 from entrosketch.bench import (
     DEFAULT_DELTA,
@@ -51,7 +51,7 @@ class TestReplicates:
         ],
     )
     def test_matches_whole_chunk_draw(self, monkeypatch, k, zeta, reps, seed, chunk_samples):
-        monkeypatch.setattr(estimator_mod, "_CHUNK_SAMPLES", chunk_samples)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk_samples)
         new = _delta_hat_replicates(k, zeta, reps, seed, DEFAULT_DELTA)
         old = _whole_chunk_replicates(k, zeta, reps, seed, DEFAULT_DELTA, chunk_samples)
         assert new.tobytes() == old.tobytes()
@@ -62,7 +62,7 @@ class TestReplicates:
         monkeypatch.setattr(
             stable, "_open_unit", lambda words: (words.astype(np.float64) + 0.5) * (2.0**-64 * 1.0005)
         )
-        monkeypatch.setattr(estimator_mod, "_CHUNK_SAMPLES", 400)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 400)
         new = _delta_hat_replicates(10, 1.0, 2000, 3, DEFAULT_DELTA)
         old = _whole_chunk_replicates(10, 1.0, 2000, 3, DEFAULT_DELTA, chunk_samples=400)
         assert new.tobytes() == old.tobytes()

@@ -3,16 +3,24 @@
 import io
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entrosketch
 from entrosketch import sketch as sketch_mod
-from entrosketch.cli import main
-from entrosketch.sketch import EntropySketch, new_sketch
+from entrosketch.cli import _g, main
+from entrosketch.estimator import estimate
+from entrosketch.sketch import EntropySketch, new_sketch, sketch_stream
+from entrosketch.sketchfile import FORMAT_VERSION, HEADER, LIMIT, SketchConfig, SketchFile
 
 
 def parse_kv(out: str) -> dict:
@@ -196,6 +204,147 @@ class TestMerge:
         assert main(["merge", a, b, "--output", str(tmp_path / "m.bin")]) == 1
 
 
+def run_cli(argv, files=None):
+    """(exit code, stdout, stderr, output bytes or None) of ``main(argv)``
+    in a fresh directory holding ``files``, a {name: bytes} map; names in
+    argv are paths in that directory, and the output file is ``out.bin``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in (files or {}).items():
+            Path(tmp, name).write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([os.path.join(tmp, a) if a.endswith(".bin") else a for a in argv])
+        written = Path(tmp, "out.bin")
+        return code, out.getvalue(), err.getvalue(), written.read_bytes() if written.exists() else None
+
+
+items = st.text(min_size=1, max_size=6)
+widths = st.sampled_from([1, 2, 16, 200])
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+class TestFileContracts:
+    """``estimate`` and ``merge`` read sketch files through ``sketchfile``,
+    without numpy, and give the library's bytes and digits."""
+
+    @given(
+        st.lists(st.tuples(items, st.integers(-20, 20).map(float)), max_size=25),
+        st.lists(st.tuples(items, st.integers(-20, 20).map(float)), max_size=25),
+        widths,
+        seeds,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_merge_bytes_equal_library_and_single_pass(self, xs, ys, k, seed):
+        a = sketch_stream(xs, k=k, master_seed=seed).to_bytes()
+        b = sketch_stream(ys, k=k, master_seed=seed).to_bytes()
+        code, out, _, merged = run_cli(["merge", "a.bin", "b.bin", "--output", "out.bin"],
+                                       {"a.bin": a, "b.bin": b})
+        library = EntropySketch.from_bytes(a).merge(EntropySketch.from_bytes(b))
+        assert code == 0
+        assert merged == library.to_bytes() == sketch_stream(xs + ys, k=k, master_seed=seed).to_bytes()
+        assert out == f"total={_g(library.total)}\n"
+
+    @given(
+        st.lists(st.tuples(items, st.integers(1, 20).map(float)), min_size=1, max_size=25),
+        widths,
+        st.sampled_from([0.9, 1.0, 1.15]),
+        seeds,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_estimate_prints_the_library_estimate(self, xs, k, zeta, seed):
+        # k=1 and k=2 take the Monte Carlo bias correction, the others the closed form
+        data = sketch_stream(xs, k=k, zeta=zeta, master_seed=seed).to_bytes()
+        code, out, _, _ = run_cli(["estimate", "s.bin", "--reps", "200"], {"s.bin": data})
+        r = estimate(EntropySketch.from_bytes(data), mc_reps=200)
+        assert code == 0
+        assert out == (f"entropy={_g(r.entropy_hat)}\ndelta={_g(r.delta_hat)}\n"
+                       f"bias_correction={_g(r.bias_correction)}\nasymptotic_se={_g(r.asymptotic_se)}\n")
+
+
+VALID = sketch_stream([("a", 1.0), ("b", 2.5), ("c", -0.5)], k=12, zeta=0.9, master_seed=77).to_bytes()
+TOTAL_AT = HEADER.size - 8  # the total is the header's last field
+
+
+def with_value(offset, value):
+    data = bytearray(VALID)
+    struct.pack_into("<d", data, offset, value)
+    return bytes(data)
+
+
+class TestLoadFailures:
+    """A malformed file, unequal configs or a sum at the 2^53 limit make
+    ``estimate`` and ``merge`` exit 1 with ``error: ...`` and write no file."""
+
+    BAD_FILES = [
+        pytest.param(VALID[: HEADER.size - 1], "header incomplete", id="truncated-header"),
+        pytest.param(VALID[:-3], "length", id="truncated-projections"),
+        pytest.param(VALID + bytes(8), "length", id="too-long"),
+        pytest.param(b"XXXX" + VALID[4:], "magic", id="bad-magic"),
+        pytest.param(VALID[:4] + struct.pack("<H", FORMAT_VERSION + 1) + VALID[6:], "version",
+                     id="bad-version"),
+        pytest.param(with_value(14, math.inf), "zeta", id="inf-zeta"),  # the header's zeta field
+        pytest.param(with_value(HEADER.size, math.nan), "finite", id="nan-projection"),
+        pytest.param(with_value(TOTAL_AT, -math.inf), "finite", id="inf-total"),
+        pytest.param(with_value(HEADER.size + 8, -(2.0**37)), "2\\^37", id="projection-2^37"),
+        pytest.param(with_value(TOTAL_AT, 2.0**37), "2\\^37", id="total-2^37"),
+    ]
+
+    @staticmethod
+    def assert_refused(argv, files, match):
+        code, out, err, written = run_cli(argv, files)
+        assert (code, out, written) == (1, "", None)
+        assert re.fullmatch(f"error: .*{match}.*\n", err), err
+
+    @pytest.mark.parametrize("bad, match", BAD_FILES)
+    def test_bad_file(self, bad, match):
+        files = {"bad.bin": bad, "good.bin": VALID}
+        self.assert_refused(["estimate", "bad.bin"], files, match)
+        for pair in (["bad.bin", "good.bin"], ["good.bin", "bad.bin"]):
+            self.assert_refused(["merge", *pair, "--output", "out.bin"], files, match)
+
+    @given(st.integers(0, len(VALID) - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_every_truncation_is_refused(self, n):
+        files = {"cut.bin": VALID[:n], "good.bin": VALID}
+        self.assert_refused(["estimate", "cut.bin"], files, "")
+        self.assert_refused(["merge", "good.bin", "cut.bin", "--output", "out.bin"], files, "")
+
+    @pytest.mark.parametrize("config", [dict(k=13), dict(zeta=1.0), dict(master_seed=78)])
+    def test_merge_of_unequal_configs(self, config):
+        other = sketch_stream([("a", 1.0)], **{"k": 12, "zeta": 0.9, "master_seed": 77, **config})
+        self.assert_refused(["merge", "a.bin", "b.bin", "--output", "out.bin"],
+                            {"a.bin": VALID, "b.bin": other.to_bytes()}, "different configs")
+
+    @given(st.integers(1, LIMIT - 1), st.integers(-2, 2), st.sampled_from([1, -1]),
+           st.sampled_from(["projection", "total"]))
+    @settings(max_examples=60, deadline=None)
+    def test_merge_at_the_limit(self, a, offset, sign, field):
+        # |a + b| = 2^53 + offset in units of 2^-16: offset >= 0 is refused
+        b = min(LIMIT - a + offset, LIMIT - 1)
+        config = SketchConfig(k=3, zeta=1.0, master_seed=5)
+
+        def file_with(value):
+            scaled = (sign * value, 7, -7) if field == "projection" else (7, 7, -7)
+            total = sign * value if field == "total" else 7
+            return SketchFile(config, scaled, total).to_bytes()
+
+        files = {"a.bin": file_with(a), "b.bin": file_with(b)}
+        argv = ["merge", "a.bin", "b.bin", "--output", "out.bin"]
+        if a + b >= LIMIT:
+            self.assert_refused(argv, files, "exact-double range")
+            with pytest.raises(OverflowError):
+                EntropySketch.from_bytes(files["a.bin"]).merge(EntropySketch.from_bytes(files["b.bin"]))
+        else:
+            code, _, _, merged = run_cli(argv, files)
+            library = EntropySketch.from_bytes(files["a.bin"]).merge(
+                EntropySketch.from_bytes(files["b.bin"]))
+            assert code == 0
+            assert merged == library.to_bytes()
+            loaded = SketchFile.from_bytes(merged)
+            assert (loaded.scaled[0] if field == "projection" else loaded.scaled_total) == sign * (a + b)
+
+
+
 class TestSize:
     def test_reference_size(self, capsys):
         assert main(["size", "--epsilon", "0.1", "--gamma", "0.05"]) == 0
@@ -291,20 +440,50 @@ class TestImportGraph:
             "from entrosketch.cli import main\n"
             f"assert main(['ingest', '--input', {str(stream)!r}, "
             f"'--output', {str(tmp_path / 's.bin')!r}, '--k', '64']) == 0")
-        assert {"entrosketch.sketch", "entrosketch.streams"} <= modules
-        unused = {"entrosketch.estimator", "entrosketch.bench", "entrosketch.oracle",
-                  "entrosketch.tailbounds", "concurrent.futures"}
+        assert {m for m in modules if m.startswith("entrosketch")} == {
+            "entrosketch", "entrosketch.cli", "entrosketch.streams", "entrosketch.sketch",
+            "entrosketch.sketchfile", "entrosketch.hashing", "entrosketch.stable"}
+        unused = {"concurrent.futures", "logging"}
         assert not unused & modules
 
     def test_estimate_loads_only_its_modules(self, tmp_path):
-        path = tmp_path / "s.bin"
-        s = new_sketch(k=64, master_seed=1)
-        s.update_many([("a", 1.0), ("b", 2.0)])
-        path.write_bytes(s.to_bytes())
+        # k=64 at zeta=1 is inside the closed form's region: no numpy
         modules = modules_after(
             "from entrosketch.cli import main\n"
-            f"assert main(['estimate', {str(path)!r}]) == 0")
-        assert "entrosketch.estimator" in modules
-        unused = {"entrosketch.bench", "entrosketch.oracle", "entrosketch.streams",
-                  "entrosketch.tailbounds", "csv"}
-        assert not unused & modules
+            f"assert main(['estimate', {_sketch_file(tmp_path, 's.bin', 64)!r}]) == 0")
+        assert {m for m in modules if m.startswith("entrosketch")} == {
+            "entrosketch", "entrosketch.cli", "entrosketch.sketchfile", "entrosketch.estimator"}
+        assert not {"numpy", "csv", "logging", "concurrent.futures"} & modules
+
+    def test_merge_loads_no_numpy(self, tmp_path):
+        a = _sketch_file(tmp_path, "a.bin", 64)
+        modules = modules_after(
+            "from entrosketch.cli import main\n"
+            f"assert main(['merge', {a!r}, {a!r}, '--output', {str(tmp_path / 'm.bin')!r}]) == 0")
+        assert {m for m in modules if m.startswith("entrosketch")} == {
+            "entrosketch", "entrosketch.cli", "entrosketch.sketchfile"}
+        assert "numpy" not in modules
+
+    @pytest.mark.parametrize("k, zeta, flags", [
+        pytest.param(64, 1.0, ["--bc-mode", "mc"], id="bc-mode-mc"),
+        pytest.param(5, 1.0, [], id="out-of-region"),
+    ])
+    def test_monte_carlo_estimate_loads_numpy_and_logs(self, tmp_path, k, zeta, flags):
+        args = ["estimate", _sketch_file(tmp_path, "s.bin", k, zeta), "--reps", "500", *flags]
+        expected = ("INFO:entrosketch.estimator:bias correction by Monte Carlo: "
+                    f"k={k}, zeta={zeta!r}, reps=500\n")
+        modules = modules_after(
+            "import io, logging\n"
+            "log = io.StringIO()\n"
+            "logging.basicConfig(stream=log, level=logging.INFO)\n"
+            "from entrosketch.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            f"assert log.getvalue() == {expected!r}, log.getvalue()")
+        assert {"numpy", "entrosketch.montecarlo", "entrosketch.stable"} <= modules
+        assert "entrosketch.sketch" not in modules
+
+
+def _sketch_file(tmp_path, name, k, zeta=1.0):
+    path = tmp_path / name
+    path.write_bytes(sketch_stream([("a", 1.0), ("b", 2.0)], k=k, zeta=zeta, master_seed=1).to_bytes())
+    return str(path)

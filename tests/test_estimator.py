@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from entrosketch import estimator as estimator_mod
+from entrosketch import montecarlo
 from entrosketch import stable
 from entrosketch.estimator import (
     FISHER_INFO,
@@ -17,11 +17,11 @@ from entrosketch.estimator import (
     _monte_carlo_bias,
     are,
     asymptotic_std_error,
-    bias_correction,
     estimate,
     log_mean,
     resolve_bias,
 )
+from entrosketch.montecarlo import bias_correction
 from entrosketch.sketch import new_sketch, sketch_stream
 from entrosketch.stable import sample_g0
 
@@ -51,6 +51,22 @@ class TestLogMean:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             log_mean(np.array([]), 1.0)
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("k", [1, 20, 200, 2217])
+    def test_within_two_ulp_of_the_monte_carlo_rows(self, k, zeta):
+        # numpy's SIMD exp and pairwise sum against libm exp and fsum: the
+        # mean's relative error moves log(mean) by a few ulp of 1, and
+        # m + log(mean) rounds at the size of its terms, so the bound is on
+        # that scale, not on the result's, which can be near zero
+        for seed in range(200 if k < 2217 else 40):
+            y = sample_g0(np.random.default_rng(seed), k)
+            v = (zeta * y).tolist()
+            m = max(v)
+            log_mean_exp = math.log(math.fsum(math.exp(x - m) for x in v) / k)
+            scale = max(1.0, abs(m) + abs(log_mean_exp)) / zeta
+            expected = float(montecarlo._log_means(y[None], zeta)[0])
+            assert abs(log_mean(y, zeta) - expected) <= 2 * math.ulp(scale), seed
 
 
 class TestBiasTable:
@@ -98,7 +114,7 @@ class TestBiasCorrection:
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(estimator_mod, "_worker_count", lambda: workers)
+                monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
                 _assert_same_bits(bias_correction(25, 1.0, reps=30_000, seed=4), reference)
         finally:
             sys.setswitchinterval(interval)
@@ -111,10 +127,10 @@ class TestBiasCorrection:
     ):
         # the chunk partition defines the stream; block size and worker
         # count must not change a single bit
-        monkeypatch.setattr(estimator_mod, "_CHUNK_SAMPLES", chunk_samples)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk_samples)
         if block is not None:
-            monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", block)
-        monkeypatch.setattr(estimator_mod, "_worker_count", lambda: workers)
+            monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         _assert_same_bits(
             bias_correction(k, zeta, reps=reps, seed=seed), _whole_chunks(k, zeta, reps, seed, chunk_samples)
         )
@@ -125,13 +141,13 @@ class TestBiasCorrection:
         monkeypatch.setattr(
             stable, "_open_unit", lambda words: (words.astype(np.float64) + 0.5) * (2.0**-64 * 1.0005)
         )
-        monkeypatch.setattr(estimator_mod, "_CHUNK_SAMPLES", 400)
-        monkeypatch.setattr(estimator_mod, "_BLOCK_SAMPLES", 64)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 400)
+        monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 64)
         redrawn = []
         monkeypatch.setattr(
-            estimator_mod, "sample_g0", lambda rng, n: redrawn.append(n) or sample_g0(rng, n)
+            montecarlo, "sample_g0", lambda rng, n: redrawn.append(n) or sample_g0(rng, n)
         )
-        monkeypatch.setattr(estimator_mod, "_worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         est = bias_correction(10, 1.0, reps=2000, seed=3)
         assert 0 < len(redrawn) < 50  # of 50 chunks
         _assert_same_bits(est, _whole_chunks(10, 1.0, 2000, 3, chunk_samples=400))

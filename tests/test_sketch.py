@@ -19,16 +19,12 @@ from entrosketch import sketch as sketch_mod
 from entrosketch.hashing import accumulate_np, item_key, variates_np
 from entrosketch.sketch import (
     CACHE_VARIATES,
-    FORMAT_VERSION,
-    MAGIC,
-    QUANTUM,
-    QUANTUM_BITS,
-    _HEADER,
     EntropySketch,
     SketchConfig,
     new_sketch,
     sketch_stream,
 )
+from entrosketch.sketchfile import FORMAT_VERSION, HEADER, MAGIC, QUANTUM, QUANTUM_BITS
 
 items = st.text(min_size=1, max_size=8)
 deltas = st.integers(min_value=-50, max_value=50).map(float)
@@ -511,7 +507,7 @@ class TestSerialization:
     @pytest.mark.parametrize("value, match", BAD_VALUES)
     def test_from_bytes_rejects_bad_values(self, field, value, match):
         data = bytearray(self._sample().to_bytes())
-        offset = _HEADER.size if field == "projection" else _HEADER.size - 8
+        offset = HEADER.size if field == "projection" else HEADER.size - 8
         struct.pack_into("<d", data, offset, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before any int64 cast
@@ -544,6 +540,9 @@ class TestSerialization:
             pytest.param("projections", {"0": 1.0}, id="object-projections"),
             pytest.param("projections", "abc", id="string-projections"),
             pytest.param("projections", [[0.0] * 12], id="nested-projections"),
+            pytest.param("projections", ["0.5"] * 12, id="string-entries"),
+            pytest.param("projections", [True] * 12, id="bool-entries"),
+            pytest.param("total", "8000", id="string-total"),
         ],
     )
     def test_from_json_rejects_malformed_field(self, field, value):
