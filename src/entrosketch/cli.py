@@ -100,7 +100,11 @@ def cmd_bench(args) -> int:
 
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fp:
-            spec = bench_mod.ExperimentSpec(**json.load(fp))
+            fields = json.load(fp)
+        try:
+            spec = bench_mod.ExperimentSpec(**fields)
+        except TypeError as exc:  # not an object, or an unknown or missing field
+            raise ValueError(f"bad bench config {args.config}: {exc}") from None
     else:
         spec = bench_mod.ExperimentSpec(
             kind=args.kind,

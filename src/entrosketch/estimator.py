@@ -76,7 +76,7 @@ def _bias_terms(k: int, zeta: float) -> tuple[float, float, float]:
 
 
 @lru_cache(maxsize=64)
-def _monte_carlo_bias(k: int, zeta: float, reps: int, seed: int) -> float:
+def _monte_carlo_bias(k: int, zeta: float, reps: int) -> float:
     # imported here: only this path needs numpy and logging
     import logging
 
@@ -85,7 +85,7 @@ def _monte_carlo_bias(k: int, zeta: float, reps: int, seed: int) -> float:
     logging.getLogger(__name__).info(
         "bias correction by Monte Carlo: k=%d, zeta=%r, reps=%d", k, zeta, reps
     )
-    return bias_correction(k, zeta, reps=reps, seed=seed).value
+    return bias_correction(k, zeta, reps=reps, seed=0).value
 
 
 def resolve_bias(
@@ -93,7 +93,6 @@ def resolve_bias(
     zeta: float,
     mode: str = "auto",
     mc_reps: int = 500_000,
-    mc_seed: int = 0,
 ) -> float:
     """BC for (k, zeta) per the configured policy.
 
@@ -101,7 +100,7 @@ def resolve_bias(
     (zeta <= 1.5 and a 1/k^3 term of at most 2e-3; k >= 8 at zeta = 1,
     k >= 28 at zeta = 1.5), else Monte Carlo.  mc: always Monte Carlo.
     none: BC = 0 (the raw estimator).  Monte Carlo values are cached per
-    (k, zeta, mc_reps, mc_seed), and each computation is logged at INFO
+    (k, zeta, mc_reps) with seed 0, and each computation is logged at INFO
     with k, zeta and reps.
     """
     if mode not in ("auto", "mc", "none"):
@@ -114,7 +113,7 @@ def resolve_bias(
         terms = _bias_terms(k, zeta)
         if abs(terms[2]) <= _CLOSED_FORM_T3_MAX:
             return sum(terms)
-    return _monte_carlo_bias(k, zeta, mc_reps, mc_seed)
+    return _monte_carlo_bias(k, zeta, mc_reps)
 
 
 def estimate(sketch, bc_mode: str = "auto", mc_reps: int = 500_000) -> EstimateResult:

@@ -16,26 +16,27 @@ of these).  Accumulated values must stay below 2^37 in magnitude so
 they remain exactly representable as doubles; update and merge raise
 OverflowError if a projection or the total would leave that range.
 
-Ingestion: an item's k variates depend only on its key, so ``update``
-keeps the variates of the first items it sees, up to a fixed cap of
-``CACHE_VARIATES`` variates (1 MiB); later items are computed afresh
-every time.  For a cached item it also keeps the item's key and the
-int64 increment of the key's last delta, so a repeated update costs a
-few dict lookups and one int64 add.  Variates come from
+Ingestion: ``update`` is the one per-update path.  It keeps one entry
+per item it has seen, up to a fixed cap of ``CACHE_VARIATES`` variates
+(1 MiB) over all entries; later items are computed afresh every time.
+An entry holds the item's k variates, their largest magnitude, the
+item's last delta and that delta's int64 increment, so a repeated update
+costs one dict lookup and one int64 add.  Variates come from
 ``hashing.variates_np`` and the increment is ``rint(v * delta * 2^16)``
 in int64, the arithmetic of ``hashing.accumulate_np``, so cached and
 uncached updates give the same bits.  ``update_many`` is the batch entry
 point for streams; ``sketch_stream`` and ``entrosketch ingest`` both use
-it.  It takes elements in blocks of ``_STREAM_BLOCK``, hashes each
-distinct item of a block once, groups the block by (key, delta) and adds
-``count * increment``, again bitwise equal to one ``update`` per
-element.  Its cost scales with the distinct items per block, not with
-the number of updates.  The variates are computed in a reused
-``hashing.VariateWorkspace``, ``_BATCH_VARIATES`` at a time, and a block
-of at least 2 * ``_THREAD_VARIATES`` variates is split over threads, one
-per CPU that ``os.sched_getaffinity`` allows.  Integer sums are exact, so
-the bytes do not depend on the split: ``taskset -c 0`` gives serial
-ingest with the same bytes.
+it.  It cuts the stream into blocks of ``_STREAM_BLOCK`` raw
+``(item, delta)`` pairs, counts equal pairs, hashes each distinct item of
+a block once and adds ``count * increment`` per pair, again bitwise
+equal to one ``update`` per pair.  Its cost scales with the distinct
+items per block, not with the number of updates.  The variates are
+computed in a reused ``hashing.VariateWorkspace``, ``_BATCH_VARIATES``
+at a time, and a block of at least 2 * ``_THREAD_VARIATES`` variates is
+split over threads, one per CPU that ``os.sched_getaffinity`` allows.
+Integer sums are exact, so the bytes do not depend on the split:
+``taskset -c 0`` gives serial ingest with the same bytes.  A block that
+comes near the 2^53 limit is replayed through ``update``.
 
 Every state change commits fully or raises with the sketch unchanged.
 An update checks its increment against the 2^53 limit in float before
@@ -96,11 +97,8 @@ class EntropySketch:
         self._scaled = np.zeros(config.k, dtype=np.int64)
         self._scaled_total = 0
         self._bound = 0  # upper bound on max |_scaled|, exact after a rescan
-        self._cache: dict[int, np.ndarray] = {}  # item key -> variates
-        self._cache_max: dict[int, float] = {}  # item key -> max |variate|
-        # cached item key -> (its last delta, that delta's int64 increment)
-        self._cache_inc: dict[int, tuple[float, np.ndarray]] = {}
-        self._cached_keys: dict[bytes | str, int] = {}  # item -> key, cached keys only
+        # item -> [variates, max |variate|, last delta, its int64 increment]
+        self._items: dict[bytes | str, list] = {}
 
     @property
     def k(self) -> int:
@@ -117,12 +115,13 @@ class EntropySketch:
     def update(self, item: bytes | str, delta: float = 1.0) -> "EntropySketch":
         if not math.isfinite(delta):
             raise ValueError("delta must be finite")
-        key = self._cached_keys.get(item)
-        if key is None:
-            key = item_key(item, self.config.master_seed)
-            if key in self._cache:
-                self._cached_keys[item] = key
-        self._add(key, delta)
+        entry = self._items.get(item)
+        if entry is None:
+            v = variates_np(item_key(item, self.config.master_seed), self.config.k)
+            entry = [v, float(np.abs(v).max()), None, None]
+            if (len(self._items) + 1) * self.config.k <= CACHE_VARIATES:
+                self._items[item] = entry
+        self._add(entry, delta)
         return self
 
     def update_many(self, pairs) -> "EntropySketch":
@@ -130,47 +129,28 @@ class EntropySketch:
 
         Bitwise equal to one ``update`` per pair, and it raises what that
         loop raises, leaving the sketch as the loop leaves it at the failing
-        pair.  Pairs are taken in blocks of ``_STREAM_BLOCK``; within a
-        block each distinct item is hashed once and each distinct key's
-        variates are computed once (see ``_add_batch``).
+        pair.  Pairs are checked and cut into blocks of ``_STREAM_BLOCK``
+        raw pairs, each added by ``_add_batch``.
         """
-        seed = self.config.master_seed
-        keys: list[int] = []
-        deltas: list[float] = []
-        key_of: dict[bytes | str, int] = {}
+        block: list[tuple[bytes | str, float]] = []
         try:
             for item, delta in pairs:
                 if not math.isfinite(delta):
                     raise ValueError("delta must be finite")
-                key = key_of.get(item)
-                if key is None:
-                    key = key_of[item] = item_key(item, seed)
-                keys.append(key)
-                deltas.append(delta)
-                if len(keys) == _STREAM_BLOCK:
-                    block, keys, deltas, key_of = (keys, deltas), [], [], {}
-                    self._add_batch(*block)
+                block.append((item, delta))
+                if len(block) == _STREAM_BLOCK:
+                    full, block = block, []
+                    self._add_batch(full)
         finally:
             # also when a pair is invalid: the ones before it still count,
             # so an overflow among them is raised first, as the loop would
-            self._add_batch(keys, deltas)
+            self._add_batch(block)
         return self
 
-    def _variates(self, key: int) -> tuple[np.ndarray, float]:
-        """The key's variates and their largest magnitude."""
-        v = self._cache.get(key)
-        if v is not None:
-            return v, self._cache_max[key]
-        v = variates_np(key, self.config.k)
-        vmax = float(np.abs(v).max())
-        if (len(self._cache) + 1) * self.config.k <= CACHE_VARIATES:
-            self._cache[key] = v
-            self._cache_max[key] = vmax
-        return v, vmax
-
-    def _add(self, key: int, delta: float) -> None:
-        """Add one update, or raise OverflowError with the sketch unchanged."""
-        v, vmax = self._variates(key)
+    def _add(self, entry: list, delta: float) -> None:
+        """Add one update of an item entry, or raise OverflowError with the
+        sketch unchanged.  Keeps the increment of the entry's last delta."""
+        v, vmax, last, inc = entry
         # float rounding is monotone, so step bounds every |v * delta * 2^16|
         step = vmax * abs(delta) * SCALE
         total_step = delta * SCALE
@@ -178,7 +158,9 @@ class EntropySketch:
         if not (step < 2 * LIMIT and abs(total_step) < 2 * LIMIT):
             raise OverflowError(OVERFLOW)
         total = self._scaled_total + round(total_step)
-        inc = self._increment(key, v, delta)
+        if last != delta:
+            inc = np.rint(v * delta * SCALE).astype(np.int64)
+            entry[2:] = delta, inc
         # the running bound is replaced by an exact scan only at the limit,
         # so only the exact value raises and cancelling churn never does
         bound = self._bound + math.ceil(step)
@@ -189,69 +171,60 @@ class EntropySketch:
         self._scaled_total = total
         self._bound = bound
 
-    def _increment(self, key: int, v: np.ndarray, delta: float) -> np.ndarray:
-        """``rint(v * delta * 2^16)`` in int64, kept for a cached key's last delta."""
-        last = self._cache_inc.get(key)
-        if last is not None and last[0] == delta:
-            return last[1]
-        inc = np.rint(v * delta * SCALE).astype(np.int64)
-        if key in self._cache:
-            self._cache_inc[key] = (delta, inc)
-        return inc
+    def _add_batch(self, block: list[tuple[bytes | str, float]]) -> None:
+        """``update`` over raw (item, delta) pairs, each distinct item hashed
+        once and each distinct key's variates computed once.
 
-    def _add_batch(self, keys: list[int], deltas: list[float]) -> None:
-        """``_add`` over (key, delta) pairs, each distinct key's variates computed once.
-
-        Equal pairs are summed as ``count * increment``.  The pairs, sorted
-        by key, are split into contiguous parts, one per thread when the
-        block has at least ``_THREAD_VARIATES`` variates per thread for
+        Equal pairs are summed as ``count * increment``; the str and bytes
+        forms of an item are two groups with the same key.  The groups,
+        sorted by key, are split into contiguous parts, one per thread when
+        the block has at least ``_THREAD_VARIATES`` variates per thread for
         up to ``_worker_count()`` threads, else one part on this thread.
         Each part returns its int64 sum and a float bound on it
         (``_part_sum``).  Integer sums are exact, so the bits equal the
         per-pair loop's for any split.  Nothing is committed until every
         part is in: a part that raises leaves the sketch unchanged, and a
-        batch whose summed bound could get within 2x of the 2^53 limit
-        runs the per-pair loop instead.
+        block whose summed bound could get within 2x of the 2^53 limit is
+        replayed through ``update`` instead, which raises where the loop
+        raises because it is that loop.
         """
-        counts = Counter(zip(keys, deltas))
+        counts = Counter(block)
         if not counts:
             return
-        k = self.config.k
-        pairs = sorted(counts, key=lambda pair: pair[0])
-        c = np.array([counts[pair] for pair in pairs], dtype=np.int64)
-        d = np.array([delta for _, delta in pairs], dtype=np.float64)
+        k, seed = self.config.k, self.config.master_seed
+        key_of = {item: item_key(item, seed) for item in {item for item, _ in counts}}
+        groups = sorted(counts, key=lambda pair: key_of[pair[0]])
+        c = np.array([counts[pair] for pair in groups], dtype=np.int64)
+        d = np.array([delta for _, delta in groups], dtype=np.float64)
 
         total_inc = np.rint(d * SCALE)
-        if not abs(self._scaled_total) + float(np.abs(total_inc) @ c) < _BATCH_HEADROOM:
-            self._add_loop(keys, deltas)
-            return
-        base = float(np.abs(self._scaled).max())
-        distinct, where = np.unique(
-            np.array([key for key, _ in pairs], dtype=np.uint64), return_inverse=True
-        )
-        part_sum = partial(_part_sum, k, distinct, where, d, c, _BATCH_HEADROOM - base)
-        parts = max(1, min(_worker_count(), len(pairs), len(pairs) * k // _THREAD_VARIATES))
-        cuts = [len(pairs) * i // parts for i in range(parts + 1)]
-        if parts == 1:
-            sums = [part_sum(0, len(pairs))]
-        else:
-            # imported here, as in montecarlo: small blocks never get this far
-            from concurrent.futures import ThreadPoolExecutor
+        if abs(self._scaled_total) + float(np.abs(total_inc) @ c) < _BATCH_HEADROOM:
+            base = float(np.abs(self._scaled).max())
+            distinct, where = np.unique(
+                np.array([key_of[item] for item, _ in groups], dtype=np.uint64),
+                return_inverse=True,
+            )
+            part_sum = partial(_part_sum, k, distinct, where, d, c, _BATCH_HEADROOM - base)
+            parts = max(1, min(_worker_count(), len(groups), len(groups) * k // _THREAD_VARIATES))
+            cuts = [len(groups) * i // parts for i in range(parts + 1)]
+            if parts == 1:
+                sums = [part_sum(0, len(groups))]
+            else:
+                # imported here, as in montecarlo: small blocks never get this far
+                from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=parts) as pool:
-                sums = list(pool.map(part_sum, cuts[:-1], cuts[1:]))
-        if any(acc is None for acc, _ in sums) or not (
-            base + sum(bound for _, bound in sums) < _BATCH_HEADROOM
-        ):
-            self._add_loop(keys, deltas)
-            return
-        self._scaled += sum(acc for acc, _ in sums)
-        self._scaled_total += int(total_inc.astype(np.int64) @ c)
-        self._bound = int(np.abs(self._scaled).max())
-
-    def _add_loop(self, keys: list[int], deltas: list[float]) -> None:
-        for key, delta in zip(keys, deltas):
-            self._add(key, delta)
+                with ThreadPoolExecutor(max_workers=parts) as pool:
+                    sums = list(pool.map(part_sum, cuts[:-1], cuts[1:]))
+            if all(acc is not None for acc, _ in sums) and (
+                base + sum(bound for _, bound in sums) < _BATCH_HEADROOM
+            ):
+                self._scaled += sum(acc for acc, _ in sums)
+                self._scaled_total += int(total_inc.astype(np.int64) @ c)
+                self._bound = int(np.abs(self._scaled).max())
+                return
+        # near the limit: the update() loop itself, so it fails where that loop fails
+        for item, delta in block:
+            self.update(item, delta)
 
     def normalized(self) -> np.ndarray:
         """y_l = projections[l]/total, the estimator's input."""
@@ -319,13 +292,13 @@ class EntropySketch:
 
 
 def _part_sum(k, distinct, where, d, c, limit, start, stop):
-    """(acc, bound) over pairs [start, stop) of ``_add_batch``'s key-sorted
+    """(acc, bound) over groups [start, stop) of ``_add_batch``'s key-sorted
     arrays: acc is the int64 sum of ``c * rint(v * d * 2^16)``, v the
-    variates of the pair's key ``distinct[where]``, and bound is the float
+    variates of the group's key ``distinct[where]``, and bound is the float
     sum of ``c * (max |v * d * 2^16| + 1)``.
 
     The variates are computed in one ``VariateWorkspace``, for at most
-    ``_BATCH_VARIATES`` variates of pairs at a time.  Once the bound
+    ``_BATCH_VARIATES`` variates of groups at a time.  Once the bound
     reaches ``limit``, acc is None: the sum stops before any cast to
     int64 could overflow.
     """

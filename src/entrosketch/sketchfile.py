@@ -14,7 +14,10 @@ zeta f64, master_seed u64, total f64, then k f64 projections.  All
 stored values are exact multiples of 2^-16, so the round trip is
 bit-exact.  ``from_bytes`` and ``from_json`` raise ValueError on a value
 that is not finite or not below 2^37 in magnitude, and round a value off
-that grid to the nearest multiple.
+that grid to the nearest multiple.  ``from_json`` coerces no type: a
+version, k or master_seed that is not a JSON integer, or a zeta, total
+or projection that is not a JSON number, raises ValueError, as does a
+bool anywhere.
 
 Merge adds the integers.  Integer addition is exact, associative and
 invertible, so a merge equals the single-pass sketch bit for bit; a sum
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 MAGIC = b"ESKV"
@@ -46,12 +50,20 @@ class SketchConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise ValueError("k must be a positive integer")
-        if not 0.0 < self.zeta < math.inf:
-            raise ValueError("zeta must be positive and finite")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError("master_seed must fit in 64 bits")
+        zeta = self.zeta
+        # an int zeta must also convert to a finite double
+        number = isinstance(zeta, float) or _is_int(zeta)
+        if not number or not 0.0 < zeta <= sys.float_info.max:
+            raise ValueError("zeta must be a positive finite number")
+        if not _is_int(self.master_seed) or not 0 <= self.master_seed < 1 << 64:
+            raise ValueError("master_seed must be an integer that fits in 64 bits")
+
+
+def _is_int(value) -> bool:
+    """An int and not a bool (JSON true is not 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_mergeable(a: SketchConfig, b: SketchConfig) -> None:
@@ -143,13 +155,13 @@ class SketchFile:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("sketch document must be a JSON object")
-        if obj.get("format_version") != FORMAT_VERSION:
+        version = obj.get("format_version")
+        if not _is_int(version) or version != FORMAT_VERSION:
             raise ValueError("unsupported format version")
         try:
+            # nothing is coerced: SketchConfig checks the integer fields' types
             config = SketchConfig(
-                k=int(obj["k"]),
-                zeta=float(obj["zeta"]),
-                master_seed=int(obj["master_seed"]),
+                k=obj["k"], zeta=_number(obj["zeta"]), master_seed=obj["master_seed"]
             )
             projections = [_number(v) for v in obj["projections"]]
             total = _number(obj["total"])

@@ -399,6 +399,16 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--output", out]) == 0
         assert Path(out).read_text().startswith("k,")
 
+    @pytest.mark.parametrize("text", ['{"kind": "tail_curve", "epsilon": [0.1]}', "[1]",
+                                      '{"k_values": [10]}'])
+    def test_bad_json_config_fails(self, tmp_path, capsys, text):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(text)
+        out = tmp_path / "res.csv"
+        assert main(["bench", "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad bench config")
+        assert not out.exists()
+
     def test_unknown_kind_fails(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
         assert main(["bench", "--kind", "nope", "--output", str(out)]) == 1

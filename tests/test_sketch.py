@@ -40,6 +40,12 @@ class TestConfig:
             SketchConfig(k=10, zeta=-0.5)
         with pytest.raises(ValueError):
             SketchConfig(k=10, master_seed=-1)
+        for bad in [dict(k=True), dict(k=3.0), dict(k=3, zeta="1.0"), dict(k=3, zeta=True),
+                    dict(k=3, zeta=10**400),
+                    dict(k=3, master_seed=1.5), dict(k=3, master_seed="5"),
+                    dict(k=3, master_seed=True)]:
+            with pytest.raises(ValueError):
+                SketchConfig(**bad)
 
     def test_quantum(self):
         assert QUANTUM == 2.0**-QUANTUM_BITS
@@ -183,11 +189,13 @@ class TestVariateCache:
     def test_cache_is_capped(self):
         s = _loop(_mixed_updates(300, 2), k=1000)
         assert CACHE_VARIATES == 2**17
-        assert len(s._cache) == CACHE_VARIATES // 1000
-        assert sum(v.size for v in s._cache.values()) <= CACHE_VARIATES
-        # increments and item -> key entries are kept for cached keys only
-        assert s._cache_inc.keys() == s._cache.keys()
-        assert set(s._cached_keys.values()) == s._cache.keys()
+        assert len(s._items) == CACHE_VARIATES // 1000
+        assert sum(v.size for v, *_ in s._items.values()) <= CACHE_VARIATES
+        # each cached item keeps the increment of its last delta
+        last = dict(_mixed_updates(300, 2))
+        for item, (v, _, delta, inc) in s._items.items():
+            assert delta == last[item]
+            assert np.array_equal(inc, np.rint(v * delta * 65536.0).astype(np.int64))
 
     def test_kept_increment_follows_the_last_delta(self):
         # a cached key keeps the increment of its last delta only, and the
@@ -221,7 +229,7 @@ class TestVariateCache:
 
     def test_width_beyond_cap_caches_nothing(self):
         s = new_sketch(k=CACHE_VARIATES + 1).update("a").update("a", -1.0)
-        assert not s._cache
+        assert not s._items
         assert s == new_sketch(k=CACHE_VARIATES + 1)
 
 
@@ -338,6 +346,39 @@ class TestUpdateMany:
                 with pytest.raises(error):
                     s.update_many(updates)
             assert s == ref and s.to_bytes() == ref.to_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", b"a"]),
+                deltas | st.floats(2.0**29, 2.0**31) | st.floats(-(2.0**31), -(2.0**29)),
+                st.integers(min_value=1, max_value=50),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        block=st.integers(min_value=1, max_value=64),
+    )
+    def test_overflow_mid_batch_fails_like_the_update_loop(self, runs, block):
+        # runs of +-2^30-scale deltas at k=8 cross the 2^53 limit, or come
+        # near it, after tens of updates, inside a block or on its boundary;
+        # about three in four of these streams raise
+        updates = [(item, delta) for item, delta, repeats in runs for _ in range(repeats)]
+        ref, error = _loop_until_error(updates, 8)
+        for workers in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sketch_mod, "_STREAM_BLOCK", block)
+                _split_blocks(mp, workers)
+                s = new_sketch(k=8)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if error is None:
+                        s.update_many(updates)
+                    else:
+                        with pytest.raises(error):
+                            s.update_many(updates)
+            assert s.to_bytes() == ref.to_bytes()
 
     def test_worker_counts_give_the_same_bytes(self, monkeypatch):
         # any split of a block over threads sums to the same int64 bits, also
@@ -543,6 +584,16 @@ class TestSerialization:
             pytest.param("projections", ["0.5"] * 12, id="string-entries"),
             pytest.param("projections", [True] * 12, id="bool-entries"),
             pytest.param("total", "8000", id="string-total"),
+            pytest.param("format_version", True, id="bool-version"),
+            pytest.param("format_version", 1.0, id="float-version"),
+            pytest.param("k", 3.7, id="float-k"),
+            pytest.param("k", 12.0, id="integral-float-k"),
+            pytest.param("k", True, id="bool-k"),
+            pytest.param("zeta", "1.0", id="string-zeta"),
+            pytest.param("zeta", True, id="bool-zeta"),
+            pytest.param("master_seed", "5", id="string-seed"),
+            pytest.param("master_seed", 5.9, id="float-seed"),
+            pytest.param("master_seed", False, id="bool-seed"),
         ],
     )
     def test_from_json_rejects_malformed_field(self, field, value):
