@@ -20,6 +20,7 @@ from .estimator import FISHER_INFO, estimate, resolve_bias
 from .montecarlo import bias_correction, log_mean_replicates
 from .oracle import AccumulationVector, shannon_entropy
 from .sketch import sketch_stream
+from .sketchfile import _is_int, _is_number
 from .streams import counts_to_stream, uniform_stream, zipf_counts
 from .tailbounds import tail_constants
 
@@ -46,8 +47,25 @@ class ExperimentSpec:
     zipf_s: float = 1.2
 
     def __post_init__(self):
+        # a --config document is outside input: check every field's type,
+        # so a wrong one fails here and not inside a run
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
+        for name in ("reps", "seed", "n_items", "n_updates"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        if not _is_number(self.zipf_s):
+            raise ValueError("zipf_s must be a number")
+        for name, is_type, what in (
+            ("k_values", _is_int, "integers"),
+            ("zeta_values", _is_number, "numbers"),
+            ("epsilons", _is_number, "numbers"),
+        ):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not all(map(is_type, values)):
+                raise ValueError(f"{name} must be a list of {what}")
+        if not isinstance(self.distribution, str):
+            raise ValueError("distribution must be a string")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
 

@@ -2,7 +2,8 @@
 
 Subcommands: ingest, estimate, merge, size, oracle, bench.  All output
 numbers are printed as key=value with 17 significant digits so values
-round-trip.  The default master seed comes from ENTROSKETCH_SEED.
+round-trip.  The default master seed of ``ingest`` and ``bench`` comes
+from ENTROSKETCH_SEED.
 Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
 ``estimate`` and ``merge`` read sketch files through the stdlib-only
@@ -20,10 +21,6 @@ import sys
 
 def _g(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("ENTROSKETCH_SEED", "0"))
 
 
 def _iter_input(args):
@@ -103,7 +100,8 @@ def cmd_bench(args) -> int:
             fields = json.load(fp)
         try:
             spec = bench_mod.ExperimentSpec(**fields)
-        except TypeError as exc:  # not an object, or an unknown or missing field
+        except (TypeError, ValueError) as exc:  # not an object, or a bad field
+
             raise ValueError(f"bad bench config {args.config}: {exc}") from None
     else:
         spec = bench_mod.ExperimentSpec(
@@ -125,6 +123,8 @@ def cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="entrosketch")
+    # argparse converts (and checks) a string default only for the subcommand that runs
+    seed = os.environ.get("ENTROSKETCH_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="stream a file into a binary sketch")
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="binary sketch path")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--zeta", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--delimiter", default=",")
     p.set_defaults(fn=cmd_ingest)
 
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, nargs="+", default=[10])
     p.add_argument("--zeta", type=float, nargs="+", default=[1.0])
     p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--epsilon", type=float, nargs="+")
     p.add_argument("--distribution", default="uniform", choices=["uniform", "zipf"])
     p.add_argument("--items", type=int, default=4)

@@ -10,9 +10,10 @@ expansion in 1/k through 1/k^3.  That expansion is used for zeta <= 1.5
 wherever its 1/k^3 term is at most 2e-3; everywhere else BC is computed
 by Monte Carlo.  The Shannon entropy is -delta.
 
-This module is pure Python.  ``estimate`` takes any loaded sketch (an
-``EntropySketch`` or a ``sketchfile.SketchFile``), and the Monte Carlo
-engine, ``montecarlo``, is imported only when a Monte Carlo BC is
+This module is pure Python.  ``estimate`` reads a sketch value,
+``sketchfile.SketchFile``; an ``EntropySketch`` accumulator is read
+through the same value, which its ``normalized()`` builds.  The Monte
+Carlo engine, ``montecarlo``, is imported only when a Monte Carlo BC is
 computed, so an estimate inside the closed form's region loads no numpy.
 """
 
@@ -120,7 +121,7 @@ def estimate(sketch, bc_mode: str = "auto", mc_reps: int = 500_000) -> EstimateR
     """Entropy estimate from a sketch: H = -(log-mean - BC).
 
     ``sketch`` is anything with ``config.k``, ``config.zeta``, ``total``
-    and ``normalized()``: an ``EntropySketch`` or a ``SketchFile``.
+    and ``normalized()``: a ``SketchFile``, or an ``EntropySketch`` through its own.
     """
     if not sketch.total > 0.0:
         raise ValueError("sketch total must be positive (frequencies undefined)")

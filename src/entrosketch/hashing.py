@@ -17,9 +17,9 @@ for |delta| <= 10^6.
 
 The sketch's variates come from one vectorized numpy routine,
 ``_variates_into`` (many keys, all k rows, one ufunc pass at a time into
-given arrays).  ``VariateWorkspace.variates`` runs it in preallocated
-arrays that each call reuses, ``variates_many_np`` in fresh ones;
-``variates_np`` is the one-key case and ``accumulate_np`` adds
+given arrays).  ``VariateWorkspace.variates``, the one many-key entry
+point, runs it in arrays that each call reuses; ``variates_np`` is the
+one-key case in fresh arrays, and ``accumulate_np`` adds
 ``rint(v * delta * 2^16)`` of it to a fixed-point sketch.  The routine
 uses the arithmetic of ``stable``'s sampler (open-unit mapping, endpoint
 rule, G(x;0) formula).  It defines the sketch's bits.
@@ -265,16 +265,10 @@ class VariateWorkspace:
         return _variates_into(np.asarray(keys, dtype=np.uint64).reshape(-1), self.k, self._buffers)
 
 
-def variates_many_np(keys, k: int) -> np.ndarray:
-    """Row variates of many item keys in one numpy pass, shape (len(keys), k):
-    the arithmetic of ``VariateWorkspace.variates`` in fresh arrays."""
-    keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
-    return _variates_into(keys, k, _scratch(keys.size * k))
-
-
 def variates_np(key: int, k: int) -> np.ndarray:
-    """All k row variates for one item key: the one-key case of ``variates_many_np``."""
-    return variates_many_np([key], k)[0]
+    """All k row variates for one item key: the one-key case of
+    ``VariateWorkspace.variates``, in fresh arrays."""
+    return _variates_into(np.array([key], dtype=np.uint64), k, _scratch(k))[0]
 
 
 def accumulate_np(scaled: np.ndarray, key: int, delta: float) -> None:

@@ -1,4 +1,4 @@
-"""Linear entropy sketch: k stable projections plus the running total.
+"""The ingest accumulator of the linear entropy sketch.
 
 The sketch stores sum_t R_l(i_t)*d_t for l = 0..k-1 together with
 sum_t d_t.  It is linear in the stream, so merge is elementwise
@@ -6,6 +6,11 @@ addition and deleting an element (negative delta) cancels the matching
 insert.  Callers are responsible for the relaxed strict-turnstile
 contract (non-negative final per-item counts); the sketch cannot check
 it.
+
+The one sketch value type is ``sketchfile.SketchFile``.  ``EntropySketch``
+is the accumulator that produces one: it ingests into numpy int64, and
+its ``normalized``, ``merge``, ``copy``, ``==`` and serialization go
+through its ``SketchFile``, so each of those rules exists once.
 
 Precision contract: each increment R_l(i)*delta is rounded to the
 nearest multiple of 2^-16 and accumulated in a 64-bit integer.
@@ -43,10 +48,6 @@ An update checks its increment against the 2^53 limit in float before
 any int64 cast, using a running upper bound on the projections that is
 replaced by an exact scan only when it reaches the limit, so churn that
 cancels never raises.
-
-The file format, its loaders' checks and the merge checks live in
-``sketchfile``, which ``to_bytes``, ``from_bytes``, ``to_json``,
-``from_json`` and ``merge`` call.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from .sketchfile import (
     SketchConfig,
     SketchFile,
     check_exact,
-    check_mergeable,
 )
 from .stable import _worker_count
 
@@ -99,10 +99,6 @@ class EntropySketch:
         self._bound = 0  # upper bound on max |_scaled|, exact after a rescan
         # item -> [variates, max |variate|, last delta, its int64 increment]
         self._items: dict[bytes | str, list] = {}
-
-    @property
-    def k(self) -> int:
-        return self.config.k
 
     @property
     def projections(self) -> np.ndarray:
@@ -226,50 +222,35 @@ class EntropySketch:
         for item, delta in block:
             self.update(item, delta)
 
-    def normalized(self) -> np.ndarray:
-        """y_l = projections[l]/total, the estimator's input."""
-        if not self.total > 0.0:
-            raise ValueError("total must be positive to normalize")
-        return self.projections / self.total
-
-    def merge(self, other: "EntropySketch") -> "EntropySketch":
-        check_mergeable(self.config, other.config)
-        out = EntropySketch(self.config)
-        np.add(self._scaled, other._scaled, out=out._scaled)
-        out._scaled_total = self._scaled_total + other._scaled_total
-        out._bound = int(np.abs(out._scaled).max())
-        check_exact(out._bound, out._scaled_total)
-        return out
-
-    def copy(self) -> "EntropySketch":
-        out = EntropySketch(self.config)
-        out._scaled[:] = self._scaled
-        out._scaled_total = self._scaled_total
-        out._bound = self._bound
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EntropySketch):
-            return NotImplemented
-        return (
-            self.config == other.config
-            and self._scaled_total == other._scaled_total
-            and np.array_equal(self._scaled, other._scaled)
-        )
-
     def __repr__(self) -> str:
         return (
             f"EntropySketch(k={self.config.k}, zeta={self.config.zeta}, "
             f"seed={self.config.master_seed}, total={self.total})"
         )
 
-    # serialization: the format and its checks are in sketchfile
+    # the value: merge, normalize, equality and the file format are SketchFile's
+
+    def normalized(self) -> list[float]:
+        """y_l = projections[l]/total, the estimator's input."""
+        return self._file().normalized()
+
+    def merge(self, other: "EntropySketch") -> "EntropySketch":
+        return self._from_file(self._file().merge(other._file()))
+
+    def copy(self) -> "EntropySketch":
+        return self._from_file(self._file())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EntropySketch):
+            return NotImplemented
+        return self._file() == other._file()
 
     def _file(self) -> SketchFile:
         return SketchFile(self.config, tuple(self._scaled.tolist()), self._scaled_total)
 
     @classmethod
     def _from_file(cls, loaded: SketchFile) -> "EntropySketch":
+        """The accumulator holding a value, with an exact ``_bound``."""
         sketch = cls(loaded.config)
         sketch._scaled = np.array(loaded.scaled, dtype=np.int64)
         sketch._scaled_total = loaded.scaled_total

@@ -1,13 +1,14 @@
-"""The v1 sketch file and the integer merge rule, in the standard library only.
+"""The sketch value: the v1 file, merge, normalize and equality, in the standard library only.
 
 A sketch is its config, k projections and the stream total.  Each value
 is kept as an integer count of ``QUANTUM`` = 2^-16 below 2^53 in
 magnitude, so it is an exact double.  ``SketchFile`` holds those
-integers in Python ints, as loaded from a file; ``sketch.EntropySketch``
-holds them in numpy int64 for ingest and delegates its loading, encoding
-and merge checks here, so each check exists once.  ``entrosketch
-estimate`` and ``entrosketch merge`` load sketches through this module
-alone and import no numpy.
+integers in Python ints and is the one sketch value type: what is
+merged, estimated and stored.  ``sketch.EntropySketch`` is the ingest
+accumulator that produces one; its read-side methods convert to a
+``SketchFile`` and run the rules here, so each rule and check exists
+once.  ``entrosketch estimate`` and ``entrosketch merge`` load sketches
+through this module alone and import no numpy.
 
 Binary format (little endian): magic b"ESKV", version u16, k u64,
 zeta f64, master_seed u64, total f64, then k f64 projections.  All
@@ -52,10 +53,8 @@ class SketchConfig:
     def __post_init__(self):
         if not _is_int(self.k) or self.k < 1:
             raise ValueError("k must be a positive integer")
-        zeta = self.zeta
         # an int zeta must also convert to a finite double
-        number = isinstance(zeta, float) or _is_int(zeta)
-        if not number or not 0.0 < zeta <= sys.float_info.max:
+        if not _is_number(self.zeta) or not 0.0 < self.zeta <= sys.float_info.max:
             raise ValueError("zeta must be a positive finite number")
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 1 << 64:
             raise ValueError("master_seed must be an integer that fits in 64 bits")
@@ -66,10 +65,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_mergeable(a: SketchConfig, b: SketchConfig) -> None:
-    """Raise ValueError unless sketches of configs a and b can be merged."""
-    if a != b:
-        raise ValueError("cannot merge sketches with different configs")
+def _is_number(value) -> bool:
+    """An int or a float, and not a bool."""
+    return isinstance(value, float) or _is_int(value)
 
 
 def check_exact(peak: int, total: int) -> None:
@@ -88,7 +86,7 @@ def _number(value) -> float:
 
 @dataclass(frozen=True)
 class SketchFile:
-    """A loaded sketch: config, projections and total in units of ``QUANTUM``."""
+    """The sketch value: config, projections and total in units of ``QUANTUM``."""
 
     config: SketchConfig
     scaled: tuple[int, ...]
@@ -110,7 +108,8 @@ class SketchFile:
         return [s * QUANTUM / total for s in self.scaled]
 
     def merge(self, other: SketchFile) -> SketchFile:
-        check_mergeable(self.config, other.config)
+        if self.config != other.config:
+            raise ValueError("cannot merge sketches with different configs")
         scaled = tuple(a + b for a, b in zip(self.scaled, other.scaled))
         total = self.scaled_total + other.scaled_total
         check_exact(max(map(abs, scaled)), total)

@@ -2,7 +2,8 @@
 
 File format: one record per line, "item<delim>quantity"; the quantity
 field is optional and defaults to +1 (plain item lists).  Blank lines
-and lines starting with '#' are skipped.
+and lines starting with '#' are skipped.  An empty item or a quantity
+that is not a finite number raises ``StreamParseError``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ def iter_stream_lines(lines, delimiter: str = ","):
         item, sep, qty = line.rpartition(delimiter)
         if not sep:
             item, qty = line, "1"
-        if not item:
-            # a line with no delimiter lands entirely in qty
-            item, qty = qty, "1"
+        elif not item:
+            # the line starts with its only delimiter
+            raise StreamParseError(lineno, "empty item")
         try:
             delta = float(qty)
         except ValueError:

@@ -131,6 +131,17 @@ class TestIngestEstimate:
         main(["ingest", "--input", src, "--output", out_b, "--k", "8", "--seed", "99"])
         assert Path(out_a).read_bytes() == Path(out_b).read_bytes()
 
+    def test_bad_seed_env_fails_only_where_it_is_used(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENTROSKETCH_SEED", "abc")
+        assert main(["size", "--epsilon", "0.1", "--gamma", "0.05"]) == 0
+        src = write_stream(tmp_path, "s.csv", ["a,1"])
+        out = tmp_path / "s.bin"
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--input", src, "--output", str(out), "--k", "8"])
+        assert exc.value.code == 2
+        assert "--seed: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         src = write_stream(tmp_path, "bad.csv", ["a,notanumber"])
         out = str(tmp_path / "s.bin")
@@ -400,7 +411,13 @@ class TestBench:
         assert Path(out).read_text().startswith("k,")
 
     @pytest.mark.parametrize("text", ['{"kind": "tail_curve", "epsilon": [0.1]}', "[1]",
-                                      '{"k_values": [10]}'])
+                                      '{"k_values": [10]}',
+                                      '{"kind": "bias_table", "reps": 100.5}',
+                                      '{"kind": "bias_table", "k_values": ["10"]}',
+                                      '{"kind": "bias_table", "k_values": 10}',
+                                      '{"kind": "end_to_end", "zipf_s": "1.2"}',
+                                      '{"kind": "end_to_end", "n_items": true}',
+                                      '{"kind": "tail_curve", "epsilons": [null]}'])
     def test_bad_json_config_fails(self, tmp_path, capsys, text):
         cfg = tmp_path / "spec.json"
         cfg.write_text(text)

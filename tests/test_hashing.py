@@ -19,7 +19,6 @@ from entrosketch.hashing import (
     mix64,
     uniform_exp_words,
     variate_from_key,
-    variates_many_np,
     variates_np,
 )
 
@@ -107,7 +106,7 @@ class TestVariates:
     def test_many_keys_match_one_key_bitwise(self, k):
         # a row of the batch does not depend on the other keys in the pass
         keys = [item_key(str(i), 5) for i in range(9)] + [0, U64 - 1]
-        many = variates_many_np(keys, k)
+        many = VariateWorkspace(k, len(keys)).variates(keys)
         assert many.shape == (len(keys), k)
         for key, row in zip(keys, many):
             assert np.array_equal(row.view(np.uint64), variates_np(key, k).view(np.uint64))
@@ -120,7 +119,7 @@ class TestVariates:
         monkeypatch.setattr(stable, "_INV_2_64", 2.0**-63)
         keys = [item_key(str(i), 1) for i in range(5)]
         k = 33
-        many = variates_many_np(keys, k)
+        many = VariateWorkspace(k, len(keys)).variates(keys)
         scalar = np.array([[variate_from_key(key, row, k) for row in range(k)] for key in keys])
         assert np.array_equal(many.view(np.uint64), scalar.view(np.uint64))
 
@@ -130,8 +129,8 @@ class TestVariates:
         # a call leaves nothing behind that changes the next
         keys = [item_key(f"w{i}", 8) for i in range(12)] + [0, U64 - 1]
         reference = _reference_variates(keys, k)
-        assert _same_bits(variates_many_np(keys, k), reference)
         workspace = VariateWorkspace(k, len(keys))
+        assert _same_bits(workspace.variates(keys), reference)
         for lo, hi in [(0, 14), (3, 4), (0, 1), (5, 14), (0, 14)]:
             assert _same_bits(workspace.variates(keys[lo:hi]), reference[lo:hi])
 
@@ -165,7 +164,7 @@ class TestVariates:
         # numpy's SIMD loops; they agree within rounding, not bit for bit
         keys = [item_key(f"item-{i}", 0) for i in range(100)]
         k = 256
-        many = variates_many_np(keys, k)
+        many = VariateWorkspace(k, len(keys)).variates(keys)
         scalar = np.array([[variate_from_key(key, row, k) for row in range(k)] for key in keys])
         scale = np.maximum(np.abs(scalar), 1.0)
         assert np.all(np.abs(many - scalar) <= 1e-12 * scale)

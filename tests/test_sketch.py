@@ -104,9 +104,13 @@ class TestUpdates:
         b = new_sketch(k=16, master_seed=1).update("x")
         assert not np.array_equal(a.projections, b.projections)
 
-    def test_normalized_scale(self):
-        s = new_sketch(k=16).update("x", 4.0)
-        assert np.allclose(s.normalized(), s.projections / 4.0)
+    @given(st.lists(st.tuples(items, deltas), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_normalized_scale(self, updates):
+        # the oracle is the numpy rule projections / total, bit for bit;
+        # the last update keeps the total positive
+        s = sketch_stream(updates + [("x", 2000.0)], k=16)
+        assert np.array_equal(s.normalized(), s.projections / s.total)
 
 
 class TestAtomicUpdates:

@@ -42,6 +42,11 @@ class TestParsing:
             list(iter_stream_lines(["a,1", "b,oops"]))
         assert exc.value.lineno == 2
 
+    @pytest.mark.parametrize("line", [",5", ",", "|2"])
+    def test_empty_item_rejected(self, line):
+        with pytest.raises(StreamParseError, match="line 2: empty item"):
+            list(iter_stream_lines(["a,1", line], delimiter=line[0]))
+
     def test_non_finite_quantity_rejected(self):
         with pytest.raises(StreamParseError):
             list(iter_stream_lines(["a,inf"]))
