@@ -3,7 +3,9 @@
 Subcommands: ingest, estimate, merge, size, oracle, bench.  All output
 numbers are printed as key=value with 17 significant digits so values
 round-trip.  The default master seed of ``ingest`` and ``bench`` comes
-from ENTROSKETCH_SEED.
+from ENTROSKETCH_SEED.  ``bench`` takes flags only: each fills the
+``bench.ExperimentSpec`` field of its ``dest``, an unset one leaves that
+field's default, and the spec rejects out-of-range values by field name.
 Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
 ``estimate`` and ``merge`` read sketch files through the stdlib-only
@@ -14,7 +16,6 @@ bias correction load numpy.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -93,29 +94,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from dataclasses import fields
+
     from . import bench as bench_mod
 
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fp:
-            fields = json.load(fp)
-        try:
-            spec = bench_mod.ExperimentSpec(**fields)
-        except (TypeError, ValueError) as exc:  # not an object, or a bad field
-
-            raise ValueError(f"bad bench config {args.config}: {exc}") from None
-    else:
-        spec = bench_mod.ExperimentSpec(
-            kind=args.kind,
-            k_values=args.k,
-            zeta_values=args.zeta,
-            reps=args.reps,
-            seed=args.seed,
-            epsilons=args.epsilon or [],
-            distribution=args.distribution,
-            n_items=args.items,
-            n_updates=args.updates,
-            zipf_s=args.zipf_s,
-        )
+    given = vars(args)
+    spec = bench_mod.ExperimentSpec(
+        **{f.name: given[f.name] for f in fields(bench_mod.ExperimentSpec) if f.name in given}
+    )
     bench_mod.run(spec, out_path=args.output)
     print(f"wrote {args.output}")
     return 0
@@ -166,20 +152,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.99)
     p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("bench", help="Monte Carlo experiments, CSV output")
-    p.add_argument("--config", help="JSON ExperimentSpec file (overrides flags)")
-    p.add_argument(
-        "--kind", default="bias_table", help="bias_table, mse_curve, tail_curve or end_to_end"
+    # an unset flag leaves its field out, so ExperimentSpec's default applies
+    p = sub.add_parser(
+        "bench", help="Monte Carlo experiments, CSV output", argument_default=argparse.SUPPRESS
     )
-    p.add_argument("--k", type=int, nargs="+", default=[10])
-    p.add_argument("--zeta", type=float, nargs="+", default=[1.0])
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--kind", help="bias_table, mse_curve, tail_curve or end_to_end")
+    p.add_argument("--k", dest="k_values", type=int, nargs="+")
+    p.add_argument("--zeta", dest="zeta_values", type=float, nargs="+")
+    p.add_argument("--reps", type=int)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--epsilon", type=float, nargs="+")
-    p.add_argument("--distribution", default="uniform", choices=["uniform", "zipf"])
-    p.add_argument("--items", type=int, default=4)
-    p.add_argument("--updates", type=int, default=100_000)
-    p.add_argument("--zipf-s", type=float, default=1.2)
+    p.add_argument("--epsilon", dest="epsilons", type=float, nargs="+")
+    p.add_argument("--distribution", choices=["uniform", "zipf"])
+    p.add_argument("--items", dest="n_items", type=int)
+    p.add_argument("--updates", dest="n_updates", type=int)
+    p.add_argument("--zipf-s", type=float)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=cmd_bench)
 

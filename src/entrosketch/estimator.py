@@ -100,14 +100,17 @@ def resolve_bias(
     auto: the closed-form expansion of ``_bias_terms`` where it holds
     (zeta <= 1.5 and a 1/k^3 term of at most 2e-3; k >= 8 at zeta = 1,
     k >= 28 at zeta = 1.5), else Monte Carlo.  mc: always Monte Carlo.
-    none: BC = 0 (the raw estimator).  Monte Carlo values are cached per
-    (k, zeta, mc_reps) with seed 0, and each computation is logged at INFO
-    with k, zeta and reps.
+    none: BC = 0 (the raw estimator).  ``mc_reps`` must be at least 1 in
+    every mode, so a bad value fails whichever path (k, zeta) takes.
+    Monte Carlo values are cached per (k, zeta, mc_reps) with seed 0, and
+    each computation is logged at INFO with k, zeta and reps.
     """
     if mode not in ("auto", "mc", "none"):
         raise ValueError(f"unknown bias mode {mode!r}")
     if k < 1 or not zeta > 0.0:
         raise ValueError("k must be >= 1 and zeta positive")
+    if mc_reps < 1:
+        raise ValueError("reps must be >= 1")
     if mode == "none":
         return 0.0
     if mode == "auto" and zeta <= _CLOSED_FORM_ZETA_MAX:

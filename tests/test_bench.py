@@ -30,6 +30,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="bias_table", reps=0)
 
+    @pytest.mark.parametrize("name", ["k_values", "zeta_values"])
+    def test_empty_grid_rejected(self, name):
+        # no flag gives an empty list (nargs="+"), so this is checked here
+        with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+            ExperimentSpec(**{name: []})
+
 
 class TestReplicates:
     def test_chunking_invariant(self):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrosketch
+from entrosketch import bench
 from entrosketch import sketch as sketch_mod
+from entrosketch.bench import ExperimentSpec
 from entrosketch.cli import _g, main
 from entrosketch.estimator import estimate
 from entrosketch.sketch import EntropySketch, new_sketch, sketch_stream
@@ -187,6 +190,13 @@ class TestIngestEstimate:
         main(["ingest", "--input", src, "--output", out, "--k", "8"])
         capsys.readouterr()
         assert main(["estimate", out]) == 1
+
+    @pytest.mark.parametrize("k", [64, 4])  # inside and outside the closed form's region
+    def test_reps_below_one_fails_at_any_k(self, tmp_path, capsys, k):
+        assert main(["estimate", _sketch_file(tmp_path, "s.bin", k), "--reps", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reps must be >= 1\n"
 
     def test_corrupt_sketch_fails(self, tmp_path, capsys):
         path = tmp_path / "junk.bin"
@@ -403,28 +413,69 @@ class TestBench:
         assert "wrote" in capsys.readouterr().out
         assert Path(out).read_text().startswith("zeta,")
 
-    def test_json_config(self, tmp_path, capsys):
-        cfg = tmp_path / "spec.json"
-        cfg.write_text('{"kind": "bias_table", "k_values": [10], "reps": 2000}')
-        out = str(tmp_path / "res.csv")
-        assert main(["bench", "--config", str(cfg), "--output", out]) == 0
-        assert Path(out).read_text().startswith("k,")
+    @staticmethod
+    def spec_of(monkeypatch, flags):
+        """The ExperimentSpec that ``entrosketch bench`` builds from ``flags``."""
+        specs = []
+        monkeypatch.setattr(bench, "run", lambda spec, out_path: specs.append(spec))
+        assert main(["bench", *flags, "--output", "unused.csv"]) == 0
+        return specs[0]
 
-    @pytest.mark.parametrize("text", ['{"kind": "tail_curve", "epsilon": [0.1]}', "[1]",
-                                      '{"k_values": [10]}',
-                                      '{"kind": "bias_table", "reps": 100.5}',
-                                      '{"kind": "bias_table", "k_values": ["10"]}',
-                                      '{"kind": "bias_table", "k_values": 10}',
-                                      '{"kind": "end_to_end", "zipf_s": "1.2"}',
-                                      '{"kind": "end_to_end", "n_items": true}',
-                                      '{"kind": "tail_curve", "epsilons": [null]}'])
-    def test_bad_json_config_fails(self, tmp_path, capsys, text):
-        cfg = tmp_path / "spec.json"
-        cfg.write_text(text)
+    def test_every_field_has_a_flag(self, monkeypatch, capsys):
+        values = {"kind": "end_to_end", "k_values": [3, 5], "zeta_values": [0.5], "reps": 7,
+                  "seed": 9, "epsilons": [0.2], "distribution": "zipf", "n_items": 6,
+                  "n_updates": 50, "zipf_s": 1.5}
+        assert set(values) == {f.name for f in fields(ExperimentSpec)}
+        assert all(v != getattr(ExperimentSpec(), name) for name, v in values.items())
+        flags = ["--kind", "end_to_end", "--k", "3", "5", "--zeta", "0.5", "--reps", "7",
+                 "--seed", "9", "--epsilon", "0.2", "--distribution", "zipf", "--items", "6",
+                 "--updates", "50", "--zipf-s", "1.5"]
+        assert self.spec_of(monkeypatch, flags) == ExperimentSpec(**values)
+
+    @pytest.mark.parametrize("env", [None, "5"])
+    def test_no_flags_give_the_spec_defaults(self, monkeypatch, capsys, env):
+        if env is None:
+            monkeypatch.delenv("ENTROSKETCH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ENTROSKETCH_SEED", env)
+        assert self.spec_of(monkeypatch, []) == ExperimentSpec(kind="bias_table",
+                                                               seed=int(env or 0))
+
+    @pytest.mark.parametrize("kind", bench.KINDS)
+    def test_seed_env_sets_every_kind(self, monkeypatch, capsys, kind):
+        monkeypatch.setenv("ENTROSKETCH_SEED", "5")
+        assert self.spec_of(monkeypatch, ["--kind", kind]).seed == 5
+        assert self.spec_of(monkeypatch, ["--kind", kind, "--seed", "6"]).seed == 6
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--items", "0"], "n_items"),
+        (["--updates", "-5"], "n_updates"),
+        (["--reps", "0"], "reps"),
+        (["--k", "10", "0"], "k_values"),
+        (["--zeta", "-1"], "zeta_values"),
+        (["--zeta", "1", "nan"], "zeta_values"),
+        (["--epsilon", "-0.1"], "epsilons"),
+        (["--epsilon", "0.1", "inf"], "epsilons"),
+        (["--zipf-s", "0"], "zipf_s"),
+        (["--zipf-s", "inf"], "zipf_s"),
+        (["--seed", "-1"], "seed"),
+        (["--seed", str(2**63)], "seed"),
+    ])
+    def test_out_of_range_flag_fails_naming_its_field(self, tmp_path, capsys, flags, name):
         out = tmp_path / "res.csv"
-        assert main(["bench", "--config", str(cfg), "--output", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: bad bench config")
+        # small enough that a missing check fails fast; a later flag wins
+        base = ["bench", "--kind", "end_to_end", "--reps", "1", "--updates", "10"]
+        assert main([*base, *flags, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {name} ")
+        assert captured.out == ""
         assert not out.exists()
+
+    def test_config_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", "spec.json", "--output", str(tmp_path / "res.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_unknown_kind_fails(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
@@ -448,7 +499,7 @@ class TestImportGraph:
 
     def test_cli_import_loads_no_numpy(self):
         modules = modules_after("import entrosketch.cli")
-        assert "numpy" not in modules
+        assert not {"numpy", "json"} & modules
         assert {m for m in modules if m.startswith("entrosketch")} == {
             "entrosketch", "entrosketch.cli"}
 

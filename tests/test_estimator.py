@@ -202,6 +202,12 @@ class TestResolveBias:
         with pytest.raises(ValueError):
             resolve_bias(10, 0.77, mode="table")
 
+    @pytest.mark.parametrize("mode", ["auto", "mc", "none"])
+    def test_reps_below_one_raises_in_every_mode(self, mode):
+        # (64, 1.0) is inside the closed form's region, where reps is not used
+        with pytest.raises(ValueError, match="^reps must be >= 1$"):
+            resolve_bias(64, 1.0, mode=mode, mc_reps=0)
+
     def test_mc_mode_cached(self):
         a = resolve_bias(12, 1.0, mode="mc", mc_reps=20_000)
         b = resolve_bias(12, 1.0, mode="mc", mc_reps=20_000)
