@@ -62,10 +62,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be > 0 and finite")
         if not 0.0 < self.zipf_s < math.inf:
             raise ValueError("zipf_s must be > 0 and finite")
-        # numpy reads the key list [seed, i] of Philox as int64, or as float64
-        # from 2^63 on, where neighbouring seeds give the same key
-        if not 0 <= self.seed < 1 << 63:
-            raise ValueError("seed must be in [0, 2**63)")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError("seed must be in [0, 2**64)")
 
 
 def _fmt(x) -> str:
@@ -148,9 +146,10 @@ def run_end_to_end(spec: ExperimentSpec):
     for k in sorted(spec.k_values):
         for zeta in sorted(spec.zeta_values):
             for rep in range(spec.reps):
-                rng = np.random.Generator(np.random.Philox(key=[spec.seed, rep]))
-                elements = _replicate_stream(spec, rng)
-                sketch = sketch_stream(elements, k=k, zeta=zeta, master_seed=spec.seed + rep)
+                key = np.array([spec.seed, rep], dtype=np.uint64)
+                elements = _replicate_stream(spec, np.random.Generator(np.random.Philox(key=key)))
+                master_seed = (spec.seed + rep) % (1 << 64)
+                sketch = sketch_stream(elements, k=k, zeta=zeta, master_seed=master_seed)
                 acc = AccumulationVector.from_stream(elements)
                 h_true = shannon_entropy(acc)
                 h_hat = estimate(sketch).entropy_hat

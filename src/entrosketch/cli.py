@@ -10,7 +10,8 @@ Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
 ``estimate`` and ``merge`` read sketch files through the stdlib-only
 ``sketchfile``; only ``ingest``, ``oracle``, ``bench`` and a Monte Carlo
-bias correction load numpy.
+bias correction load numpy.  A bad value, an overflow, a file error or
+an allocation too large for memory prints ``error: ...`` and exits 1.
 """
 
 from __future__ import annotations
@@ -176,8 +177,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -21,11 +21,20 @@ given arrays).  ``VariateWorkspace.variates``, the one many-key entry
 point, runs it in arrays that each call reuses; ``variates_np`` is the
 one-key case in fresh arrays, and ``accumulate_np`` adds
 ``rint(v * delta * 2^16)`` of it to a fixed-point sketch.  The routine
-uses the arithmetic of ``stable``'s sampler (open-unit mapping, endpoint
-rule, G(x;0) formula).  It defines the sketch's bits.
+uses the arithmetic of ``stable``'s sampler (open-unit mapping, G(x;0)
+formula).  It defines the sketch's bits.
+
+Row ``row`` of an item reads hash words 2*row and 2*row + 1, and nothing
+else.  Each maps into (0, 1) as min((word + 0.5) * 2^-64, 1 - 2^-53).
+The clamp touches only the words >= 2^64 - 2^10, which would otherwise
+round to 1.0, and sends them where word 2^64 - 2^11 already goes.  So
+every pair of words gives a finite variate, and no row reads more
+words.  Before the clamp such a pair was replaced by later words of the
+stream; the clamp changes a variate with probability about 2^-53, far
+below the cross-CPU drift above.
 
 ``variate_from_key`` is the scalar reference: the same hash words,
-rejection rule and formula, evaluated with ``math.tan``/``math.log``
+clamp and formula, evaluated with ``math.tan``/``math.log``
 where the numpy routine uses numpy's CPU-dispatched SIMD
 ``np.tan``/``np.log``.  The two agree within rounding, not bit for bit:
 on numpy 2.4 with AVX-512, about 0.3% of variates differ, by at most
@@ -39,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stable import _INV_2_64, HALF_PI, _endpoint, g0_from_uniform_exp
+from .stable import _BELOW_ONE, _INV_2_64, HALF_PI, g0_from_uniform_exp
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -83,26 +92,22 @@ def hash_word(key: int, n: int) -> int:
     return mix64((key + (n & MASK64) * GOLDEN) & MASK64)
 
 
-def uniform_exp_words(key: int, row: int, k: int, attempt: int = 0) -> tuple[int, int]:
-    """The two hash words feeding row ``row`` (attempt counts redraws)."""
-    idx = attempt * k + row
-    return hash_word(key, 2 * idx), hash_word(key, 2 * idx + 1)
+def uniform_exp_words(key: int, row: int) -> tuple[int, int]:
+    """The two hash words feeding row ``row``."""
+    return hash_word(key, 2 * row), hash_word(key, 2 * row + 1)
+
+
+def open_unit(word: int) -> float:
+    """min((float(word) + 0.5) * 2^-64, 1 - 2^-53): ``stable._open_unit`` of one word."""
+    return min((word + 0.5) * _INV_2_64, _BELOW_ONE)
 
 
 def variate_from_key(key: int, row: int, k: int) -> float:
     """Scalar (libm) reference for row ``row`` of ``variates_np(key, k)``, within rounding."""
-    attempt = 0
-    while True:
-        wu, ww = uniform_exp_words(key, row, k, attempt)
-        u01 = (wu + 0.5) * _INV_2_64
-        w01 = (ww + 0.5) * _INV_2_64
-        # endpoints are excluded by construction but float rounding can
-        # still land on 0.0/1.0; redraw from the next counter block
-        if 0.0 < u01 < 1.0 and 0.0 < w01 < 1.0:
-            u = np.pi * (u01 - 0.5)
-            w = -np.log(w01)
-            return g0_from_uniform_exp(u, w)
-        attempt += 1
+    u01, w01 = map(open_unit, uniform_exp_words(key, row))
+    u = np.pi * (u01 - 0.5)
+    w = -np.log(w01)
+    return g0_from_uniform_exp(u, w)
 
 
 # vectorized (numpy) variates: the one implementation the sketch uses
@@ -128,7 +133,7 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _open_unit_into(words: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
-    """out = (float(words) + 0.5) * 2^-64, the arithmetic of ``stable._open_unit``.
+    """out = min((float(words) + 0.5) * 2^-64, 1 - 2^-53), the arithmetic of ``stable._open_unit``.
 
     numpy has no SIMD loop for the uint64 -> float64 cast (about 6 ns per
     word against under 1 ns from int64), so float(words) is formed as
@@ -142,6 +147,7 @@ def _open_unit_into(words: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None
     np.add(out, tmp.view(np.int64), out=out)
     out += 0.5
     out *= _INV_2_64
+    np.minimum(out, _BELOW_ONE, out=out)
 
 
 @lru_cache(maxsize=16)
@@ -155,27 +161,16 @@ def _row_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets
 
 
-_NO_REDRAW = np.empty(0, dtype=np.intp)
-
-
 def _g0_from_words(xu, xw, tmp, a, b, c, out):
     """out = the G(x;0) variates of hash inputs ``xu``, ``xw`` (key + counter*GOLDEN).
 
     Every argument is an array of one shape; ``xu``, ``xw``, ``tmp``, ``a``,
     ``b`` and ``c`` are overwritten.  The arithmetic is that of
-    ``variate_from_key`` with numpy's ufuncs, one pass at a time.  Returns
-    the flat indices of the entries whose uniforms hit an endpoint: those
-    hold no variate and must be redrawn.
+    ``variate_from_key`` with numpy's ufuncs, one pass at a time.
     """
     for x, unit in ((xu, a), (xw, b)):
         _mix64_into(x, tmp)
         _open_unit_into(x, tmp, unit)
-    redraw = _NO_REDRAW
-    # (word + 0.5) * 2^-64 is never 0.0, so only 1.0 needs the full check
-    if a.size and not (a.max() < 1.0 and b.max() < 1.0):
-        redraw = np.flatnonzero(_endpoint(a, b))
-        np.put(a, redraw, 0.5)  # placeholders, so the formula below stays finite
-        np.put(b, redraw, 0.5)
     a -= 0.5
     a *= np.pi  # u
     np.log(b, out=b)
@@ -188,7 +183,6 @@ def _g0_from_words(xu, xw, tmp, a, b, c, out):
     b /= c
     np.log(b, out=b)
     out += b
-    return redraw
 
 
 def _scratch(n: int) -> list[np.ndarray]:
@@ -205,23 +199,8 @@ def _variates_into(keys: np.ndarray, k: int, buffers) -> np.ndarray:
     off_u, off_w = _row_offsets(k)
     np.add(keys[:, None], off_u, out=xu)
     np.add(keys[:, None], off_w, out=xw)
-    i, row = np.divmod(_g0_from_words(xu, xw, *rest), k)
-    out = rest[-1]
-    # endpoints are excluded by construction but float rounding can
-    # still land on 0.0/1.0; redraw those pairs from the next counter
-    # block until none is left
-    golden = np.uint64(GOLDEN)
-    attempt = 1
-    while i.size:
-        idx = np.uint64(attempt) * np.uint64(k) + row.astype(np.uint64)
-        redo = _scratch(i.size)
-        np.add(keys[i], (np.uint64(2) * idx) * golden, out=redo[0])
-        np.add(keys[i], (np.uint64(2) * idx + np.uint64(1)) * golden, out=redo[1])
-        redraw = _g0_from_words(*redo)
-        out[i, row] = redo[-1]
-        i, row = i[redraw], row[redraw]
-        attempt += 1
-    return out
+    _g0_from_words(xu, xw, *rest)
+    return rest[-1]
 
 
 def _mapped_words(n: int, count: int) -> list[np.ndarray]:
@@ -257,7 +236,7 @@ class VariateWorkspace:
 
         The result is a view of the workspace that the next call
         overwrites.  Each (key, row) pair goes through the hash words,
-        rejection rule and arithmetic of ``variate_from_key``,
+        clamp and arithmetic of ``variate_from_key``,
         elementwise, so a row does not depend on which other keys share
         the call; it matches that scalar reference within rounding (see
         the module docstring).

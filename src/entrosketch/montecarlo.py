@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .stable import _worker_count, sample_g0, sample_g0_slices
+from .stable import _worker_count, sample_g0_slices
 
 # Monte Carlo chunks hold max(1, min(reps, _CHUNK_SAMPLES // k)) replicates
 # and chunk i is drawn from Philox(key=[seed, i]): this defines every MC value
@@ -41,16 +41,11 @@ def _log_means(z: np.ndarray, zeta: float) -> np.ndarray:
     return (m + np.log(np.mean(np.exp(v - m[:, None]), axis=1))) / zeta - math.log(zeta)
 
 
-def _fill_rows(
-    out, key, n: int, k: int, zeta: float, shift: float, rows: int, a: int, b: int
-) -> bool:
+def _fill_rows(out, key, n: int, k: int, zeta: float, shift: float, rows: int, a: int, b: int):
     """out[a:b] = log-means of rows [a, b) of the chunk's n x k samples
-    plus ``shift``, ``rows`` rows at a time; False if an endpoint word was met."""
+    plus ``shift``, ``rows`` rows at a time."""
     for r0, z in zip(range(a, b, rows), sample_g0_slices(key, n * k, a * k, b * k, rows * k)):
-        if z is None:
-            return False
         out[r0 : r0 + len(z) // k] = _log_means(z.reshape(-1, k) + shift, zeta)
-    return True
 
 
 def log_mean_replicates(
@@ -61,11 +56,14 @@ def log_mean_replicates(
     The chunk partition defines the stream: replicates come in chunks of
     ``max(1, min(reps, _CHUNK_SAMPLES // k))``, and chunk i is the
     ``sample_g0`` draw of its n*k samples from the counter-based
-    ``Philox(key=[seed, i])``, one replicate per k consecutive samples.
-    Each chunk is computed in blocks of about ``_BLOCK_SAMPLES`` samples,
-    split across the CPUs this process may run on; a chunk that meets an
-    endpoint word is drawn whole instead.  Block size and worker count do
-    not change the result, bit for bit.
+    ``Philox(key=[seed, i])`` (the key as two uint64 words, so every
+    seed in [0, 2^64) has its own streams), one replicate per k
+    consecutive samples.  Each chunk is computed in blocks of about
+    ``_BLOCK_SAMPLES`` samples, split across the CPUs this process may run
+    on.  ``sample_g0`` clamps a word that would map to 1.0 to 1 - 2^-53
+    instead of drawing more, so each sample depends only on its own two
+    words, and block size and worker count do not change the result, bit
+    for bit.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -78,15 +76,13 @@ def log_mean_replicates(
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for chunk_idx, start in enumerate(range(0, reps, chunk)):
             n = min(chunk, reps - start)
-            key = [seed, chunk_idx]
+            key = np.array([seed, chunk_idx], dtype=np.uint64)
             out = values[start : start + n]
             blocks = -(-n // rows)
             parts = min(workers, blocks)
             cuts = [min(n, blocks * i // parts * rows) for i in range(parts + 1)]
             fill = partial(_fill_rows, out, key, n, k, zeta, shift, rows)
-            if not all(list(pool.map(fill, cuts[:-1], cuts[1:]))):
-                rng = np.random.Generator(np.random.Philox(key=key))
-                out[:] = _log_means(sample_g0(rng, n * k).reshape(n, k) + shift, zeta)
+            list(pool.map(fill, cuts[:-1], cuts[1:]))
     return values
 
 

@@ -27,7 +27,6 @@ that reaches 2^53 raises OverflowError.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import sys
@@ -138,6 +137,8 @@ class SketchFile:
         return cls._from_values(config, struct.unpack_from(f"<{k}d", data, HEADER.size), total)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "format_version": FORMAT_VERSION,
@@ -151,6 +152,8 @@ class SketchFile:
 
     @classmethod
     def from_json(cls, text: str) -> SketchFile:
+        import json
+
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("sketch document must be a JSON object")

@@ -18,6 +18,9 @@ import numpy as np
 
 HALF_PI = math.pi / 2
 _INV_2_64 = 2.0**-64
+# the largest double below 1, where the open-unit map (word + 0.5) * 2^-64
+# puts word 2^64 - 2^11; the words above it, which would round to 1.0, go there too
+_BELOW_ONE = 1.0 - 2.0**-53
 
 # G(x;0) in the four-parameter convention used throughout this package:
 # cf = exp(gamma*(-|th| - i*th*beta*(2/pi)*log|th|) + i*delta*th)
@@ -92,28 +95,17 @@ def _worker_count() -> int:
 
 
 def _open_unit(words: np.ndarray) -> np.ndarray:
-    return (words.astype(np.float64) + 0.5) * _INV_2_64
+    """min((float(words) + 0.5) * 2^-64, 1 - 2^-53): every word maps into (0, 1)."""
+    return np.minimum((words.astype(np.float64) + 0.5) * _INV_2_64, _BELOW_ONE)
 
 
 def _words(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.integers(0, 2**64, size=n, dtype=np.uint64)
 
 
-def _endpoint(u01: np.ndarray, w01: np.ndarray) -> np.ndarray:
-    return ~((u01 > 0.0) & (u01 < 1.0) & (w01 > 0.0) & (w01 < 1.0))
-
-
 def _draw_uniform_exp(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n pairs (u, w) with endpoint words rejected and redrawn."""
-    u01 = _open_unit(_words(rng, n))
-    w01 = _open_unit(_words(rng, n))
-    bad = _endpoint(u01, w01)
-    while np.any(bad):
-        m = int(bad.sum())
-        u01[bad] = _open_unit(_words(rng, m))
-        w01[bad] = _open_unit(_words(rng, m))
-        bad = _endpoint(u01, w01)
-    return _uniform_exp(u01, w01)
+    """n pairs (u, w): the first n words give the u, the next n the w."""
+    return _uniform_exp(_open_unit(_words(rng, n)), _open_unit(_words(rng, n)))
 
 
 def _uniform_exp(u01: np.ndarray, w01: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +123,9 @@ def sample_g0(rng: np.random.Generator, size: int | None = None):
     Monte Carlo across worker counts pass a counter-based generator,
     e.g. np.random.Generator(np.random.Philox(key=(seed, stream))).
     The first n words drawn give the u of the n samples and the next n
-    their w; only a pair with an endpoint word draws more.
+    their w, and no sample draws more.  ``_open_unit`` clamps the words
+    that would round to 1.0 (those >= 2^64 - 2^10, probability 2^-54
+    each) to 1 - 2^-53, so every word gives a finite sample.
     """
     n = 1 if size is None else int(size)
     y = _g0(*_draw_uniform_exp(rng, n))
@@ -141,16 +135,14 @@ def sample_g0(rng: np.random.Generator, size: int | None = None):
 def sample_g0_slices(key, size: int, start: int, stop: int, step: int):
     """Samples [start, stop) of ``sample_g0(Generator(Philox(key=key)), size)``,
     yielded at most ``step`` at a time, without drawing the ones before
-    ``start``.  A slice holding an endpoint word is yielded as None: there
-    ``sample_g0`` draws more words, so its output depends on the whole draw.
+    ``start``.  Sample i reads only words i and size + i, clamped into
+    (0, 1) as in ``sample_g0``, so every slice equals the whole draw's.
     """
     u_rng = _philox_at(key, start)
     w_rng = _philox_at(key, size + start)
     for lo in range(start, stop, step):
         m = min(step, stop - lo)
-        u01 = _open_unit(_words(u_rng, m))
-        w01 = _open_unit(_words(w_rng, m))
-        yield None if np.any(_endpoint(u01, w01)) else _g0(*_uniform_exp(u01, w01))
+        yield _g0(*_uniform_exp(_open_unit(_words(u_rng, m)), _open_unit(_words(w_rng, m))))
 
 
 def _philox_at(key, offset: int) -> np.random.Generator:

@@ -1,8 +1,11 @@
-"""Shared test data."""
+"""Shared test data and fixtures."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from entrosketch import stable
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +19,19 @@ def shipped_bias_rows():
             k, zeta, bc, se = line.split()
             rows[(int(k), float(zeta))] = (float(bc), float(se))
     return rows
+
+
+@pytest.fixture
+def coarse_open_unit(monkeypatch):
+    """Scale ``stable``'s open-unit map up by 1.0005, so that about one word
+    in 2000 is clamped to 1 - 2^-53; returns the clamped count of each call."""
+    monkeypatch.setattr(stable, "_INV_2_64", 2.0**-64 * 1.0005)
+    clamped = []
+
+    def open_unit(words, inner=stable._open_unit):
+        out = inner(words)
+        clamped.append(int(np.count_nonzero(out == stable._BELOW_ONE)))
+        return out
+
+    monkeypatch.setattr(stable, "_open_unit", open_unit)
+    return clamped

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from entrosketch import montecarlo
-from entrosketch import stable
 from entrosketch.bench import (
     DEFAULT_DELTA,
     ExperimentSpec,
@@ -62,14 +61,22 @@ class TestReplicates:
         old = _whole_chunk_replicates(k, zeta, reps, seed, DEFAULT_DELTA, chunk_samples)
         assert new.tobytes() == old.tobytes()
 
-    def test_endpoint_words_match_whole_chunk_draw(self, monkeypatch):
-        # a coarser unit map puts about one word in 2000 on the endpoint 1,
-        # so some chunks take the whole-chunk redraw path, shift included
-        monkeypatch.setattr(
-            stable, "_open_unit", lambda words: (words.astype(np.float64) + 0.5) * (2.0**-64 * 1.0005)
-        )
+    @pytest.mark.parametrize("seed", [0, 5, 2**62 + 3, 2**63 - 1])
+    def test_uint64_key_keeps_the_list_key_streams(self, seed):
+        # below 2^63 the uint64 key words equal numpy's int64 reading of [seed, i]
+        new = _delta_hat_replicates(3, 1.0, 50, seed, DEFAULT_DELTA)
+        assert new.tobytes() == _whole_chunk_replicates(3, 1.0, 50, seed, DEFAULT_DELTA).tobytes()
+
+    def test_seeds_from_2_63_on_are_distinct(self):
+        draws = {_delta_hat_replicates(3, 1.0, 50, seed, DEFAULT_DELTA).tobytes()
+                 for seed in (2**63, 2**63 + 1, 2**64 - 1)}
+        assert len(draws) == 3
+
+    def test_endpoint_words_match_whole_chunk_draw(self, monkeypatch, coarse_open_unit):
+        # clamped words, shift included, as in the whole-chunk draw
         monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 400)
         new = _delta_hat_replicates(10, 1.0, 2000, 3, DEFAULT_DELTA)
+        assert sum(coarse_open_unit) > 0
         old = _whole_chunk_replicates(10, 1.0, 2000, 3, DEFAULT_DELTA, chunk_samples=400)
         assert new.tobytes() == old.tobytes()
 

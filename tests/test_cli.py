@@ -459,7 +459,7 @@ class TestBench:
         (["--zipf-s", "0"], "zipf_s"),
         (["--zipf-s", "inf"], "zipf_s"),
         (["--seed", "-1"], "seed"),
-        (["--seed", str(2**63)], "seed"),
+        (["--seed", str(2**64)], "seed"),
     ])
     def test_out_of_range_flag_fails_naming_its_field(self, tmp_path, capsys, flags, name):
         out = tmp_path / "res.csv"
@@ -468,6 +468,40 @@ class TestBench:
         assert main([*base, *flags, "--output", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {name} ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_seeds_from_2_63_on_have_their_own_streams(self, tmp_path, capsys):
+        # numpy reads a Philox key list as int64, or as float64 from 2^63 on,
+        # where neighbouring seeds collide; the key is built as uint64 words
+        csvs = []
+        for seed in (2**63, 2**63 + 1):
+            out = tmp_path / f"{seed}.csv"
+            assert main(["bench", "--k", "4", "--reps", "200", "--seed", str(seed),
+                         "--output", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] != csvs[1]
+        # the master seed of replicate 1 wraps to 0
+        out = tmp_path / "e2e.csv"
+        assert main(["bench", "--kind", "end_to_end", "--reps", "2", "--updates", "10",
+                     "--seed", str(2**64 - 1), "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 745. GiB for an array"),
+         "error: Unable to allocate 745. GiB for an array"),
+        (MemoryError(), "error: MemoryError"),
+    ])
+    def test_memory_error_fails_cleanly(self, monkeypatch, tmp_path, capsys, exc, message):
+        # a width such as --k 100000000000 asks numpy for more than memory
+        def run(spec, out_path):
+            raise exc
+
+        monkeypatch.setattr(bench, "run", run)
+        out = tmp_path / "res.csv"
+        assert main(["bench", "--k", "100000000000", "--reps", "1", "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -531,7 +565,7 @@ class TestImportGraph:
             f"assert main(['estimate', {_sketch_file(tmp_path, 's.bin', 64)!r}]) == 0")
         assert {m for m in modules if m.startswith("entrosketch")} == {
             "entrosketch", "entrosketch.cli", "entrosketch.sketchfile", "entrosketch.estimator"}
-        assert not {"numpy", "csv", "logging", "concurrent.futures"} & modules
+        assert not {"numpy", "json", "csv", "logging", "concurrent.futures"} & modules
 
     def test_merge_loads_no_numpy(self, tmp_path):
         a = _sketch_file(tmp_path, "a.bin", 64)
@@ -540,7 +574,7 @@ class TestImportGraph:
             f"assert main(['merge', {a!r}, {a!r}, '--output', {str(tmp_path / 'm.bin')!r}]) == 0")
         assert {m for m in modules if m.startswith("entrosketch")} == {
             "entrosketch", "entrosketch.cli", "entrosketch.sketchfile"}
-        assert "numpy" not in modules
+        assert not {"numpy", "json"} & modules
 
     @pytest.mark.parametrize("k, zeta, flags", [
         pytest.param(64, 1.0, ["--bc-mode", "mc"], id="bc-mode-mc"),

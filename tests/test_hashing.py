@@ -11,12 +11,15 @@ from entrosketch import hashing, stable
 from entrosketch.hashing import (
     GOLDEN,
     VariateWorkspace,
+    _g0_from_words,
     _open_unit_into,
+    _scratch,
     accumulate_np,
     fnv1a64,
     hash_word,
     item_key,
     mix64,
+    open_unit,
     uniform_exp_words,
     variate_from_key,
     variates_np,
@@ -29,7 +32,7 @@ WIDTHS = [1, 2, 7, 16, 17, 200, 256, 2217]
 def _reference_variates(keys, k):
     """The variates with one allocating numpy expression per step of
     ``stable``'s sampler helpers: the arithmetic ``VariateWorkspace`` must
-    reproduce bit for bit, redraws included."""
+    reproduce bit for bit, words clamped below 1.0 included."""
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
 
     def mix(x):
@@ -39,22 +42,11 @@ def _reference_variates(keys, k):
         x = x * np.uint64(0x94D049BB133111EB)
         return x ^ (x >> np.uint64(31))
 
-    def uniforms(key, row, attempt):
-        idx = np.uint64(attempt) * np.uint64(k) + row
-        u01 = stable._open_unit(mix(key + (np.uint64(2) * idx) * np.uint64(GOLDEN)))
-        w01 = stable._open_unit(mix(key + (np.uint64(2) * idx + np.uint64(1)) * np.uint64(GOLDEN)))
-        return u01, w01, ~stable._endpoint(u01, w01)
-
-    out = np.full((keys.size, k), np.nan)
-    pending = np.argwhere(np.ones(out.shape, dtype=bool))
-    attempt = 0
-    while pending.size:
-        i, row = pending.T
-        u01, w01, ok = uniforms(keys[i], row.astype(np.uint64), attempt)
-        out[i[ok], row[ok]] = stable._g0(*stable._uniform_exp(u01[ok], w01[ok]))
-        pending = pending[~ok]
-        attempt += 1
-    return out
+    key = keys[:, None]
+    row = np.arange(k, dtype=np.uint64)[None, :]
+    u01 = stable._open_unit(mix(key + (np.uint64(2) * row) * np.uint64(GOLDEN)))
+    w01 = stable._open_unit(mix(key + (np.uint64(2) * row + np.uint64(1)) * np.uint64(GOLDEN)))
+    return stable._g0(*stable._uniform_exp(u01, w01))
 
 
 def _same_bits(a, b):
@@ -112,9 +104,9 @@ class TestVariates:
             assert np.array_equal(row.view(np.uint64), variates_np(key, k).view(np.uint64))
 
     def test_many_keys_redraw_matches_scalar(self, monkeypatch):
-        # a coarser uniform scale rejects about half the hash words, which
-        # drives the redraw loop that real words almost never reach; the
-        # scalar reference and the array path (stable's mapping) share it
+        # a coarser uniform scale clamps about half the hash words to
+        # 1 - 2^-53, which real words almost never reach; the scalar
+        # reference and the array path (stable's mapping) share the clamp
         monkeypatch.setattr(hashing, "_INV_2_64", 2.0**-63)
         monkeypatch.setattr(stable, "_INV_2_64", 2.0**-63)
         keys = [item_key(str(i), 1) for i in range(5)]
@@ -137,12 +129,12 @@ class TestVariates:
     @pytest.mark.parametrize("k", WIDTHS)
     def test_workspace_redraw_matches_reference(self, monkeypatch, k):
         # the coarser scale of test_many_keys_redraw_matches_scalar: about
-        # three pairs in four redraw, some of them several times
+        # three pairs in four have a clamped word, and every one is finite
         monkeypatch.setattr(hashing, "_INV_2_64", 2.0**-63)
         monkeypatch.setattr(stable, "_INV_2_64", 2.0**-63)
         keys = [item_key(str(i), 1) for i in range(5)]
         reference = _reference_variates(keys, k)
-        assert not np.isnan(reference).any()
+        assert np.isfinite(reference).all()
         workspace = VariateWorkspace(k, len(keys))
         assert _same_bits(workspace.variates(keys), reference)
         assert _same_bits(workspace.variates(keys[2:]), reference[2:])
@@ -184,16 +176,62 @@ class TestVariates:
         assert abs(est - 1.0) <= 5.0 * se
 
     def test_uniform_exp_words_distinct(self):
+        # row r reads stream words 2r and 2r + 1, and no other
         key = item_key("a", 0)
-        u0, w0 = uniform_exp_words(key, 0, 8)
-        u1, w1 = uniform_exp_words(key, 0, 8, attempt=1)
-        assert (u0, w0) != (u1, w1)
+        words = [w for row in range(8) for w in uniform_exp_words(key, row)]
+        assert words == [hash_word(key, n) for n in range(16)]
+        assert len(set(words)) == 16
 
     @given(st.text(max_size=20), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=100)
     def test_variates_finite(self, item, seed):
         v = variates_np(item_key(item, seed), 8)
         assert np.all(np.isfinite(v))
+
+
+BELOW_ONE = 1.0 - 2.0**-53
+TOP = 2**64 - 2**11  # the largest word whose (word + 0.5) * 2^-64 is below 1.0
+MIDDLE = 2**63
+
+
+class TestOpenUnitClamp:
+    """Words that would round to 1.0 are clamped to 1 - 2^-53, so every
+    hash word gives a variate."""
+
+    def test_top_words_map_below_one(self):
+        assert stable._BELOW_ONE == BELOW_ONE
+        assert (TOP + 0.5) * 2.0**-64 == BELOW_ONE
+        assert (U64 - 1 + 0.5) * 2.0**-64 == 1.0  # what the clamp prevents
+        words = np.uint64(TOP) + np.arange(U64 - TOP, dtype=np.uint64)
+        assert int(words[-1]) == U64 - 1
+        out = np.empty(words.shape)
+        _open_unit_into(words, np.empty_like(words), out)
+        assert np.all(out == BELOW_ONE)
+        assert np.all(stable._open_unit(words) == BELOW_ONE)
+        assert {open_unit(int(w)) for w in words} == {BELOW_ONE}
+
+    def test_clamp_leaves_lower_words(self):
+        words = np.array([0, 1, MIDDLE, 2**64 - 2**12], dtype=np.uint64)
+        expected = [2.0**-65, 1.5 * 2.0**-64, 0.5, 1.0 - 2.0**-52]
+        out = np.empty(words.shape)
+        _open_unit_into(words, np.empty_like(words), out)
+        assert out.tolist() == expected
+        assert stable._open_unit(words).tolist() == expected
+        assert [open_unit(int(w)) for w in words] == expected
+
+    @pytest.mark.parametrize("wu, ww", [(TOP, MIDDLE), (U64 - 1, MIDDLE), (MIDDLE, U64 - 1),
+                                        (U64 - 1, U64 - 1), (MIDDLE, MIDDLE)])
+    def test_variates_finite_at_the_clamp(self, monkeypatch, wu, ww):
+        # feed the words straight in: the kernel's mixer and the scalar
+        # reference's hash words are replaced by the chosen words
+        monkeypatch.setattr(hashing, "_mix64_into", lambda x, tmp: None)
+        monkeypatch.setattr(hashing, "uniform_exp_words", lambda key, row: (wu, ww))
+        xu, xw, *rest = _scratch(1)
+        xu[0], xw[0] = wu, ww
+        _g0_from_words(xu, xw, *rest)
+        vector, scalar = float(rest[-1][0]), variate_from_key(0, 0, 1)
+        assert math.isfinite(vector) and math.isfinite(scalar)
+        assert vector == pytest.approx(scalar, rel=1e-12)
 
 
 class TestAccumulate:

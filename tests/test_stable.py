@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from entrosketch import stable
 from entrosketch.stable import (
     G0_PARAMS,
     HALF_PI,
@@ -144,6 +145,38 @@ class TestPositiveStable:
     def test_alpha_domain(self, alpha):
         with pytest.raises(ValueError):
             sample_positive_stable(alpha, _rng(0))
+
+
+class _FixedWords:
+    """A stand-in generator whose successive ``integers`` draws return the given words."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def integers(self, low, high, size, dtype):
+        return np.array(next(self._draws), dtype=dtype)
+
+
+BELOW_ONE = 1.0 - 2.0**-53
+TOP_WORDS = [2**64 - 2**11, 2**64 - 2**10, 2**64 - 1]  # all map to 1 - 2^-53
+
+
+class TestOpenUnitClamp:
+    def test_top_words_map_below_one(self):
+        assert stable._BELOW_ONE == BELOW_ONE
+        assert stable._open_unit(np.array(TOP_WORDS, dtype=np.uint64)).tolist() == [BELOW_ONE] * 3
+
+    @pytest.mark.parametrize("top", ["u", "w", "both"])
+    def test_samplers_finite_at_the_clamp(self, top):
+        # u01 or w01 (or both) at 1 - 2^-53 next to ordinary words
+        ordinary = [2**63, 12345, 2**64 // 3]
+        u = TOP_WORDS if top in ("u", "both") else ordinary
+        w = TOP_WORDS if top in ("w", "both") else ordinary
+        x = sample_g0(_FixedWords(u, w), 3)
+        assert np.all(np.isfinite(x))
+        for alpha in (0.3, 0.5, 0.8, 0.99):
+            z = sample_positive_stable(alpha, _FixedWords(u, w), 3)
+            assert np.all(np.isfinite(z)) and np.all(z > 0)
 
 
 class TestYAlpha:
