@@ -12,6 +12,18 @@ function, so building the parser, or running ``size``, loads no numpy.
 ``sketchfile``; only ``ingest``, ``oracle``, ``bench`` and a Monte Carlo
 bias correction load numpy.  A bad value, an overflow, a file error or
 an allocation too large for memory prints ``error: ...`` and exits 1.
+
+The program's entry point is ``run``: ``python -m entrosketch.cli`` and
+the ``entrosketch`` console script both call it.  It runs ``main``,
+flushes stdout and stderr, and ends the process with ``os._exit``,
+skipping interpreter teardown (module and object clean-up, atexit
+handlers), which cost an ``estimate`` process about 13 ms and an
+``ingest`` at k=2217 about 30 ms on a 2-vCPU Xeon VM.  Every file the
+CLI writes is closed by then.  ``main`` flushes stdout itself, so a
+closed pipe or a full disk prints ``error: ...`` and exits 1 here too.
+A bad flag (exit 2) or an uncaught exception ends through the normal
+interpreter exit.  ``main`` returns its exit code, so in-process
+callers are unaffected.
 """
 
 from __future__ import annotations
@@ -176,11 +188,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
+        return code
     except (ValueError, OverflowError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 
+def run() -> None:
+    """The program: ``main()``, then flush and ``os._exit``; never returns."""
+    code = main()
+    try:
+        # main flushed a successful command's stdout; this flushes what a failed one left
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        pass  # a closed pipe or a full disk: main has reported it and returned 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

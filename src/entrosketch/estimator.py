@@ -20,8 +20,9 @@ computed, so an estimate inside the closed form's region loads no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .sketchfile import Record
 
 FISHER_INFO = 0.3445  # Fisher information for delta per sketch coordinate
 
@@ -32,14 +33,10 @@ _CLOSED_FORM_T3_MAX = 2e-3
 _CLOSED_FORM_ZETA_MAX = 1.5
 
 
-@dataclass(frozen=True)
-class EstimateResult:
-    delta_hat: float
-    entropy_hat: float
-    bias_correction: float
-    asymptotic_se: float
+class EstimateResult(Record):
+    __slots__ = ("delta_hat", "entropy_hat", "bias_correction", "asymptotic_se")
 
-    def __post_init__(self):
+    def _validate(self):
         assert self.entropy_hat == -self.delta_hat
 
 

@@ -11,12 +11,12 @@ region loads no numpy; ``bench`` uses the replicates directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .stable import _worker_count, sample_g0_slices
+from .sketchfile import Record
+from .stable import _map_pinned, _worker_count, sample_g0_slices
 
 # Monte Carlo chunks hold max(1, min(reps, _CHUNK_SAMPLES // k)) replicates
 # and chunk i is drawn from Philox(key=[seed, i]): this defines every MC value
@@ -26,11 +26,8 @@ _CHUNK_SAMPLES = 8_000_000
 _BLOCK_SAMPLES = 1 << 14
 
 
-@dataclass(frozen=True)
-class BiasEstimate:
-    value: float
-    std_error: float
-    reps: int
+class BiasEstimate(Record):
+    __slots__ = ("value", "std_error", "reps")
 
 
 def _log_means(z: np.ndarray, zeta: float) -> np.ndarray:
@@ -60,29 +57,25 @@ def log_mean_replicates(
     seed in [0, 2^64) has its own streams), one replicate per k
     consecutive samples.  Each chunk is computed in blocks of about
     ``_BLOCK_SAMPLES`` samples, split across the CPUs this process may run
-    on.  ``sample_g0`` clamps a word that would map to 1.0 to 1 - 2^-53
-    instead of drawing more, so each sample depends only on its own two
-    words, and block size and worker count do not change the result, bit
-    for bit.
+    on, one thread pinned to each (``stable._map_pinned``).  ``sample_g0``
+    clamps a word that would map to 1.0 to 1 - 2^-53 instead of drawing
+    more, so each sample depends only on its own two words, and block size
+    and worker count do not change the result, bit for bit.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if k < 1 or reps < 1:
         raise ValueError("k and reps must be >= 1")
     chunk = max(1, min(reps, _CHUNK_SAMPLES // k))
     rows = max(1, _BLOCK_SAMPLES // k)
     workers = min(_worker_count(), -(-chunk // rows))
     values = np.empty(reps, dtype=np.float64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk_idx, start in enumerate(range(0, reps, chunk)):
-            n = min(chunk, reps - start)
-            key = np.array([seed, chunk_idx], dtype=np.uint64)
-            out = values[start : start + n]
-            blocks = -(-n // rows)
-            parts = min(workers, blocks)
-            cuts = [min(n, blocks * i // parts * rows) for i in range(parts + 1)]
-            fill = partial(_fill_rows, out, key, n, k, zeta, shift, rows)
-            list(pool.map(fill, cuts[:-1], cuts[1:]))
+    for chunk_idx, start in enumerate(range(0, reps, chunk)):
+        n = min(chunk, reps - start)
+        key = np.array([seed, chunk_idx], dtype=np.uint64)
+        out = values[start : start + n]
+        blocks = -(-n // rows)
+        parts = min(workers, blocks)
+        cuts = [min(n, blocks * i // parts * rows) for i in range(parts + 1)]
+        _map_pinned(partial(_fill_rows, out, key, n, k, zeta, shift, rows), cuts[:-1], cuts[1:])
     return values
 
 

@@ -38,7 +38,9 @@ equal to one ``update`` per pair.  Its cost scales with the distinct
 items per block, not with the number of updates.  The variates are
 computed in a reused ``hashing.VariateWorkspace``, ``_BATCH_VARIATES``
 at a time, and a block of at least 2 * ``_THREAD_VARIATES`` variates is
-split over threads, one per CPU that ``os.sched_getaffinity`` allows.
+split over threads, one per CPU that ``os.sched_getaffinity`` allows,
+each thread pinned to its own CPU (``stable._map_pinned``), since two
+unpinned threads were often scheduled on one CPU for a whole ingest.
 Integer sums are exact, so the bytes do not depend on the split:
 ``taskset -c 0`` gives serial ingest with the same bytes.  A block that
 comes near the 2^53 limit is replayed through ``update``.
@@ -69,7 +71,7 @@ from .sketchfile import (
     SketchFile,
     check_exact,
 )
-from .stable import _worker_count
+from .stable import _map_pinned, _worker_count
 
 CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
 # variates per VariateWorkspace.variates call in update_many: at most
@@ -79,9 +81,11 @@ CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
 # (46 / 51 / 55 ns per variate on one thread, 30 / 33 / 42 on two).
 _BATCH_VARIATES = 1 << 16
 # a block is split over threads only with at least this many variates per
-# thread.  In fresh processes at k=200 on the same machine, two threads
-# (with the concurrent.futures import and thread start-up) lost at 0.8M
-# variates per block (64 vs 60 ms) and won at 1.6M (113 vs 134 ms).
+# thread.  In fresh processes at k=200 on the same machine, two threads lost
+# at 0.8M variates per block (64 vs 60 ms) and won at 1.6M (113 vs 134 ms).
+# Those break-even figures were measured before the threads were pinned to
+# CPUs, when they also paid the concurrent.futures import (about 8 ms) and
+# often shared one CPU.
 _THREAD_VARIATES = 1 << 19
 _STREAM_BLOCK = 1 << 16  # elements grouped together by update_many
 # a batch whose worst case comes this close to LIMIT is replayed one
@@ -175,7 +179,8 @@ class EntropySketch:
         forms of an item are two groups with the same key.  The groups,
         sorted by key, are split into contiguous parts, one per thread when
         the block has at least ``_THREAD_VARIATES`` variates per thread for
-        up to ``_worker_count()`` threads, else one part on this thread.
+        up to ``_worker_count()`` threads, each pinned to its own CPU, else
+        one part on this thread.
         Each part returns its int64 sum and a float bound on it
         (``_part_sum``).  Integer sums are exact, so the bits equal the
         per-pair loop's for any split.  Nothing is committed until every
@@ -203,14 +208,7 @@ class EntropySketch:
             part_sum = partial(_part_sum, k, distinct, where, d, c, _BATCH_HEADROOM - base)
             parts = max(1, min(_worker_count(), len(groups), len(groups) * k // _THREAD_VARIATES))
             cuts = [len(groups) * i // parts for i in range(parts + 1)]
-            if parts == 1:
-                sums = [part_sum(0, len(groups))]
-            else:
-                # imported here, as in montecarlo: small blocks never get this far
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=parts) as pool:
-                    sums = list(pool.map(part_sum, cuts[:-1], cuts[1:]))
+            sums = _map_pinned(part_sum, cuts[:-1], cuts[1:])
             if all(acc is not None for acc, _ in sums) and (
                 base + sum(bound for _, bound in sums) < _BATCH_HEADROOM
             ):

@@ -8,7 +8,9 @@ merged, estimated and stored.  ``sketch.EntropySketch`` is the ingest
 accumulator that produces one; its read-side methods convert to a
 ``SketchFile`` and run the rules here, so each rule and check exists
 once.  ``entrosketch estimate`` and ``entrosketch merge`` load sketches
-through this module alone and import no numpy.
+through this module alone and import no numpy.  Since every read path
+loads it, it also holds ``Record``, the frozen-record base of the
+package's value classes, which keeps ``dataclasses`` off those paths.
 
 Binary format (little endian): magic b"ESKV", version u16, k u64,
 zeta f64, master_seed u64, total f64, then k f64 projections.  All
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
 
 MAGIC = b"ESKV"
 FORMAT_VERSION = 1
@@ -43,13 +44,71 @@ LIMIT = 1 << 53  # beyond this, integer counts are no longer exact doubles
 OVERFLOW = "projection accumulator left the exact-double range"
 
 
-@dataclass(frozen=True)
-class SketchConfig:
-    k: int
-    zeta: float = 1.0
-    master_seed: int = 0
+class Record:
+    """Base of the package's small frozen value records, in place of
+    ``dataclasses`` (whose import, with ``inspect``, costs a read-path
+    process about 12 ms).
 
-    def __post_init__(self):
+    A subclass names its fields in ``__slots__``, in constructor order,
+    and gives the defaults of trailing fields in ``_defaults``.  Fields
+    are set by position or keyword, then ``_validate`` runs.  Records
+    compare and hash by their field values, equal only to a record of
+    the same class; the repr is ``Name(field=value, ...)``; assigning or
+    deleting a field raises AttributeError.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self.__slots__
+        given = dict(zip(fields, args))
+        if len(args) > len(fields) or not given.keys().isdisjoint(kwargs) or (
+            not set(kwargs) <= set(fields)
+        ):
+            raise TypeError(f"{name}() takes the fields {', '.join(fields)}, each at most once")
+        values = {**self._defaults, **given, **kwargs}
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() missing {', '.join(missing)}")
+        for field in fields:
+            object.__setattr__(self, field, values[field])
+        self._validate()
+
+    def _validate(self) -> None:
+        """Raise if the field values are invalid; called by ``__init__``."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, field, value):
+        raise AttributeError(f"cannot assign to field {field!r}")
+
+    def __delattr__(self, field):
+        raise AttributeError(f"cannot delete field {field!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ leaves the only way in
+        return type(self), self._values()
+
+
+class SketchConfig(Record):
+    __slots__ = ("k", "zeta", "master_seed")
+    _defaults = {"zeta": 1.0, "master_seed": 0}
+
+    def _validate(self):
         if not _is_int(self.k) or self.k < 1:
             raise ValueError("k must be a positive integer")
         # an int zeta must also convert to a finite double
@@ -83,13 +142,14 @@ def _number(value) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class SketchFile:
-    """The sketch value: config, projections and total in units of ``QUANTUM``."""
+class SketchFile(Record):
+    """The sketch value: config, projections and total in units of ``QUANTUM``.
 
-    config: SketchConfig
-    scaled: tuple[int, ...]
-    scaled_total: int
+    Fields: ``config`` (a ``SketchConfig``), ``scaled`` (a tuple of k
+    ints) and ``scaled_total`` (an int).
+    """
+
+    __slots__ = ("config", "scaled", "scaled_total")
 
     @property
     def total(self) -> float:

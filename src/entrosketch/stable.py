@@ -12,15 +12,20 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+import threading
 
 import numpy as np
+
+from .sketchfile import Record
 
 HALF_PI = math.pi / 2
 _INV_2_64 = 2.0**-64
 # the largest double below 1, where the open-unit map (word + 0.5) * 2^-64
 # puts word 2^64 - 2^11; the words above it, which would round to 1.0, go there too
 _BELOW_ONE = 1.0 - 2.0**-53
+# the smallest positive u + pi/2 of any word, from word 512 on; words 0-511
+# give u = -pi/2 exactly, so sample_positive_stable clamps their U up to it
+_U_MIN = 2.0**-52
 
 # G(x;0) in the four-parameter convention used throughout this package:
 # cf = exp(gamma*(-|th| - i*th*beta*(2/pi)*log|th|) + i*delta*th)
@@ -30,14 +35,10 @@ G0_GAMMA = HALF_PI
 G0_DELTA = 0.0
 
 
-@dataclass(frozen=True)
-class StableParams:
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
+class StableParams(Record):
+    __slots__ = ("alpha", "beta", "gamma", "delta")
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must be in (0, 2]")
         if not -1.0 <= self.beta <= 1.0:
@@ -49,14 +50,12 @@ class StableParams:
 G0_PARAMS = StableParams(G0_ALPHA, G0_BETA, G0_GAMMA, G0_DELTA)
 
 
-@dataclass(frozen=True)
-class UniformExpPair:
+class UniformExpPair(Record):
     """One (uniform on (-pi/2, pi/2), standard exponential) input pair."""
 
-    u: float
-    w: float
+    __slots__ = ("u", "w")
 
-    def __post_init__(self):
+    def _validate(self):
         if not -HALF_PI < self.u < HALF_PI:
             raise ValueError("u must lie strictly inside (-pi/2, pi/2)")
         if not self.w > 0.0:
@@ -92,6 +91,47 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _map_pinned(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``, with call i on a thread of its own
+    pinned to allowed CPU i mod n, where n is the number of CPUs this
+    process may run on.
+
+    A lone call runs on the calling thread.  Left to the scheduler, two
+    threads started together often shared one CPU for a whole ingest.
+    Each thread pins only itself (``os.sched_setaffinity(0, ...)`` acts
+    on the calling thread), so the caller's affinity is unchanged; where
+    pinning is missing or refused, the thread runs unpinned.  Every
+    thread is joined before the exception of a call, if any, is raised.
+    """
+    calls = list(zip(*iterables))
+    if len(calls) == 1:
+        return [fn(*calls[0])]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    results: list = [None] * len(calls)
+    errors: list = [None] * len(calls)
+
+    def call(i):
+        if cpus:
+            try:
+                os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+            except OSError:
+                pass
+        try:
+            results[i] = fn(*calls[i])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _open_unit(words: np.ndarray) -> np.ndarray:
@@ -172,13 +212,15 @@ def sample_positive_stable(alpha: float, rng: np.random.Generator, size: int | N
 
     Kanter's representation: Z = (a(U)/W)^((1-alpha)/alpha) with U
     uniform on (0, pi) and W standard exponential; evaluated in log
-    space because the a(U) factors overflow as alpha -> 1.
+    space because the a(U) factors overflow as alpha -> 1.  U is
+    clamped to at least ``_U_MIN``, its smallest positive value, so the
+    u words below 512, which give U = 0 and log sin 0, give a finite Z.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     n = 1 if size is None else int(size)
     u, w = _draw_uniform_exp(rng, n)
-    u = u + HALF_PI  # uniform on (0, pi)
+    u = np.maximum(u + HALF_PI, _U_MIN)  # uniform on (0, pi)
     log_a = (
         np.log(np.sin((1.0 - alpha) * u))
         + (alpha / (1.0 - alpha)) * np.log(np.sin(alpha * u))

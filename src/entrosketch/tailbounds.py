@@ -13,7 +13,8 @@ to the estimator *without* the small-sample bias correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .sketchfile import Record
 
 _E_INV = math.exp(-1.0)
 _MAX_TERMS = 50_000
@@ -23,20 +24,13 @@ _MAX_TERMS = 50_000
 _EDGE = 1.0 - 5e-3
 
 
-@dataclass(frozen=True)
-class SeriesDomain:
-    zeta: float
-    t_max: float  # math.inf for zeta < 1, 1/e for zeta = 1
+class SeriesDomain(Record):
+    # t_max is math.inf for zeta < 1, 1/e for zeta = 1
+    __slots__ = ("zeta", "t_max")
 
 
-@dataclass(frozen=True)
-class TailBoundResult:
-    g_right: float
-    g_left: float
-    t_star_right: float
-    t_star_left: float
-    zeta: float
-    epsilon: float
+class TailBoundResult(Record):
+    __slots__ = ("g_right", "g_left", "t_star_right", "t_star_left", "zeta", "epsilon")
 
 
 def series_domain(zeta: float) -> SeriesDomain:

@@ -8,6 +8,25 @@ import pytest
 from entrosketch import stable
 
 
+def pytest_terminal_summary(terminalreporter):
+    """Print the acceptance criteria's verdict lines, in criterion order.
+
+    ``test_acceptance.report`` prints each to its test's captured stdout,
+    which pytest shows only for a failed test."""
+    lines = sorted(
+        line
+        for reports in terminalreporter.stats.values()
+        for report in reports
+        if getattr(report, "when", None) == "call"
+        for line in report.capstdout.splitlines()
+        if line.startswith("criterion ")
+    )
+    if lines:
+        terminalreporter.section("acceptance criteria")
+        for line in lines:
+            terminalreporter.write_line(line)
+
+
 @pytest.fixture(scope="session")
 def shipped_bias_rows():
     """{(k, zeta): (bc, std_error)} from the Monte Carlo reference table

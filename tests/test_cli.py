@@ -518,12 +518,17 @@ class TestBench:
         assert not out.exists()
 
 
-def modules_after(code: str) -> set:
-    """Names in sys.modules after a fresh interpreter runs ``code``."""
+def _child_env() -> dict:
+    """This environment, with the package's ``src`` first on PYTHONPATH."""
     src_root = str(Path(entrosketch.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def modules_after(code: str) -> set:
+    """Names in sys.modules after a fresh interpreter runs ``code``."""
     probe = code + "\nimport sys\nsys.stderr.write('\\n' + ' '.join(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, check=True)
     return set(proc.stderr.splitlines()[-1].split())
 
@@ -542,7 +547,7 @@ class TestImportGraph:
             "from entrosketch.cli import main\n"
             "assert main(['size', '--epsilon', '0.1', '--gamma', '0.05']) == 0")
         assert "entrosketch.tailbounds" in modules
-        assert "numpy" not in modules
+        assert not {"numpy", "dataclasses", "inspect"} & modules
 
     def test_ingest_loads_only_its_modules(self, tmp_path):
         # 3 distinct items at k=64 are far below the threading threshold
@@ -565,7 +570,8 @@ class TestImportGraph:
             f"assert main(['estimate', {_sketch_file(tmp_path, 's.bin', 64)!r}]) == 0")
         assert {m for m in modules if m.startswith("entrosketch")} == {
             "entrosketch", "entrosketch.cli", "entrosketch.sketchfile", "entrosketch.estimator"}
-        assert not {"numpy", "json", "csv", "logging", "concurrent.futures"} & modules
+        assert not {"numpy", "json", "csv", "logging", "concurrent.futures",
+                    "dataclasses", "inspect"} & modules
 
     def test_merge_loads_no_numpy(self, tmp_path):
         a = _sketch_file(tmp_path, "a.bin", 64)
@@ -574,7 +580,7 @@ class TestImportGraph:
             f"assert main(['merge', {a!r}, {a!r}, '--output', {str(tmp_path / 'm.bin')!r}]) == 0")
         assert {m for m in modules if m.startswith("entrosketch")} == {
             "entrosketch", "entrosketch.cli", "entrosketch.sketchfile"}
-        assert not {"numpy", "json"} & modules
+        assert not {"numpy", "json", "dataclasses", "inspect"} & modules
 
     @pytest.mark.parametrize("k, zeta, flags", [
         pytest.param(64, 1.0, ["--bc-mode", "mc"], id="bc-mode-mc"),
@@ -593,6 +599,58 @@ class TestImportGraph:
             f"assert log.getvalue() == {expected!r}, log.getvalue()")
         assert {"numpy", "entrosketch.montecarlo", "entrosketch.stable"} <= modules
         assert "entrosketch.sketch" not in modules
+
+
+def cli_process(args, stdout=subprocess.PIPE):
+    """``python -m entrosketch.cli args`` with stdout a block-buffered pipe,
+    as in a shell pipeline (PYTHONUNBUFFERED is dropped): output that the
+    process did not flush before exiting is lost."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "entrosketch.cli", *args], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+class TestProcessExit:
+    """The program exits through ``cli.run``: flush, then ``os._exit``."""
+
+    def test_every_line_reaches_a_pipe(self, tmp_path, capsys):
+        # each line and file equals what an in-process main() prints and writes
+        stream = write_stream(tmp_path, "s.csv", [f"it{i * 7 % 13},{1 + i % 3}" for i in range(40)])
+        a, b, m = (str(tmp_path / name) for name in ("a.bin", "b.bin", "m.bin"))
+        flows = [
+            ["ingest", "--input", stream, "--output", a, "--k", "64", "--seed", "7"],
+            ["ingest", "--input", stream, "--output", b, "--k", "64", "--seed", "8"],
+            ["estimate", a],
+            ["merge", a, a, "--output", m],
+            ["size", "--epsilon", "0.1", "--gamma", "0.05"],
+            ["oracle", "--input", stream],
+        ]
+        for args in flows:
+            proc = cli_process(args)
+            files = {path: Path(path).read_bytes() for path in (a, b, m) if Path(path).exists()}
+            assert main(args) == 0
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+            assert proc.stdout
+            assert {path: Path(path).read_bytes() for path in files} == files
+        assert len(files) == 3
+
+    def test_error_exits_1_and_bad_flag_exits_2(self, tmp_path):
+        proc = cli_process(["estimate", str(tmp_path / "missing.bin")])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert re.fullmatch(r"error: \[Errno 2\] .*missing\.bin'\n", proc.stderr)
+        proc = cli_process(["size", "--epsilon", "0.1", "--gamma", "0.05", "--bogus"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.endswith("error: unrecognized arguments: --bogus\n")
+
+    def test_closed_pipe_is_an_error(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cli_process(["size", "--epsilon", "0.1", "--gamma", "0.05"], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def _sketch_file(tmp_path, name, k, zeta=1.0):

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import os
 import sys
 import tracemalloc
 import warnings
@@ -143,6 +144,16 @@ class TestBiasCorrection:
         est = bias_correction(10, 1.0, reps=2000, seed=3)
         assert sum(coarse_open_unit) > 0
         _assert_same_bits(est, _whole_chunks(10, 1.0, 2000, 3, chunk_samples=400))
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+    def test_blocks_run_on_pinned_threads(self, monkeypatch):
+        pins = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 6})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pins.append(set(mask)))
+        monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 64)
+        est = bias_correction(10, 1.0, reps=2000, seed=3)
+        assert sorted(pins, key=min) == [{4}, {6}]  # one chunk, in two parts
+        _assert_same_bits(est, _whole_chunks(10, 1.0, 2000, 3))
 
     def test_memory_is_bounded_by_blocks(self):
         # drawing each chunk whole peaked at about 155 MiB here

@@ -6,8 +6,10 @@ are not tolerance checks.
 """
 
 import json
+import os
 import struct
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -430,6 +432,49 @@ class TestUpdateMany:
         with pytest.raises(MemoryError, match="part failed"):
             s.update_many(_mixed_updates(9, 3))
         assert s.to_bytes() == before and s._bound == bound
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+class TestPinnedParts:
+    """Each part of a split block runs on a thread pinned to its own CPU."""
+
+    def _pins(self, monkeypatch, cpus, refuse=False):
+        pins = []
+
+        def set_affinity(pid, mask):
+            pins.append((pid, threading.current_thread(), set(mask)))
+            if refuse:
+                raise OSError("refused")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
+        monkeypatch.setattr(sketch_mod, "_THREAD_VARIATES", 1)
+        return pins
+
+    @pytest.mark.parametrize("refuse", [False, True], ids=["pinned", "refused"])
+    def test_parts_get_distinct_cpus(self, monkeypatch, refuse):
+        updates = _mixed_updates(9, 3)
+        ref = _loop(updates, 16).to_bytes()
+        pins = self._pins(monkeypatch, {3, 5}, refuse)
+        assert new_sketch(k=16).update_many(updates).to_bytes() == ref
+        # one block of two parts: each on a thread of its own, pinning only itself
+        assert sorted(mask for _, _, mask in pins) == [{3}, {5}]
+        assert {pid for pid, _, _ in pins} == {0}
+        threads = {thread for _, thread, _ in pins}
+        assert len(threads) == 2 and threading.current_thread() not in threads
+
+    def test_more_parts_than_cpus_wrap_around(self, monkeypatch):
+        pins = self._pins(monkeypatch, {2, 7})
+        monkeypatch.setattr(sketch_mod, "_worker_count", lambda: 5)
+        new_sketch(k=16).update_many(_mixed_updates(9, 3))
+        assert sorted(min(mask) for _, _, mask in pins) == [2, 2, 2, 7, 7]
+
+    def test_callers_affinity_is_unchanged(self, monkeypatch):
+        before = os.sched_getaffinity(0)
+        _split_blocks(monkeypatch, 2)
+        updates = _mixed_updates(9, 3)
+        assert new_sketch(k=16).update_many(updates).to_bytes() == _loop(updates, 16).to_bytes()
+        assert os.sched_getaffinity(0) == before
 
 
 class TestTurnstile:

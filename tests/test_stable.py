@@ -179,6 +179,17 @@ class TestOpenUnitClamp:
             assert np.all(np.isfinite(z)) and np.all(z > 0)
 
 
+class TestPositiveStableBottomWords:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.99])
+    def test_u_words_below_512_take_the_smallest_positive_u(self, alpha):
+        # words 0-511 give U = u + pi/2 = 0 exactly, where log sin U is -inf;
+        # they are clamped to 2^-52, the U of words 512 to 1023
+        w = [2**63, 12345]
+        z = sample_positive_stable(alpha, _FixedWords([0, 0], w), 2)
+        assert np.all(np.isfinite(z)) and np.all(z > 0)
+        assert z.tolist() == sample_positive_stable(alpha, _FixedWords([1023, 1023], w), 2).tolist()
+
+
 class TestYAlpha:
     def test_mgf_matches_monte_carlo(self):
         alpha = 0.5
