@@ -10,7 +10,9 @@ Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
 ``estimate`` and ``merge`` read sketch files through the stdlib-only
 ``sketchfile``; only ``ingest``, ``oracle``, ``bench`` and a Monte Carlo
-bias correction load numpy.  A bad value, an overflow, a file error or
+bias correction load numpy.  Before that, ``main`` sets
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where the caller
+left them unset.  A bad value, an overflow, a file error or
 an allocation too large for memory prints ``error: ...`` and exits 1.
 
 The program's entry point is ``run``: ``python -m entrosketch.cli`` and
@@ -186,6 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # one BLAS thread unless the caller set a count: ingest's dot products
+    # are small and the CLI runs its own threads, while starting OpenBLAS's
+    # pool costs every numpy-loading process tens of milliseconds
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     try:
         code = args.fn(args)

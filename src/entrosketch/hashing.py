@@ -5,15 +5,9 @@ G(x;0) by feeding a counter-based 64-bit hash stream (splitmix64 over a
 keyed index) into the stable sampler.  The mapping is a pure function of
 (item bytes, row, master seed).  No per-item state is needed; a sketch
 may memoize an item's variates, but that never changes them.
-
-Sketches built from the same seed merge exactly in practice, not by
-construction: a variate's last bits depend on which SIMD loops numpy
-picks for tan, cos and log, so another CPU or numpy version can change
-them, and nothing detects it.  On numpy 2.4 with AVX-512, disabling the
-AVX512_SPR, AVX512_ICL and X86_V4 loops (``NPY_DISABLE_CPU_FEATURES``)
-changed 416 to 453 of 102,400 variates (two key sets), by at most
-2.6e-14 relative; no grid increment ``rint(v * delta * 2^16)`` changed
-for |delta| <= 10^6.
+``item_key`` hashes one item (FNV-1a over its UTF-8 bytes, then
+splitmix64 with the seed); ``item_keys`` gives the same keys for many
+items at once.
 
 The sketch's variates come from one vectorized numpy routine,
 ``_variates_into`` (many keys, all k rows, one ufunc pass at a time into
@@ -21,8 +15,34 @@ given arrays).  ``VariateWorkspace.variates``, the one many-key entry
 point, runs it in arrays that each call reuses; ``variates_np`` is the
 one-key case in fresh arrays, and ``accumulate_np`` adds
 ``rint(v * delta * 2^16)`` of it to a fixed-point sketch.  The routine
-uses the arithmetic of ``stable``'s sampler (open-unit mapping, G(x;0)
-formula).  It defines the sketch's bits.
+defines the sketch's bits.  With u = (u01 - 0.5) * pi from a row's first
+word and w01 from its second, it computes, in this order,
+
+    t = tan u,  c = u - pi/2,  b = log(w01) = -w,
+    X = log(b / (sqrt(t*t + 1) * c)) - c*t.
+
+That is the G(x;0) sampler (pi/2 - u) tan u + log(w cos u / (pi/2 - u))
+of ``stable`` with cos u = 1/sqrt(1 + tan^2 u), which holds on
+(-pi/2, pi/2).  Both sign flips are exact, so no pass negates.
+
+Sketches built from the same seed merge exactly in practice, not by
+construction: a variate's last bits depend on which SIMD loops numpy
+picks for tan and log, so another CPU or numpy version can change them,
+and nothing detects it.  Measured on numpy 2.4 with AVX-512 over
+9,643,950 variates (the keys of "item0" ... "item4349" at seed 7,
+k=2217):
+
+* Disabling the AVX512_SPR, AVX512_ICL and X86_V4 loops
+  (``NPY_DISABLE_CPU_FEATURES``) changed 0.45% of the variates, by at
+  most 3.6e-12 absolute and 7.6e-16 relative.  No grid increment
+  ``rint(v * delta * 2^16)`` changed for |delta| <= 123456, and 4
+  changed at delta = 10^6.  The cos form gave 0.45%, 3.6e-12 and
+  6.7e-16, and the same increments.
+* This kernel differs from the cos form (``stable._g0``, which the
+  Monte Carlo sampler keeps) in 27.6% of the variates, by at most
+  2.3e-13 absolute and 6.7e-16 relative.  No grid increment changed for
+  |delta| <= 1000; 6 changed at delta = 123456 and 51 at delta = 10^6.
+  No byte of a sketch that the tests or CI pin changed.
 
 Row ``row`` of an item reads hash words 2*row and 2*row + 1, and nothing
 else.  Each maps into (0, 1) as min((word + 0.5) * 2^-64, 1 - 2^-53).
@@ -34,26 +54,30 @@ stream; the clamp changes a variate with probability about 2^-53, far
 below the cross-CPU drift above.
 
 ``variate_from_key`` is the scalar reference: the same hash words,
-clamp and formula, evaluated with ``math.tan``/``math.log``
-where the numpy routine uses numpy's CPU-dispatched SIMD
-``np.tan``/``np.log``.  The two agree within rounding, not bit for bit:
-on numpy 2.4 with AVX-512, about 0.3% of variates differ, by at most
-64 ulp over 100 keys x 256 rows.
+clamp and arithmetic in the same order, with ``math.tan``, ``math.sqrt``
+and ``math.log`` where the numpy routine uses numpy's CPU-dispatched
+SIMD loops.  sqrt is correctly rounded everywhere, so only tan and log
+can differ.  On numpy 2.4 with AVX-512, 0.45% of 221,700 variates
+(100 keys x 2217 rows) differ, by at most 1.2e-13 absolute and 4.5e-16
+relative.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 from functools import lru_cache
 
 import numpy as np
 
-from .stable import _BELOW_ONE, _INV_2_64, HALF_PI, g0_from_uniform_exp
+from .stable import _BELOW_ONE, _INV_2_64, HALF_PI
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# item_keys finishes in the scalar loop once fewer items than this are hashing
+_VECTOR_ITEMS = 32
 
 
 def mix64(x: int) -> int:
@@ -67,8 +91,8 @@ def mix64(x: int) -> int:
     return x
 
 
-def fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
+def fnv1a64(data: bytes, h: int = _FNV_OFFSET) -> int:
+    """FNV-1a over ``data``, continued from the running hash ``h``."""
     for b in data:
         h ^= b
         h = (h * _FNV_PRIME) & MASK64
@@ -87,6 +111,40 @@ def item_key(item: bytes | str, master_seed: int) -> int:
     return mix64(fnv1a64(item) ^ _seed_word(master_seed))
 
 
+def item_keys(items, master_seed: int) -> np.ndarray:
+    """``item_key`` of every item, as uint64, bit for bit.
+
+    FNV-1a runs over the items' UTF-8 bytes one byte position at a time,
+    for all items still hashing in one numpy pass.  The items are sorted
+    by length, longest first, so those still hashing at a position are a
+    prefix.  Memory is O(total item bytes).  Once fewer than
+    ``_VECTOR_ITEMS`` items are left, each finishes in the scalar loop
+    from its running hash, so one very long item costs what ``item_key``
+    costs.
+    """
+    data = [item.encode("utf-8") if isinstance(item, str) else item for item in items]
+    flat = np.frombuffer(b"".join(data), dtype=np.uint8)
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    lengths = lengths[order]
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    # position j has actives[j] items with more than j bytes, at least _VECTOR_ITEMS
+    steps = int(lengths[_VECTOR_ITEMS - 1]) if len(data) >= _VECTOR_ITEMS else 0
+    actives = np.searchsorted(-lengths, -np.arange(steps), side="left").tolist()
+    prime = np.uint64(_FNV_PRIME)
+    for j, active in enumerate(actives):
+        h[:active] ^= flat[starts[:active] + j]
+        h[:active] *= prime
+    for i in range(int(np.count_nonzero(lengths > steps))):
+        h[i] = fnv1a64(data[order[i]][steps:], int(h[i]))
+    keys = np.empty_like(h)
+    keys[order] = h
+    keys ^= np.uint64(_seed_word(master_seed))
+    _mix64_into(keys, h)
+    return keys
+
+
 def hash_word(key: int, n: int) -> int:
     """n-th 64-bit word of the counter-based stream keyed by ``key``."""
     return mix64((key + (n & MASK64) * GOLDEN) & MASK64)
@@ -103,11 +161,14 @@ def open_unit(word: int) -> float:
 
 
 def variate_from_key(key: int, row: int, k: int) -> float:
-    """Scalar (libm) reference for row ``row`` of ``variates_np(key, k)``, within rounding."""
+    """Scalar (libm) reference for row ``row`` of ``variates_np(key, k)``:
+    the kernel's arithmetic, one operation at a time in its order."""
     u01, w01 = map(open_unit, uniform_exp_words(key, row))
-    u = np.pi * (u01 - 0.5)
-    w = -np.log(w01)
-    return g0_from_uniform_exp(u, w)
+    u = (u01 - 0.5) * math.pi
+    b = math.log(w01)  # -w
+    t = math.tan(u)
+    c = u - HALF_PI
+    return math.log(b / (math.sqrt(t * t + 1.0) * c)) - c * t
 
 
 # vectorized (numpy) variates: the one implementation the sketch uses
@@ -173,16 +234,17 @@ def _g0_from_words(xu, xw, tmp, a, b, c, out):
         _open_unit_into(x, tmp, unit)
     a -= 0.5
     a *= np.pi  # u
-    np.log(b, out=b)
-    np.negative(b, out=b)  # w
-    np.subtract(HALF_PI, a, out=c)  # pi/2 - u
-    np.tan(a, out=out)
-    out *= c
-    np.cos(a, out=a)
-    b *= a
-    b /= c
-    np.log(b, out=b)
-    out += b
+    np.log(b, out=b)  # -w
+    np.tan(a, out=out)  # t
+    np.subtract(a, HALF_PI, out=c)  # u - pi/2
+    np.multiply(out, c, out=a)  # (u - pi/2) t
+    out *= out
+    out += 1.0
+    np.sqrt(out, out=out)
+    out *= c  # (u - pi/2) / cos u
+    np.divide(b, out, out=b)  # w cos u / (pi/2 - u)
+    np.log(b, out=out)
+    out -= a
 
 
 def _scratch(n: int) -> list[np.ndarray]:

@@ -33,8 +33,9 @@ uncached updates give the same bits.  ``update_many`` is the batch entry
 point for streams; ``sketch_stream`` and ``entrosketch ingest`` both use
 it.  It cuts the stream into blocks of ``_STREAM_BLOCK`` raw
 ``(item, delta)`` pairs, counts equal pairs, hashes each distinct item of
-a block once and adds ``count * increment`` per pair, again bitwise
-equal to one ``update`` per pair.  Its cost scales with the distinct
+a block once, all in one ``hashing.item_keys`` call, and adds
+``count * increment`` per pair, again bitwise equal to one ``update`` per
+pair.  Its cost scales with the distinct
 items per block, not with the number of updates.  The variates are
 computed in a reused ``hashing.VariateWorkspace``, ``_BATCH_VARIATES``
 at a time, and a block of at least 2 * ``_THREAD_VARIATES`` variates is
@@ -44,6 +45,17 @@ unpinned threads were often scheduled on one CPU for a whole ingest.
 Integer sums are exact, so the bytes do not depend on the split:
 ``taskset -c 0`` gives serial ingest with the same bytes.  A block that
 comes near the 2^53 limit is replayed through ``update``.
+
+The batch sums are float64, and exact.  ``_part_sum`` adds
+``count * rint(v * delta * 2^16)`` in float64 (``c @ rint(scaled)``, one
+BLAS call per ``_BATCH_VARIATES`` variates) and casts to int64 once.  It
+stops as soon as its bound, a sum of ``count * (|v * delta * 2^16| + 1)``,
+reaches its limit, which is at most 2^52.  Below it every term and every
+partial sum is an integer no larger in magnitude than the bound, so each
+is an exact double and any summation order gives the same integers.
+Scaling ``v * (delta * 2^16)`` equals ``(v * delta) * 2^16`` bit for bit,
+since a power-of-two factor commutes with rounding (short of underflow,
+which only values far below one grid step reach).
 
 Every state change commits fully or raises with the sketch unchanged.
 An update checks its increment against the 2^53 limit in float before
@@ -60,7 +72,7 @@ from functools import partial
 
 import numpy as np
 
-from .hashing import VariateWorkspace, _mapped_words, item_key, variates_np
+from .hashing import VariateWorkspace, _mapped_words, item_key, item_keys, variates_np
 from .sketchfile import FORMAT_VERSION  # noqa: F401  (the benchmark reads sketch.FORMAT_VERSION)
 from .sketchfile import (
     LIMIT,
@@ -193,27 +205,28 @@ class EntropySketch:
         if not counts:
             return
         k, seed = self.config.k, self.config.master_seed
-        key_of = {item: item_key(item, seed) for item in {item for item, _ in counts}}
-        groups = sorted(counts, key=lambda pair: key_of[pair[0]])
-        c = np.array([counts[pair] for pair in groups], dtype=np.int64)
-        d = np.array([delta for _, delta in groups], dtype=np.float64)
+        index: dict[bytes | str, int] = {}
+        for item, _ in counts:
+            index.setdefault(item, len(index))
+        keys = item_keys(list(index), seed)[[index[item] for item, _ in counts]]
+        order = np.argsort(keys, kind="stable")
+        c = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[order]
+        d = np.fromiter((delta for _, delta in counts), dtype=np.float64, count=len(counts))[order]
 
         total_inc = np.rint(d * SCALE)
         if abs(self._scaled_total) + float(np.abs(total_inc) @ c) < _BATCH_HEADROOM:
             base = float(np.abs(self._scaled).max())
-            distinct, where = np.unique(
-                np.array([key_of[item] for item, _ in groups], dtype=np.uint64),
-                return_inverse=True,
-            )
+            distinct, where = np.unique(keys[order], return_inverse=True)
             part_sum = partial(_part_sum, k, distinct, where, d, c, _BATCH_HEADROOM - base)
-            parts = max(1, min(_worker_count(), len(groups), len(groups) * k // _THREAD_VARIATES))
-            cuts = [len(groups) * i // parts for i in range(parts + 1)]
+            parts = max(1, min(_worker_count(), len(counts), len(counts) * k // _THREAD_VARIATES))
+            cuts = [len(counts) * i // parts for i in range(parts + 1)]
             sums = _map_pinned(part_sum, cuts[:-1], cuts[1:])
             if all(acc is not None for acc, _ in sums) and (
                 base + sum(bound for _, bound in sums) < _BATCH_HEADROOM
             ):
                 self._scaled += sum(acc for acc, _ in sums)
-                self._scaled_total += int(total_inc.astype(np.int64) @ c)
+                # below the headroom every partial sum is an exact double
+                self._scaled_total += int(total_inc @ c)
                 self._bound = int(np.abs(self._scaled).max())
                 return
         # near the limit: the update() loop itself, so it fails where that loop fails
@@ -277,34 +290,36 @@ def _part_sum(k, distinct, where, d, c, limit, start, stop):
     sum of ``c * (max |v * d * 2^16| + 1)``.
 
     The variates are computed in one ``VariateWorkspace``, for at most
-    ``_BATCH_VARIATES`` variates of groups at a time.  Once the bound
-    reaches ``limit``, acc is None: the sum stops before any cast to
-    int64 could overflow.
+    ``_BATCH_VARIATES`` variates of groups at a time.  Groups that are the
+    call's keys in order (every all-distinct block) are scaled in the
+    workspace's output; others are gathered first.  Once the bound
+    reaches ``limit``, acc is None: the sum stops there.  Below it, every
+    term and partial sum is an integer of magnitude at most the bound, so
+    below 2^53, and the float64 sums (``c @ rint(...)``, a BLAS call) are
+    exact in any order; one cast at the end gives the int64 sum.
     """
     per = max(1, _BATCH_VARIATES // k)
     rows = min(per, stop - start)
     workspace = VariateWorkspace(k, rows)
-    words = _mapped_words(rows * k, 2)
-    scaled_buf = words[0].view(np.float64).reshape(rows, k)
-    ints_buf = words[1].view(np.int64).reshape(rows, k)
-    acc = np.zeros(k, dtype=np.int64)
+    gather_buf = _mapped_words(rows * k, 1)[0].view(np.float64).reshape(rows, k)
+    ds = d[:, None] * SCALE  # v * (d * 2^16) is (v * d) * 2^16: scaling by 2^16 is exact
+    acc = np.zeros(k)
     bound = 0.0
     for lo in range(start, stop, per):
         hi = min(lo + per, stop)
         first, last = where[lo], where[hi - 1]
-        v = workspace.variates(distinct[first : last + 1])
-        scaled = np.take(v, where[lo:hi] - first, axis=0, out=scaled_buf[: hi - lo], mode="clip")
-        scaled *= d[lo:hi, None]
-        scaled *= SCALE
+        scaled = workspace.variates(distinct[first : last + 1])
+        if last - first != hi - lo - 1:  # some key has several groups
+            scaled = np.take(scaled, where[lo:hi] - first, axis=0, out=gather_buf[: hi - lo],
+                             mode="clip")
+        scaled *= ds[lo:hi]
         peak = np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
         bound += float(peak @ c[lo:hi]) + float(c[lo:hi].sum())
         if not bound < limit:
             return None, bound
         np.rint(scaled, out=scaled)
-        ints = ints_buf[: hi - lo]
-        np.copyto(ints, scaled, casting="unsafe")
-        acc += c[lo:hi] @ ints
-    return acc, bound
+        acc += c[lo:hi] @ scaled
+    return acc.astype(np.int64), bound
 
 
 def new_sketch(k: int, zeta: float = 1.0, master_seed: int = 0) -> EntropySketch:

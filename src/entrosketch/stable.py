@@ -82,7 +82,10 @@ def cms_transform(pair: UniformExpPair, params: StableParams) -> float:
 
 
 def g0_from_uniform_exp(u: float, w: float) -> float:
-    """cms_transform specialized to G(x;0); the sketch's hot formula."""
+    """cms_transform specialized to G(x;0), with cos u; ``_g0`` is its numpy form.
+
+    The sketch's variates (``hashing``) write cos u as 1/sqrt(1 + tan^2 u)
+    instead, which moves a variate only in its last bits."""
     return (HALF_PI - u) * math.tan(u) + math.log(w * math.cos(u) / (HALF_PI - u))
 
 

@@ -601,6 +601,36 @@ class TestImportGraph:
         assert "entrosketch.sketch" not in modules
 
 
+class TestBlasThreads:
+    """``main`` holds OpenBLAS and OpenMP at one thread before a subcommand
+    imports numpy, unless the caller set a count."""
+
+    @pytest.mark.parametrize("given, expected", [(None, "1 1"), ("3", "3 3")], ids=["unset", "set"])
+    def test_thread_count_when_numpy_loads(self, tmp_path, given, expected):
+        env = _child_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+            if given is not None:
+                env[var] = given
+        stream = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
+        # an audit hook records the variables at the moment numpy is imported
+        probe = (
+            "import os, sys\n"
+            "seen = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'import' and args[0] == 'numpy' and not seen:\n"
+            "        seen.append(' '.join(os.environ.get(v, '-') for v in "
+            "('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')))\n"
+            "sys.addaudithook(hook)\n"
+            "from entrosketch.cli import main\n"
+            f"assert main(['ingest', '--input', {stream!r}, '--output', "
+            f"{str(tmp_path / 's.bin')!r}, '--k', '8']) == 0\n"
+            "sys.stderr.write(seen[0])")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stderr == expected
+
+
 def cli_process(args, stdout=subprocess.PIPE):
     """``python -m entrosketch.cli args`` with stdout a block-buffered pipe,
     as in a shell pipeline (PYTHONUNBUFFERED is dropped): output that the

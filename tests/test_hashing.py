@@ -1,6 +1,7 @@
 """Counter-based hashing: every variate is a pure function of (item, seed, row)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from entrosketch.hashing import (
     fnv1a64,
     hash_word,
     item_key,
+    item_keys,
     mix64,
     open_unit,
     uniform_exp_words,
@@ -29,10 +31,9 @@ U64 = 1 << 64
 WIDTHS = [1, 2, 7, 16, 17, 200, 256, 2217]
 
 
-def _reference_variates(keys, k):
-    """The variates with one allocating numpy expression per step of
-    ``stable``'s sampler helpers: the arithmetic ``VariateWorkspace`` must
-    reproduce bit for bit, words clamped below 1.0 included."""
+def _unit_pairs(keys, k):
+    """(u01, w01) of every (key, row), shape (len(keys), k): the hash words
+    and ``stable``'s open-unit mapping, one allocating expression per step."""
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
 
     def mix(x):
@@ -46,7 +47,26 @@ def _reference_variates(keys, k):
     row = np.arange(k, dtype=np.uint64)[None, :]
     u01 = stable._open_unit(mix(key + (np.uint64(2) * row) * np.uint64(GOLDEN)))
     w01 = stable._open_unit(mix(key + (np.uint64(2) * row + np.uint64(1)) * np.uint64(GOLDEN)))
-    return stable._g0(*stable._uniform_exp(u01, w01))
+    return u01, w01
+
+
+def _reference_variates(keys, k):
+    """The variates with one allocating numpy expression per step: the
+    arithmetic ``VariateWorkspace`` must reproduce bit for bit, words
+    clamped below 1.0 included.  With c = u - pi/2 and t = tan u,
+    X = log(log(w01) / (c sqrt(1 + t^2))) - c t, which is
+    (pi/2 - u) t + log(w cos u / (pi/2 - u)) for w = -log(w01)."""
+    u01, w01 = _unit_pairs(keys, k)
+    u = (u01 - 0.5) * np.pi
+    t = np.tan(u)
+    c = u - stable.HALF_PI
+    return np.log(np.log(w01) / (np.sqrt(t * t + 1.0) * c)) - c * t
+
+
+def _cos_form_variates(keys, k):
+    """The variates by ``stable``'s Monte Carlo formula, which keeps cos u:
+    the sketch's arithmetic before the cos-free kernel."""
+    return stable._g0(*stable._uniform_exp(*_unit_pairs(keys, k)))
 
 
 def _same_bits(a, b):
@@ -84,6 +104,40 @@ class TestPrimitives:
         assert item_key("abc", 3) == item_key(b"abc", 3)
         assert item_key("abc", 3) != item_key("abd", 3)
         assert item_key("abc", 3) != item_key("abc", 4)
+
+
+class TestItemKeys:
+    """``item_keys`` is ``item_key`` over many items at once, bit for bit."""
+
+    @given(st.lists(st.text(max_size=12) | st.binary(max_size=12), max_size=80),
+           st.integers(min_value=0, max_value=U64 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_item_key(self, items, seed):
+        keys = item_keys(items, seed)
+        assert keys.dtype == np.uint64 and keys.shape == (len(items),)
+        assert keys.tolist() == [item_key(item, seed) for item in items]
+
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 100])
+    def test_edge_items(self, count):
+        # empty items, NULs, non-ASCII text, duplicates in both forms and one
+        # long item, next to short items that keep the vector pass running
+        items = [f"k{i}" for i in range(count)] + [
+            "", b"", "a\x00", b"a\x00", "\x00a", "a\x00b", "\u00e9\u20ac\U0001d11e",
+            "\u00e9".encode("latin-1"), "x", "x", b"x", "long" * 5000]
+        assert item_keys(items, 9).tolist() == [item_key(item, 9) for item in items]
+
+    def test_memory_is_linear_in_item_bytes(self):
+        # one 1 MiB item among 1000 short ones: padding every item to the
+        # longest would take 1 GiB
+        items = [f"item{i}" for i in range(1000)] + ["x" * (1 << 20)]
+        tracemalloc.start()
+        try:
+            keys = item_keys(items, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert int(keys[-1]) == item_key(items[-1], 1)
 
 
 class TestVariates:
@@ -160,6 +214,20 @@ class TestVariates:
         scalar = np.array([[variate_from_key(key, row, k) for row in range(k)] for key in keys])
         scale = np.maximum(np.abs(scalar), 1.0)
         assert np.all(np.abs(many - scalar) <= 1e-12 * scale)
+
+    def test_cos_free_kernel_matches_the_cos_form(self):
+        # the kernel writes cos u as 1/sqrt(1 + tan^2 u), which moves a
+        # variate only in its last bits: over 2^20 variates no grid
+        # increment rint(v * delta * 2^16) of these deltas changes
+        k, keys = 2048, [item_key(f"c{i}", 11) for i in range(512)]
+        workspace = VariateWorkspace(k, 64)
+        for lo in range(0, len(keys), 64):
+            new = workspace.variates(keys[lo : lo + 64])
+            old = _cos_form_variates(keys[lo : lo + 64], k)
+            assert np.all(np.abs(new - old) <= 1e-12 * np.maximum(np.abs(old), 1.0))
+            for delta in (1, -1, 2, 4, 1000):
+                assert np.array_equal(np.rint(new * delta * 65536.0),
+                                      np.rint(old * delta * 65536.0)), delta
 
     def test_rows_are_independent_streams(self):
         key = item_key("a", 0)

@@ -5,6 +5,7 @@ addition is exactly associative and invertible -- the bitwise claims below
 are not tolerance checks.
 """
 
+import hashlib
 import json
 import os
 import struct
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrosketch import sketch as sketch_mod
-from entrosketch.hashing import accumulate_np, item_key, variates_np
+from entrosketch.hashing import accumulate_np, item_key, item_keys, variates_np
 from entrosketch.sketch import (
     CACHE_VARIATES,
     EntropySketch,
@@ -317,11 +318,11 @@ class TestUpdateMany:
     def test_hashes_each_item_once_per_block(self, monkeypatch):
         calls = []
 
-        def counting_item_key(item, seed):
-            calls.append(item)
-            return item_key(item, seed)
+        def counting_item_keys(items, seed):
+            calls.extend(items)
+            return item_keys(items, seed)
 
-        monkeypatch.setattr(sketch_mod, "item_key", counting_item_key)
+        monkeypatch.setattr(sketch_mod, "item_keys", counting_item_keys)
         monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 20)
         updates = _mixed_updates(4, 10)  # 40 updates, 2 blocks of 4 items
         s = new_sketch(k=16).update_many(updates)
@@ -432,6 +433,76 @@ class TestUpdateMany:
         with pytest.raises(MemoryError, match="part failed"):
             s.update_many(_mixed_updates(9, 3))
         assert s.to_bytes() == before and s._bound == bound
+
+
+class TestPartSum:
+    """``_part_sum`` sums in float64, exactly: its bytes are the update loop's."""
+
+    @pytest.mark.parametrize("batch_variates", [16, 3 * 16, 5 * 16, 1 << 16])
+    @pytest.mark.parametrize("repeated", [False, True], ids=["all-distinct", "repeated"])
+    def test_matches_the_update_loop(self, monkeypatch, batch_variates, repeated):
+        # an all-distinct block scales the workspace's output in place; a
+        # block where a key has several (item, delta) groups gathers first,
+        # unless each variate call holds one group (batch_variates == k)
+        monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", batch_variates)
+        takes = []
+        real_take = np.take
+
+        def counting_take(*args, **kwargs):
+            takes.append(1)
+            return real_take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counting_take)
+        updates = (_mixed_updates(13, 3) + [(b"i4", 7.0)] if repeated
+                   else [(f"d{i}", 1.0 + i % 5) for i in range(41)])
+        s = sketch_stream(updates, k=16, master_seed=5)
+        assert bool(takes) == (repeated and batch_variates > 16)
+        assert s.to_bytes() == _loop(updates, 16, seed=5).to_bytes()
+
+    @pytest.mark.parametrize("batch_variates", [16, 3 * 16, 1 << 16])
+    def test_bound_just_under_the_headroom(self, monkeypatch, batch_variates):
+        # terms and partial sums near 2^52: the block's bound comes within
+        # 1e-5 of _BATCH_HEADROOM and it still commits through _part_sum,
+        # not through the update() replay
+        monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", batch_variates)
+        k, seed = 16, 3
+        groups = [(f"i{j}", (-1) ** j * (1 + j / 7), 1 + j % 3) for j in range(7)]
+        vmax = {item: float(np.abs(variates_np(item_key(item, seed), k)).max())
+                for item, _, _ in groups}
+        assert min(vmax.values()) > 1.0  # so the total stays below the headroom
+        worst = sum(count * vmax[item] * abs(d) * 65536.0 for item, d, count in groups)
+        scale = sketch_mod._BATCH_HEADROOM * (1 - 1e-6) / worst
+        updates = [(item, d * scale) for item, d, count in groups for _ in range(count)]
+        results = []
+        real_part_sum = sketch_mod._part_sum
+
+        def recording_part_sum(*args):
+            results.append(real_part_sum(*args))
+            return results[-1]
+
+        monkeypatch.setattr(sketch_mod, "_part_sum", recording_part_sum)
+        s = sketch_stream(updates, k, master_seed=seed)
+        assert len(results) == 1 and results[0][0] is not None
+        assert 1 - 1e-5 < results[0][1] / sketch_mod._BATCH_HEADROOM < 1
+        assert np.abs(s._scaled).max() > 2**50
+        assert s.to_bytes() == _loop(updates, k, seed=seed).to_bytes()
+
+
+class TestGoldenBytes:
+    """Sketch bytes pinned before the cos-free kernel, the float64 sums and
+    the batch item keys: the three changed no byte of these sketches."""
+
+    def test_all_distinct_stream(self):
+        # the console-script check's stream: 2000 distinct lines at k=2217
+        s = sketch_stream([(f"item{i}", 1) for i in range(1, 2001)], 2217, master_seed=7)
+        assert hashlib.sha256(s.to_bytes()).hexdigest() == (
+            "d83537c85e47640d7e96b288eaf0a59d711b553c706ddb2baa9f130ce489d927")
+
+    def test_repeated_item_stream(self):
+        updates = [(f"r{i % 37}", (-1, 1, 2, 3, 4)[i % 5]) for i in range(3000)]
+        s = sketch_stream(updates, 200, master_seed=7)
+        assert hashlib.sha256(s.to_bytes()).hexdigest() == (
+            "77286d638acd20f1725df281ed80e484b231135da2fa5e53554cea3a83ae45cb")
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
