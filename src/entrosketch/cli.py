@@ -87,10 +87,9 @@ def cmd_merge(args) -> int:
 
 
 def cmd_size(args) -> int:
-    from .tailbounds import required_sketch_size, tail_constants
+    from .tailbounds import _size_and_bounds
 
-    k = required_sketch_size(args.epsilon, args.gamma, args.zeta)
-    bounds = tail_constants(args.zeta, args.epsilon)
+    k, bounds = _size_and_bounds(args.epsilon, args.gamma, args.zeta)
     print(f"k={k}")
     print(f"g_right={_g(bounds.g_right)}")
     print(f"g_left={_g(bounds.g_left)}")

@@ -1,4 +1,4 @@
-"""Deterministic item -> projection-variate mapping.
+"""Deterministic item -> projection-variate mapping, and the one G(x;0) formula.
 
 Every distinct item gets k stationary draws from the skewed stable law
 G(x;0) by feeding a counter-based 64-bit hash stream (splitmix64 over a
@@ -15,15 +15,21 @@ given arrays).  ``VariateWorkspace.variates``, the one many-key entry
 point, runs it in arrays that each call reuses; ``variates_np`` is the
 one-key case in fresh arrays, and ``accumulate_np`` adds
 ``rint(v * delta * 2^16)`` of it to a fixed-point sketch.  The routine
-defines the sketch's bits.  With u = (u01 - 0.5) * pi from a row's first
-word and w01 from its second, it computes, in this order,
+defines the sketch's bits.  Row ``row`` of an item reads hash words
+2*row and 2*row + 1, maps each into (0, 1) (``_open_unit_into``), and
+hands the two units to ``_g0_from_units``, the float tail.  With
+u = (u01 - 0.5) * pi from the first unit and w01 the second, it
+computes, in this order,
 
     t = tan u,  c = u - pi/2,  b = log(w01) = -w,
     X = log(b / (sqrt(t*t + 1) * c)) - c*t.
 
-That is the G(x;0) sampler (pi/2 - u) tan u + log(w cos u / (pi/2 - u))
-of ``stable`` with cos u = 1/sqrt(1 + tan^2 u), which holds on
-(-pi/2, pi/2).  Both sign flips are exact, so no pass negates.
+That is the Chambers-Mallows-Stuck G(x;0) sampler
+(pi/2 - u) tan u + log(w cos u / (pi/2 - u)) with
+cos u = 1/sqrt(1 + tan^2 u), which holds on (-pi/2, pi/2).  Both sign
+flips are exact, so no pass negates.  The Monte Carlo sampler
+(``stable.sample_g0``) runs the same two steps on Philox words, so the
+package has one formula for the law.
 
 Sketches built from the same seed merge exactly in practice, not by
 construction: a variate's last bits depend on which SIMD loops numpy
@@ -38,14 +44,12 @@ k=2217):
   ``rint(v * delta * 2^16)`` changed for |delta| <= 123456, and 4
   changed at delta = 10^6.  The cos form gave 0.45%, 3.6e-12 and
   6.7e-16, and the same increments.
-* This kernel differs from the cos form (``stable._g0``, which the
-  Monte Carlo sampler keeps) in 27.6% of the variates, by at most
-  2.3e-13 absolute and 6.7e-16 relative.  No grid increment changed for
-  |delta| <= 1000; 6 changed at delta = 123456 and 51 at delta = 10^6.
-  No byte of a sketch that the tests or CI pin changed.
+* This formula differs from the cos form in 27.6% of the variates, by
+  at most 2.3e-13 absolute and 6.7e-16 relative.  No grid increment
+  changed for |delta| <= 1000; 6 changed at delta = 123456 and 51 at
+  delta = 10^6.  No byte of a sketch that the tests or CI pin changed.
 
-Row ``row`` of an item reads hash words 2*row and 2*row + 1, and nothing
-else.  Each maps into (0, 1) as min((word + 0.5) * 2^-64, 1 - 2^-53).
+Each word maps into (0, 1) as min((word + 0.5) * 2^-64, 1 - 2^-53).
 The clamp touches only the words >= 2^64 - 2^10, which would otherwise
 round to 1.0, and sends them where word 2^64 - 2^11 already goes.  So
 every pair of words gives a finite variate, and no row reads more
@@ -53,13 +57,13 @@ words.  Before the clamp such a pair was replaced by later words of the
 stream; the clamp changes a variate with probability about 2^-53, far
 below the cross-CPU drift above.
 
-``variate_from_key`` is the scalar reference: the same hash words,
-clamp and arithmetic in the same order, with ``math.tan``, ``math.sqrt``
-and ``math.log`` where the numpy routine uses numpy's CPU-dispatched
-SIMD loops.  sqrt is correctly rounded everywhere, so only tan and log
-can differ.  On numpy 2.4 with AVX-512, 0.45% of 221,700 variates
-(100 keys x 2217 rows) differ, by at most 1.2e-13 absolute and 4.5e-16
-relative.
+The tests hold a scalar reference, ``variate_from_key`` in
+``tests/paper.py``: the same hash words, clamp and arithmetic in the
+same order, with ``math.tan``, ``math.sqrt`` and ``math.log`` where this
+module uses numpy's CPU-dispatched SIMD loops.  sqrt is correctly
+rounded everywhere, so only tan and log can differ.  On numpy 2.4 with
+AVX-512, 0.45% of 221,700 variates (100 keys x 2217 rows) differ, by at
+most 1.2e-13 absolute and 4.5e-16 relative.
 """
 
 from __future__ import annotations
@@ -70,8 +74,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .stable import _BELOW_ONE, _INV_2_64, HALF_PI
-
+HALF_PI = math.pi / 2
+_INV_2_64 = 2.0**-64
+# the largest double below 1, where the open-unit map (word + 0.5) * 2^-64
+# puts word 2^64 - 2^11; the words above it, which would round to 1.0, go there too
+_BELOW_ONE = 1.0 - 2.0**-53
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -145,32 +152,6 @@ def item_keys(items, master_seed: int) -> np.ndarray:
     return keys
 
 
-def hash_word(key: int, n: int) -> int:
-    """n-th 64-bit word of the counter-based stream keyed by ``key``."""
-    return mix64((key + (n & MASK64) * GOLDEN) & MASK64)
-
-
-def uniform_exp_words(key: int, row: int) -> tuple[int, int]:
-    """The two hash words feeding row ``row``."""
-    return hash_word(key, 2 * row), hash_word(key, 2 * row + 1)
-
-
-def open_unit(word: int) -> float:
-    """min((float(word) + 0.5) * 2^-64, 1 - 2^-53): ``stable._open_unit`` of one word."""
-    return min((word + 0.5) * _INV_2_64, _BELOW_ONE)
-
-
-def variate_from_key(key: int, row: int, k: int) -> float:
-    """Scalar (libm) reference for row ``row`` of ``variates_np(key, k)``:
-    the kernel's arithmetic, one operation at a time in its order."""
-    u01, w01 = map(open_unit, uniform_exp_words(key, row))
-    u = (u01 - 0.5) * math.pi
-    b = math.log(w01)  # -w
-    t = math.tan(u)
-    c = u - HALF_PI
-    return math.log(b / (math.sqrt(t * t + 1.0) * c)) - c * t
-
-
 # vectorized (numpy) variates: the one implementation the sketch uses
 
 _MIX_STEPS = (
@@ -194,7 +175,7 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _open_unit_into(words: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
-    """out = min((float(words) + 0.5) * 2^-64, 1 - 2^-53), the arithmetic of ``stable._open_unit``.
+    """out = min((float(words) + 0.5) * 2^-64, 1 - 2^-53): every word maps into (0, 1).
 
     numpy has no SIMD loop for the uint64 -> float64 cast (about 6 ns per
     word against under 1 ns from int64), so float(words) is formed as
@@ -226,12 +207,23 @@ def _g0_from_words(xu, xw, tmp, a, b, c, out):
     """out = the G(x;0) variates of hash inputs ``xu``, ``xw`` (key + counter*GOLDEN).
 
     Every argument is an array of one shape; ``xu``, ``xw``, ``tmp``, ``a``,
-    ``b`` and ``c`` are overwritten.  The arithmetic is that of
-    ``variate_from_key`` with numpy's ufuncs, one pass at a time.
+    ``b`` and ``c`` are overwritten.
     """
     for x, unit in ((xu, a), (xw, b)):
         _mix64_into(x, tmp)
         _open_unit_into(x, tmp, unit)
+    _g0_from_units(a, b, c, out)
+
+
+def _g0_from_units(a, b, c, out):
+    """out = the G(x;0) values of units ``a`` (the u01) and ``b`` (the w01) in (0, 1).
+
+    The one formula of the law in the package: the sketch's variates and
+    the Monte Carlo samples both end here.  Every argument is a float64
+    array of one shape; ``a``, ``b`` and ``c`` are overwritten.  The
+    arithmetic is that of the module docstring, with numpy's ufuncs, one
+    pass at a time.
+    """
     a -= 0.5
     a *= np.pi  # u
     np.log(b, out=b)  # -w
@@ -297,11 +289,9 @@ class VariateWorkspace:
         """Row variates of many item keys, shape (len(keys), k).
 
         The result is a view of the workspace that the next call
-        overwrites.  Each (key, row) pair goes through the hash words,
-        clamp and arithmetic of ``variate_from_key``,
-        elementwise, so a row does not depend on which other keys share
-        the call; it matches that scalar reference within rounding (see
-        the module docstring).
+        overwrites.  Each (key, row) pair goes through its two hash words,
+        the clamp and the float tail elementwise, so a row does not depend
+        on which other keys share the call.
         """
         return _variates_into(np.asarray(keys, dtype=np.uint64).reshape(-1), self.k, self._buffers)
 

@@ -34,13 +34,6 @@ class AccumulationVector:
             acc.add(item, delta)
         return acc
 
-    @classmethod
-    def from_probabilities(cls, probs) -> "AccumulationVector":
-        acc = cls()
-        for j, p in enumerate(probs):
-            acc.add(str(j).encode(), float(p))
-        return acc
-
     def probabilities(self) -> list[float]:
         if self.counts and min(self.counts.values()) < 0.0:
             raise ValueError("negative cumulative count: stream is not strict-turnstile")
@@ -73,23 +66,3 @@ def exact_entropies(acc: AccumulationVector, alpha: float) -> tuple[float, float
     s_alpha = (ps - 1.0) / (1.0 - alpha)
     return h, h_alpha, s_alpha
 
-
-def limit_check(acc: AccumulationVector, alpha_grid) -> list[tuple[float, float, float]]:
-    """Residuals of the alpha -> 1 limit relations on a grid.
-
-    r1 = |(B-1)/(1-a) - S_a|, r2 = |log(B)/(1-a) - H_a| with
-    B = (sum p^a)^(1/a); both must shrink as the grid approaches 1.
-    """
-    probs = acc.probabilities()
-    rows = []
-    for alpha in alpha_grid:
-        if alpha == 1.0:
-            raise ValueError("alpha grid must exclude 1")
-        if not 0.0 < alpha < 2.0:
-            raise ValueError("alpha grid must lie in (0,1) or (1,2)")
-        _, h_alpha, s_alpha = exact_entropies(acc, alpha)
-        b = _power_sum(probs, alpha) ** (1.0 / alpha)
-        r1 = abs((b - 1.0) / (1.0 - alpha) - s_alpha)
-        r2 = abs(math.log(b) / (1.0 - alpha) - h_alpha)
-        rows.append((alpha, r1, r2))
-    return rows

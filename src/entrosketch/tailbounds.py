@@ -141,11 +141,6 @@ def tail_constants(zeta: float, epsilon: float) -> TailBoundResult:
     )
 
 
-def small_eps_limit(zeta: float) -> float:
-    """Common eps -> 0 limit of both tail constants: 2(4^zeta-1)/zeta^2."""
-    return 2.0 * (4.0**zeta - 1.0) / zeta**2
-
-
 def exceedance_bound(k: int, epsilon: float, bounds: TailBoundResult) -> float:
     """Two-sided union bound on P(|delta_raw - delta| >= eps)."""
     return math.exp(-k * epsilon**2 / bounds.g_right) + math.exp(
@@ -158,6 +153,11 @@ def required_sketch_size(epsilon: float, gamma: float, zeta: float = 1.0) -> int
 
     The guarantee covers the raw (uncorrected) log-mean estimator.
     """
+    return _size_and_bounds(epsilon, gamma, zeta)[0]
+
+
+def _size_and_bounds(epsilon: float, gamma: float, zeta: float) -> tuple[int, TailBoundResult]:
+    """``required_sketch_size`` and the tail constants it was found from."""
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not 0.0 < gamma < 1.0:
@@ -174,7 +174,7 @@ def required_sketch_size(epsilon: float, gamma: float, zeta: float = 1.0) -> int
             hi = mid
         else:
             lo = mid
-    return hi
+    return hi, bounds
 
 
 def tail_curve(zeta: float, epsilons) -> list[TailBoundResult]:

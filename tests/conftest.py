@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrosketch import stable
+from entrosketch import hashing, stable
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -42,15 +42,15 @@ def shipped_bias_rows():
 
 @pytest.fixture
 def coarse_open_unit(monkeypatch):
-    """Scale ``stable``'s open-unit map up by 1.0005, so that about one word
-    in 2000 is clamped to 1 - 2^-53; returns the clamped count of each call."""
-    monkeypatch.setattr(stable, "_INV_2_64", 2.0**-64 * 1.0005)
+    """Scale the open-unit map up by 1.0005, so that about one word in 2000
+    is clamped to 1 - 2^-53; returns the clamped count of each of
+    ``stable``'s calls."""
+    monkeypatch.setattr(hashing, "_INV_2_64", 2.0**-64 * 1.0005)
     clamped = []
 
-    def open_unit(words, inner=stable._open_unit):
-        out = inner(words)
-        clamped.append(int(np.count_nonzero(out == stable._BELOW_ONE)))
-        return out
+    def open_unit(words, tmp, out, inner=stable._open_unit_into):
+        inner(words, tmp, out)
+        clamped.append(int(np.count_nonzero(out == hashing._BELOW_ONE)))
 
-    monkeypatch.setattr(stable, "_open_unit", open_unit)
+    monkeypatch.setattr(stable, "_open_unit_into", open_unit)
     return clamped

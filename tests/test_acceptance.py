@@ -21,15 +21,11 @@ from entrosketch.bench import (
 )
 from entrosketch.estimator import FISHER_INFO, are, estimate
 from entrosketch.montecarlo import bias_correction
-from entrosketch.oracle import AccumulationVector, limit_check, shannon_entropy
+from entrosketch.oracle import AccumulationVector, shannon_entropy
 from entrosketch.sketch import EntropySketch, new_sketch, sketch_stream
-from entrosketch.stable import char_fn, sample_g0
-from entrosketch.tailbounds import (
-    m_series,
-    required_sketch_size,
-    small_eps_limit,
-    tail_constants,
-)
+from entrosketch.stable import sample_g0
+from entrosketch.tailbounds import m_series, required_sketch_size, tail_constants
+from paper import char_fn, limit_check, small_eps_limit
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -377,6 +377,22 @@ class TestSize:
             tail_constants(1.0, 0.1).g_right, rel=1e-12
         )
 
+    def test_one_tail_constants_call(self, capsys, monkeypatch):
+        # the k search and the printed constants share one computation
+        from entrosketch import tailbounds
+
+        calls = []
+
+        def counted(zeta, epsilon, inner=tailbounds.tail_constants):
+            calls.append((zeta, epsilon))
+            return inner(zeta, epsilon)
+
+        monkeypatch.setattr(tailbounds, "tail_constants", counted)
+        assert main(["size", "--epsilon", "0.1", "--gamma", "0.05"]) == 0
+        assert calls == [(1.0, 0.1)]
+        assert capsys.readouterr().out == (
+            "k=2217\ng_right=5.7804489833433985\ng_left=6.2249006231494386\n")
+
     def test_quarter_epsilon_rule(self, capsys):
         main(["size", "--epsilon", "0.1", "--gamma", "0.05"])
         k1 = int(parse_kv(capsys.readouterr().out)["k"])

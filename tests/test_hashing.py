@@ -8,24 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrosketch import hashing, stable
+import paper
+from entrosketch import hashing
 from entrosketch.hashing import (
     GOLDEN,
+    HALF_PI,
     VariateWorkspace,
     _g0_from_words,
     _open_unit_into,
     _scratch,
     accumulate_np,
     fnv1a64,
-    hash_word,
     item_key,
     item_keys,
     mix64,
-    open_unit,
-    uniform_exp_words,
-    variate_from_key,
     variates_np,
 )
+from paper import hash_word, open_unit, open_unit_np, uniform_exp_words, variate_from_key
 
 U64 = 1 << 64
 WIDTHS = [1, 2, 7, 16, 17, 200, 256, 2217]
@@ -33,7 +32,7 @@ WIDTHS = [1, 2, 7, 16, 17, 200, 256, 2217]
 
 def _unit_pairs(keys, k):
     """(u01, w01) of every (key, row), shape (len(keys), k): the hash words
-    and ``stable``'s open-unit mapping, one allocating expression per step."""
+    and the uint64-cast open-unit mapping, one allocating expression per step."""
     keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
 
     def mix(x):
@@ -45,8 +44,8 @@ def _unit_pairs(keys, k):
 
     key = keys[:, None]
     row = np.arange(k, dtype=np.uint64)[None, :]
-    u01 = stable._open_unit(mix(key + (np.uint64(2) * row) * np.uint64(GOLDEN)))
-    w01 = stable._open_unit(mix(key + (np.uint64(2) * row + np.uint64(1)) * np.uint64(GOLDEN)))
+    u01 = open_unit_np(mix(key + (np.uint64(2) * row) * np.uint64(GOLDEN)))
+    w01 = open_unit_np(mix(key + (np.uint64(2) * row + np.uint64(1)) * np.uint64(GOLDEN)))
     return u01, w01
 
 
@@ -59,14 +58,16 @@ def _reference_variates(keys, k):
     u01, w01 = _unit_pairs(keys, k)
     u = (u01 - 0.5) * np.pi
     t = np.tan(u)
-    c = u - stable.HALF_PI
+    c = u - HALF_PI
     return np.log(np.log(w01) / (np.sqrt(t * t + 1.0) * c)) - c * t
 
 
 def _cos_form_variates(keys, k):
-    """The variates by ``stable``'s Monte Carlo formula, which keeps cos u:
-    the sketch's arithmetic before the cos-free kernel."""
-    return stable._g0(*stable._uniform_exp(*_unit_pairs(keys, k)))
+    """The variates by the cos form (pi/2 - u) tan u + log(w cos u / (pi/2 - u)),
+    in numpy: the sketch's arithmetic before the cos-free kernel."""
+    u01, w01 = _unit_pairs(keys, k)
+    u, w = np.pi * (u01 - 0.5), -np.log(w01)
+    return (HALF_PI - u) * np.tan(u) + np.log(w * np.cos(u) / (HALF_PI - u))
 
 
 def _same_bits(a, b):
@@ -160,9 +161,8 @@ class TestVariates:
     def test_many_keys_redraw_matches_scalar(self, monkeypatch):
         # a coarser uniform scale clamps about half the hash words to
         # 1 - 2^-53, which real words almost never reach; the scalar
-        # reference and the array path (stable's mapping) share the clamp
+        # reference and the array path share the clamp
         monkeypatch.setattr(hashing, "_INV_2_64", 2.0**-63)
-        monkeypatch.setattr(stable, "_INV_2_64", 2.0**-63)
         keys = [item_key(str(i), 1) for i in range(5)]
         k = 33
         many = VariateWorkspace(k, len(keys)).variates(keys)
@@ -185,7 +185,6 @@ class TestVariates:
         # the coarser scale of test_many_keys_redraw_matches_scalar: about
         # three pairs in four have a clamped word, and every one is finite
         monkeypatch.setattr(hashing, "_INV_2_64", 2.0**-63)
-        monkeypatch.setattr(stable, "_INV_2_64", 2.0**-63)
         keys = [item_key(str(i), 1) for i in range(5)]
         reference = _reference_variates(keys, k)
         assert np.isfinite(reference).all()
@@ -203,7 +202,7 @@ class TestVariates:
                                 rng.integers(0, U64, 100_000, dtype=np.uint64, endpoint=False)])
         out = np.empty(words.shape)
         _open_unit_into(words, np.empty_like(words), out)
-        assert _same_bits(out, stable._open_unit(words))
+        assert _same_bits(out, open_unit_np(words))
 
     def test_scalar_reference_within_rounding(self):
         # the scalar reference evaluates tan/log with libm, the sketch with
@@ -267,7 +266,7 @@ class TestOpenUnitClamp:
     hash word gives a variate."""
 
     def test_top_words_map_below_one(self):
-        assert stable._BELOW_ONE == BELOW_ONE
+        assert hashing._BELOW_ONE == BELOW_ONE
         assert (TOP + 0.5) * 2.0**-64 == BELOW_ONE
         assert (U64 - 1 + 0.5) * 2.0**-64 == 1.0  # what the clamp prevents
         words = np.uint64(TOP) + np.arange(U64 - TOP, dtype=np.uint64)
@@ -275,7 +274,7 @@ class TestOpenUnitClamp:
         out = np.empty(words.shape)
         _open_unit_into(words, np.empty_like(words), out)
         assert np.all(out == BELOW_ONE)
-        assert np.all(stable._open_unit(words) == BELOW_ONE)
+        assert np.all(open_unit_np(words) == BELOW_ONE)
         assert {open_unit(int(w)) for w in words} == {BELOW_ONE}
 
     def test_clamp_leaves_lower_words(self):
@@ -284,7 +283,7 @@ class TestOpenUnitClamp:
         out = np.empty(words.shape)
         _open_unit_into(words, np.empty_like(words), out)
         assert out.tolist() == expected
-        assert stable._open_unit(words).tolist() == expected
+        assert open_unit_np(words).tolist() == expected
         assert [open_unit(int(w)) for w in words] == expected
 
     @pytest.mark.parametrize("wu, ww", [(TOP, MIDDLE), (U64 - 1, MIDDLE), (MIDDLE, U64 - 1),
@@ -293,7 +292,7 @@ class TestOpenUnitClamp:
         # feed the words straight in: the kernel's mixer and the scalar
         # reference's hash words are replaced by the chosen words
         monkeypatch.setattr(hashing, "_mix64_into", lambda x, tmp: None)
-        monkeypatch.setattr(hashing, "uniform_exp_words", lambda key, row: (wu, ww))
+        monkeypatch.setattr(paper, "uniform_exp_words", lambda key, row: (wu, ww))
         xu, xw, *rest = _scratch(1)
         xu[0], xw[0] = wu, ww
         _g0_from_words(xu, xw, *rest)

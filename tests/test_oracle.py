@@ -6,12 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrosketch.oracle import (
-    AccumulationVector,
-    exact_entropies,
-    limit_check,
-    shannon_entropy,
-)
+from entrosketch.oracle import AccumulationVector, exact_entropies, shannon_entropy
+from paper import from_probabilities, limit_check
 
 
 def uniform4():
@@ -26,7 +22,7 @@ class TestAccumulation:
         assert sorted(acc.probabilities()) == pytest.approx([0.5, 0.5])
 
     def test_from_probabilities(self):
-        acc = AccumulationVector.from_probabilities([0.25, 0.75])
+        acc = from_probabilities([0.25, 0.75])
         assert sorted(acc.probabilities()) == pytest.approx([0.25, 0.75])
 
     def test_negative_final_count_rejected(self):
@@ -54,14 +50,14 @@ class TestShannon:
         assert shannon_entropy(acc) == pytest.approx(0.0, abs=1e-12)
 
     def test_known_biased_coin(self):
-        acc = AccumulationVector.from_probabilities([0.25, 0.75])
+        acc = from_probabilities([0.25, 0.75])
         expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
         assert shannon_entropy(acc) == pytest.approx(expected, rel=1e-12)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=20))
     @settings(max_examples=100)
     def test_bounds(self, weights):
-        acc = AccumulationVector.from_probabilities(weights)
+        acc = from_probabilities(weights)
         h = shannon_entropy(acc)
         assert -1e-12 <= h <= math.log(len(weights)) + 1e-12
 
@@ -75,7 +71,7 @@ class TestAlphaEntropies:
 
     def test_tsallis_closed_form(self):
         # fair coin: S_alpha = (1 - 2^(1-alpha)) / (alpha - 1)
-        acc = AccumulationVector.from_probabilities([0.5, 0.5])
+        acc = from_probabilities([0.5, 0.5])
         for alpha in (0.5, 2.0):
             _, _, s_alpha = exact_entropies(acc, alpha)
             expected = (1.0 - 2.0 ** (1.0 - alpha)) / (alpha - 1.0)
@@ -102,6 +98,6 @@ class TestLimit:
         assert r1[2] < 1e-2 and r2[2] < 1e-2
 
     def test_nonuniform_distribution(self):
-        acc = AccumulationVector.from_probabilities([0.7, 0.2, 0.1])
+        acc = from_probabilities([0.7, 0.2, 0.1])
         rows = limit_check(acc, [0.99, 0.999])
         assert abs(rows[1][1]) < abs(rows[0][1])

@@ -10,8 +10,8 @@ import pytest
 from entrosketch.estimator import EstimateResult
 from entrosketch.montecarlo import BiasEstimate
 from entrosketch.sketchfile import SketchConfig, SketchFile
-from entrosketch.stable import HALF_PI, StableParams, UniformExpPair
 from entrosketch.tailbounds import SeriesDomain, TailBoundResult
+from paper import HALF_PI, StableParams, UniformExpPair
 
 # (class, field values, repr, defaults, {field: (bad value, ValueError message)})
 RECORDS = [

@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from entrosketch import stable
-from entrosketch.stable import (
+from entrosketch import hashing, stable
+from entrosketch.stable import sample_g0, sample_g0_slices
+from paper import (
     G0_PARAMS,
     HALF_PI,
     StableParams,
@@ -20,7 +21,7 @@ from entrosketch.stable import (
     char_fn,
     cms_transform,
     g0_from_uniform_exp,
-    sample_g0,
+    open_unit_np,
     sample_positive_stable,
     y_alpha_mgf,
     y_alpha_transform,
@@ -163,8 +164,12 @@ TOP_WORDS = [2**64 - 2**11, 2**64 - 2**10, 2**64 - 1]  # all map to 1 - 2^-53
 
 class TestOpenUnitClamp:
     def test_top_words_map_below_one(self):
-        assert stable._BELOW_ONE == BELOW_ONE
-        assert stable._open_unit(np.array(TOP_WORDS, dtype=np.uint64)).tolist() == [BELOW_ONE] * 3
+        assert hashing._BELOW_ONE == BELOW_ONE
+        words = np.array(TOP_WORDS, dtype=np.uint64)
+        out = np.empty(words.shape)
+        stable._open_unit_into(words, np.empty_like(words), out)
+        assert out.tolist() == [BELOW_ONE] * 3
+        assert open_unit_np(words).tolist() == [BELOW_ONE] * 3
 
     @pytest.mark.parametrize("top", ["u", "w", "both"])
     def test_samplers_finite_at_the_clamp(self, top):
@@ -177,6 +182,49 @@ class TestOpenUnitClamp:
         for alpha in (0.3, 0.5, 0.8, 0.99):
             z = sample_positive_stable(alpha, _FixedWords(u, w), 3)
             assert np.all(np.isfinite(z)) and np.all(z > 0)
+
+
+def _sketch_kernel(monkeypatch, u_words, w_words):
+    """The sketch's kernel (``hashing._g0_from_words``) with the given words
+    in place of its mixed hash words."""
+    monkeypatch.setattr(hashing, "_mix64_into", lambda x, tmp: None)
+    xu, xw, *rest = hashing._scratch(u_words.size)
+    xu[:], xw[:] = u_words, w_words
+    hashing._g0_from_words(xu, xw, *rest)
+    return rest[-1]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSharedKernel:
+    """Monte Carlo samples are the sketch's float tail on Philox words."""
+
+    def test_sample_g0_is_the_sketch_tail(self, monkeypatch):
+        n = 5000
+        words = _rng(4).integers(0, 2**64, size=2 * n, dtype=np.uint64)
+        expected = _sketch_kernel(monkeypatch, words[:n], words[n:])
+        assert _same_bits(sample_g0(_rng(4), n), expected)
+
+    @pytest.mark.parametrize("start, stop, step", [(0, 5000, 5000), (0, 5000, 64), (7, 4093, 100)])
+    def test_slices_are_the_sketch_tail(self, monkeypatch, start, stop, step):
+        n, key = 5000, np.array([4, 0], dtype=np.uint64)
+        words = _rng(4).integers(0, 2**64, size=2 * n, dtype=np.uint64)
+        expected = _sketch_kernel(monkeypatch, words[:n], words[n:])
+        got = np.concatenate(list(sample_g0_slices(key, n, start, stop, step)))
+        assert _same_bits(got, expected[start:stop])
+
+    def test_within_rounding_of_the_cos_form(self):
+        # the cos form in libm against the cos-free tail in numpy's SIMD
+        # loops, over 2^20 samples
+        n = 1 << 20
+        x = sample_g0(_rng(6), n)
+        words = _rng(6).integers(0, 2**64, size=2 * n, dtype=np.uint64)
+        u = np.pi * (open_unit_np(words[:n]) - 0.5)
+        w = -np.log(open_unit_np(words[n:]))
+        ref = np.array(list(map(g0_from_uniform_exp, u.tolist(), w.tolist())))
+        assert np.all(np.abs(x - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
 
 class TestPositiveStableBottomWords:

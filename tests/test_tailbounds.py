@@ -16,10 +16,10 @@ from entrosketch.tailbounds import (
     m_series,
     required_sketch_size,
     series_domain,
-    small_eps_limit,
     tail_constants,
     tail_curve,
 )
+from paper import small_eps_limit
 
 
 class TestSeries:
