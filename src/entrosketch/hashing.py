@@ -172,34 +172,39 @@ def _mix64_into(x: np.ndarray, tmp: np.ndarray) -> None:
 
 
 _LOW32 = np.uint64(0xFFFFFFFF)
+_HI_BIAS = np.uint64(0x4530000000000000)  # the bits of 2^84: hi | bias is 2^84 + hi * 2^32
+_LO_BIAS = np.uint64(0x4330000000000000)  # the bits of 2^52: lo | bias is 2^52 + lo
+_BIASES = 2.0**84 + 2.0**52
 
 
 def _open_unit_into(words: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> None:
     """out = min((float(words) + 0.5) * 2^-64, 1 - 2^-53): every word maps into (0, 1).
 
     numpy has no SIMD loop for the uint64 -> float64 cast (about 6 ns per
-    word against under 1 ns from int64), so float(words) is formed as
-    hi * 2^32 + lo from the two 32-bit halves, each cast from int64.  Both
-    terms are exact doubles, so the one rounding of their sum gives the
-    correctly rounded cast, bit for bit.  ``tmp`` is uint64 scratch.
+    word), so float(words) is formed as hi * 2^32 + lo from the two 32-bit
+    halves by exponent bias: each half is set into the mantissa of a power
+    of two, which gives the exact doubles 2^84 + hi * 2^32 and 2^52 + lo.
+    Subtracting 2^84 + 2^52 from the first is exact too, so the one
+    rounding of the final sum gives the correctly rounded cast, bit for
+    bit.  ``words`` is left as it is; ``tmp`` is uint64 scratch.
     """
     np.right_shift(words, np.uint64(32), out=tmp)
-    np.multiply(tmp.view(np.int64), 2.0**32, out=out)
+    tmp |= _HI_BIAS
+    np.subtract(tmp.view(np.float64), _BIASES, out=out)
     np.bitwise_and(words, _LOW32, out=tmp)
-    np.add(out, tmp.view(np.int64), out=out)
+    tmp |= _LO_BIAS
+    out += tmp.view(np.float64)
     out += 0.5
     out *= _INV_2_64
     np.minimum(out, _BELOW_ONE, out=out)
 
 
 @lru_cache(maxsize=16)
-def _row_offsets(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counter offsets 2*row*GOLDEN and (2*row+1)*GOLDEN of rows 0..k-1 (read-only)."""
-    rows = np.arange(k, dtype=np.uint64)
-    golden = np.uint64(GOLDEN)
-    offsets = ((np.uint64(2) * rows) * golden, (np.uint64(2) * rows + np.uint64(1)) * golden)
-    for off in offsets:
-        off.setflags(write=False)
+def _row_offsets(k: int) -> np.ndarray:
+    """Counter offsets 2*row*GOLDEN of rows 0..k-1 (read-only); row
+    ``row``'s second word is at the next counter, one GOLDEN further."""
+    offsets = (np.uint64(2) * np.arange(k, dtype=np.uint64)) * np.uint64(GOLDEN)
+    offsets.setflags(write=False)
     return offsets
 
 
@@ -250,9 +255,8 @@ def _variates_into(keys: np.ndarray, k: int, buffers) -> np.ndarray:
     result is a view of the last one."""
     shape = (keys.size, k)
     xu, xw, *rest = (buf[: keys.size * k].reshape(shape) for buf in buffers)
-    off_u, off_w = _row_offsets(k)
-    np.add(keys[:, None], off_u, out=xu)
-    np.add(keys[:, None], off_w, out=xw)
+    np.add(keys[:, None], _row_offsets(k), out=xu)
+    np.add(xu, np.uint64(GOLDEN), out=xw)
     _g0_from_words(xu, xw, *rest)
     return rest[-1]
 

@@ -31,28 +31,28 @@ costs one dict lookup and one int64 add.  Variates come from
 in int64, the arithmetic of ``hashing.accumulate_np``, so cached and
 uncached updates give the same bits.  ``update_many`` is the batch entry
 point for streams; ``sketch_stream`` and ``entrosketch ingest`` both use
-it.  It cuts the stream into blocks of ``_STREAM_BLOCK`` raw
+it.  It reads the stream in blocks of ``_STREAM_BLOCK`` raw
 ``(item, delta)`` pairs, counts equal pairs, hashes each distinct item of
 a block once, all in one ``hashing.item_keys`` call, and adds
-``count * increment`` per pair, again bitwise equal to one ``update`` per
-pair.  Its cost scales with the distinct
+``count * increment`` per pair, so its cost scales with the distinct
 items per block, not with the number of updates.  The variates are
 computed in a reused ``hashing.VariateWorkspace``, ``_BATCH_VARIATES``
 at a time, and a block of at least 2 * ``_THREAD_VARIATES`` variates is
-split over threads, one per CPU that ``os.sched_getaffinity`` allows,
-each thread pinned to its own CPU (``stable._map_pinned``), since two
+summed by several threads, one per CPU that ``os.sched_getaffinity``
+allows, each pinned to its own CPU (``stable._map_pinned``), since two
 unpinned threads were often scheduled on one CPU for a whole ingest.
-Integer sums are exact, so the bytes do not depend on the split:
-``taskset -c 0`` gives serial ingest with the same bytes.  A block that
-comes near the 2^53 limit is replayed through ``update``.
+Each thread takes the next batch from one shared queue until none is
+left.  Integer sums are exact, so the bytes do not depend on the split:
+``taskset -c 0`` gives serial ingest with the same bytes.
 
-The batch sums are float64, and exact.  ``_part_sum`` adds
+The batch sums are exact at any magnitude.  ``_part_sum`` adds
 ``count * rint(v * delta * 2^16)`` in float64 (``c @ rint(scaled)``, one
-BLAS call per ``_BATCH_VARIATES`` variates) and casts to int64 once.  It
-stops as soon as its bound, a sum of ``count * (|v * delta * 2^16| + 1)``,
-reaches its limit, which is at most 2^52.  Below it every term and every
-partial sum is an integer no larger in magnitude than the bound, so each
-is an exact double and any summation order gives the same integers.
+BLAS call per ``_BATCH_VARIATES`` variates) while a bound on its running
+sum, a sum of ``count * (|v * delta * 2^16| + 1)``, stays below 2^52.
+There every term and every partial sum is an integer no larger in
+magnitude than the bound, so each is an exact double and any summation
+order gives the same integers.  Past it the float sum is spilled to
+Python ints, and a batch that alone passes it is summed in Python ints.
 Scaling ``v * (delta * 2^16)`` equals ``(v * delta) * 2^16`` bit for bit,
 since a power-of-two factor commutes with rounding (short of underflow,
 which only values far below one grid step reach).
@@ -61,7 +61,8 @@ Every state change commits fully or raises with the sketch unchanged.
 An update checks its increment against the 2^53 limit in float before
 any int64 cast, using a running upper bound on the projections that is
 replaced by an exact scan only when it reaches the limit, so churn that
-cancels never raises.
+cancels never raises.  ``update_many`` sums its whole input before it
+checks the finished sketch once, so the order of the pairs cannot matter.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -90,7 +92,7 @@ CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
 # max(1, _BATCH_VARIATES // k) keys, 512 KiB per work array.  The arrays
 # are allocated once per thread and block, so no call pays for fresh pages.
 # Of 2^14, 2^15 and 2^16, 2^16 was fastest at k=2217 on the 2-vCPU Xeon
-# (46 / 51 / 55 ns per variate on one thread, 30 / 33 / 42 on two).
+# (55 / 51 / 46 ns per variate on one thread, 42 / 33 / 30 on two).
 _BATCH_VARIATES = 1 << 16
 # a block is split over threads only with at least this many variates per
 # thread.  In fresh processes at k=200 on the same machine, two threads lost
@@ -100,9 +102,9 @@ _BATCH_VARIATES = 1 << 16
 # often shared one CPU.
 _THREAD_VARIATES = 1 << 19
 _STREAM_BLOCK = 1 << 16  # elements grouped together by update_many
-# a batch whose worst case comes this close to LIMIT is replayed one
-# update at a time, so OverflowError is raised at the same element
-_BATCH_HEADROOM = float(LIMIT // 2)
+# float64 sums of integers whose magnitudes sum below this are exact
+_EXACT_FLOAT_SUM = float(LIMIT // 2)
+_ints = np.frompyfunc(int, 1, 1)  # integer-valued floats -> Python ints (an object array)
 
 
 class EntropySketch:
@@ -137,26 +139,35 @@ class EntropySketch:
         return self
 
     def update_many(self, pairs) -> "EntropySketch":
-        """Add every ``(item, delta)`` of an iterable, generators included.
+        """Add every ``(item, delta)`` of an iterable, generators included,
+        as one state change: the blocks of ``_STREAM_BLOCK`` raw pairs are
+        summed exactly off to the side (``_block_sum``), then committed.
 
-        Bitwise equal to one ``update`` per pair, and it raises what that
-        loop raises, leaving the sketch as the loop leaves it at the failing
-        pair.  Pairs are checked and cut into blocks of ``_STREAM_BLOCK``
-        raw pairs, each added by ``_add_batch``.
+        The bytes equal one ``update`` per pair where that loop does not
+        raise.  On failure the sketch is unchanged: ``ValueError`` if any
+        delta is not finite, else ``OverflowError`` if and only if the
+        finished sketch leaves the 2^53 range, or the error of the
+        iterable or of a part.
         """
-        block: list[tuple[bytes | str, float]] = []
-        try:
-            for item, delta in pairs:
-                if not math.isfinite(delta):
-                    raise ValueError("delta must be finite")
-                block.append((item, delta))
-                if len(block) == _STREAM_BLOCK:
-                    full, block = block, []
-                    self._add_batch(full)
-        finally:
-            # also when a pair is invalid: the ones before it still count,
-            # so an overflow among them is raised first, as the loop would
-            self._add_batch(block)
+        pairs = iter(pairs)
+        scaled, total = self._scaled.astype(object), self._scaled_total
+        while counts := Counter(islice(pairs, _STREAM_BLOCK)):
+            if not all(map(math.isfinite, {delta for _, delta in counts})):
+                raise ValueError("delta must be finite")
+            try:
+                with np.errstate(over="ignore"):  # an infinite increment fails in _ints
+                    block, block_total = self._block_sum(counts)
+            except OverflowError:  # an infinite increment; a non-finite delta still comes first
+                if not all(math.isfinite(delta) for _, delta in pairs):
+                    raise ValueError("delta must be finite") from None
+                raise OverflowError(OVERFLOW) from None
+            scaled += block
+            total += block_total
+        bound = max(map(abs, scaled))
+        check_exact(bound, total)
+        self._scaled = scaled.astype(np.int64)
+        self._scaled_total = total
+        self._bound = bound
         return self
 
     def _add(self, entry: list, delta: float) -> None:
@@ -183,27 +194,14 @@ class EntropySketch:
         self._scaled_total = total
         self._bound = bound
 
-    def _add_batch(self, block: list[tuple[bytes | str, float]]) -> None:
-        """``update`` over raw (item, delta) pairs, each distinct item hashed
-        once and each distinct key's variates computed once.
-
-        Equal pairs are summed as ``count * increment``; the str and bytes
-        forms of an item are two groups with the same key.  The groups,
-        sorted by key, are split into contiguous parts, one per thread when
-        the block has at least ``_THREAD_VARIATES`` variates per thread for
-        up to ``_worker_count()`` threads, each pinned to its own CPU, else
-        one part on this thread.
-        Each part returns its int64 sum and a float bound on it
-        (``_part_sum``).  Integer sums are exact, so the bits equal the
-        per-pair loop's for any split.  Nothing is committed until every
-        part is in: a part that raises leaves the sketch unchanged, and a
-        block whose summed bound could get within 2x of the 2^53 limit is
-        replayed through ``update`` instead, which raises where the loop
-        raises because it is that loop.
+    def _block_sum(self, counts: Counter) -> tuple[np.ndarray, int]:
+        """The exact sums of ``count * increment`` over a block's distinct
+        ``(item, delta)`` pairs: the projections (Python ints in an object
+        array) and the total.  The str and bytes forms of an item are two
+        groups with one key.  With at least ``_THREAD_VARIATES`` variates
+        per thread, up to ``_worker_count()`` pinned threads take the
+        key-sorted groups' batches from one shared queue (``_part_sum``).
         """
-        counts = Counter(block)
-        if not counts:
-            return
         k, seed = self.config.k, self.config.master_seed
         index: dict[bytes | str, int] = {}
         for item, _ in counts:
@@ -213,25 +211,17 @@ class EntropySketch:
         c = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[order]
         d = np.fromiter((delta for _, delta in counts), dtype=np.float64, count=len(counts))[order]
 
-        total_inc = np.rint(d * SCALE)
-        if abs(self._scaled_total) + float(np.abs(total_inc) @ c) < _BATCH_HEADROOM:
-            base = float(np.abs(self._scaled).max())
-            distinct, where = np.unique(keys[order], return_inverse=True)
-            part_sum = partial(_part_sum, k, distinct, where, d, c, _BATCH_HEADROOM - base)
-            parts = max(1, min(_worker_count(), len(counts), len(counts) * k // _THREAD_VARIATES))
-            cuts = [len(counts) * i // parts for i in range(parts + 1)]
-            sums = _map_pinned(part_sum, cuts[:-1], cuts[1:])
-            if all(acc is not None for acc, _ in sums) and (
-                base + sum(bound for _, bound in sums) < _BATCH_HEADROOM
-            ):
-                self._scaled += sum(acc for acc, _ in sums)
-                # below the headroom every partial sum is an exact double
-                self._scaled_total += int(total_inc @ c)
-                self._bound = int(np.abs(self._scaled).max())
-                return
-        # near the limit: the update() loop itself, so it fails where that loop fails
-        for item, delta in block:
-            self.update(item, delta)
+        inc = np.rint(d * SCALE)
+        if float(np.abs(inc) @ c) < _EXACT_FLOAT_SUM:
+            total = int(inc @ c)
+        else:
+            total = int(_ints(c) @ _ints(inc))
+        distinct, where = np.unique(keys[order], return_inverse=True)
+        per = max(1, _BATCH_VARIATES // k)
+        batches = iter(range(0, len(counts), per))  # the shared queue
+        parts = max(1, min(_worker_count(), len(counts), len(counts) * k // _THREAD_VARIATES))
+        sums = _map_pinned(partial(_part_sum, k, distinct, where, d, c, per), [batches] * parts)
+        return sum(sums), total
 
     def __repr__(self) -> str:
         return (
@@ -283,43 +273,42 @@ class EntropySketch:
         return cls._from_file(SketchFile.from_json(text))
 
 
-def _part_sum(k, distinct, where, d, c, limit, start, stop):
-    """(acc, bound) over groups [start, stop) of ``_add_batch``'s key-sorted
-    arrays: acc is the int64 sum of ``c * rint(v * d * 2^16)``, v the
-    variates of the group's key ``distinct[where]``, and bound is the float
-    sum of ``c * (max |v * d * 2^16| + 1)``.
+def _part_sum(k, distinct, where, d, c, per, batches):
+    """The exact sum, as k Python ints in an object array, of
+    ``c * rint(v * d * 2^16)`` over the groups [lo, lo + per) of each
+    batch start lo that this call takes from ``batches``; v are the
+    variates of the group's key ``distinct[where]``.
 
-    The variates are computed in one ``VariateWorkspace``, for at most
-    ``_BATCH_VARIATES`` variates of groups at a time.  Groups that are the
-    call's keys in order (every all-distinct block) are scaled in the
-    workspace's output; others are gathered first.  Once the bound
-    reaches ``limit``, acc is None: the sum stops there.  Below it, every
-    term and partial sum is an integer of magnitude at most the bound, so
-    below 2^53, and the float64 sums (``c @ rint(...)``, a BLAS call) are
-    exact in any order; one cast at the end gives the int64 sum.
+    Groups that are the call's keys in order (every all-distinct block)
+    are scaled in the workspace's output; others are gathered first.  The
+    float64 sum (``c @ rint(...)``, a BLAS call) is exact while ``bound``,
+    the sum of ``c * (max |v * d * 2^16| + 1)``, stays below
+    ``_EXACT_FLOAT_SUM``; past it the sum is spilled to Python ints.
     """
-    per = max(1, _BATCH_VARIATES // k)
-    rows = min(per, stop - start)
+    rows = min(per, len(c))
     workspace = VariateWorkspace(k, rows)
     gather_buf = _mapped_words(rows * k, 1)[0].view(np.float64).reshape(rows, k)
-    ds = d[:, None] * SCALE  # v * (d * 2^16) is (v * d) * 2^16: scaling by 2^16 is exact
-    acc = np.zeros(k)
-    bound = 0.0
-    for lo in range(start, stop, per):
-        hi = min(lo + per, stop)
-        first, last = where[lo], where[hi - 1]
-        scaled = workspace.variates(distinct[first : last + 1])
-        if last - first != hi - lo - 1:  # some key has several groups
-            scaled = np.take(scaled, where[lo:hi] - first, axis=0, out=gather_buf[: hi - lo],
-                             mode="clip")
-        scaled *= ds[lo:hi]
-        peak = np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
-        bound += float(peak @ c[lo:hi]) + float(c[lo:hi].sum())
-        if not bound < limit:
-            return None, bound
-        np.rint(scaled, out=scaled)
-        acc += c[lo:hi] @ scaled
-    return acc.astype(np.int64), bound
+    exact, acc, bound = np.zeros(k, dtype=object), np.zeros(k), 0.0
+    with np.errstate(over="ignore"):  # an infinite term fails in _ints
+        for lo in batches:
+            hi = min(lo + per, len(c))
+            first, last = where[lo], where[hi - 1]
+            scaled = workspace.variates(distinct[first : last + 1])
+            if last - first != hi - lo - 1:  # some key has several groups
+                scaled = np.take(scaled, where[lo:hi] - first, axis=0, out=gather_buf[: hi - lo],
+                                 mode="clip")
+            scaled *= d[lo:hi, None] * SCALE  # (v * d) * 2^16 exactly: 2^16 is a power of two
+            peak = np.maximum(scaled.max(axis=1), -scaled.min(axis=1))
+            step = float(peak @ c[lo:hi]) + float(c[lo:hi].sum())
+            np.rint(scaled, out=scaled)
+            if not bound + step < _EXACT_FLOAT_SUM:  # spill before a float sum could round
+                exact, acc, bound = exact + _ints(acc), np.zeros(k), 0.0
+            if step < _EXACT_FLOAT_SUM:
+                acc += c[lo:hi] @ scaled
+                bound += step
+            else:  # a batch past 2^52 on its own
+                exact += _ints(c[lo:hi]) @ _ints(scaled)
+    return exact + _ints(acc)
 
 
 def new_sketch(k: int, zeta: float = 1.0, master_seed: int = 0) -> EntropySketch:

@@ -28,6 +28,7 @@ from entrosketch.sketch import (
     sketch_stream,
 )
 from entrosketch.sketchfile import FORMAT_VERSION, HEADER, MAGIC, QUANTUM, QUANTUM_BITS
+from entrosketch.streams import StreamParseError, iter_stream_file
 
 items = st.text(min_size=1, max_size=8)
 deltas = st.integers(min_value=-50, max_value=50).map(float)
@@ -275,17 +276,21 @@ class TestSketchStream:
 
     def test_near_limit_matches_update_loop(self, monkeypatch):
         # the loop peaks just below 2^53 and does not raise; the batch's
-        # worst case is past its headroom, so it replays the loop
+        # summed magnitudes pass 2^53, and its exact sums still commit
         updates = [("x", 2.0**30)] * 12 + [("x", -(2.0**30))] * 12 + [("y", 1.0)]
         for workers in (1, 2):
             _split_blocks(monkeypatch, workers)
             assert sketch_stream(updates, k=8) == _loop(updates, 8)
 
-    def test_invalid_element_after_overflow_raises_overflow(self):
-        with pytest.raises(ValueError):
-            sketch_stream([("a", 1.0), ("y", float("nan"))], k=8)
-        with pytest.raises(OverflowError):
-            sketch_stream([("x", 1e15), ("y", float("nan"))], k=8)
+    def test_invalid_element_after_overflow_raises_value_error(self, monkeypatch):
+        # any non-finite delta raises ValueError, also after an overflow and
+        # after an infinite increment in an earlier block
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 2)
+        for head in ([("a", 1.0)], [("x", 1e15)], [("x", 1e308)] * 3):
+            with pytest.raises(ValueError):
+                sketch_stream(head + [("y", float("nan"))], k=8)
+        with pytest.raises(OverflowError, match="exact-double range"):
+            sketch_stream([("x", 1e308)] * 3, k=8)
 
 
 def _split_blocks(monkeypatch, workers):
@@ -296,15 +301,36 @@ def _split_blocks(monkeypatch, workers):
     monkeypatch.setattr(sketch_mod, "_worker_count", lambda: workers)
 
 
-def _loop_until_error(updates, k, seed=0):
-    """The update() loop's sketch and error type at its first failing update."""
+def _loop_error(updates, k, seed=0):
+    """The error type of the update() loop's first failing update, if any."""
     s = new_sketch(k=k, master_seed=seed)
     for item, delta in updates:
         try:
             s.update(item, delta)
         except (OverflowError, ValueError) as exc:
-            return s, type(exc)
-    return s, None
+            return type(exc)
+    return None
+
+
+def _exact_reference(updates, k, seed=0):
+    """The update() loop's increments summed in Python ints: the k
+    projections, the total and whether they leave the 2^53 range."""
+    scaled, total = [0] * k, 0
+    for item, delta in updates:
+        inc = np.rint(variates_np(item_key(item, seed), k) * delta * 65536.0)
+        scaled = [a + int(x) for a, x in zip(scaled, inc.tolist())]
+        total += int(np.rint(delta * 65536.0))
+    return scaled, total, max(map(abs, scaled)) >= 2**53 or abs(total) >= 2**53
+
+
+def _fails_unchanged(s, updates, error):
+    """update_many raises ``error`` and leaves the sketch's bytes and bound as they were."""
+    before, bound = s.to_bytes(), s._bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            s.update_many(updates)
+    assert s.to_bytes() == before and s._bound == bound
 
 
 class TestUpdateMany:
@@ -341,18 +367,14 @@ class TestUpdateMany:
         ],
     )
     def test_raises_where_the_update_loop_does(self, monkeypatch, block, bad):
+        # the loop's error, with the sketch left as it was before the call
         monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", block)
         updates = _mixed_updates(3, 3) + bad + [("z", 1.0)] * 4
-        ref, error = _loop_until_error(updates, 8)
+        error = _loop_error(updates, 8)
         assert error is not None
         for workers in (1, 2):
             _split_blocks(monkeypatch, workers)
-            s = new_sketch(k=8)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(error):
-                    s.update_many(updates)
-            assert s == ref and s.to_bytes() == ref.to_bytes()
+            _fails_unchanged(_loop(_mixed_updates(4, 2), 8), updates, error)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -367,25 +389,24 @@ class TestUpdateMany:
         ),
         block=st.integers(min_value=1, max_value=64),
     )
-    def test_overflow_mid_batch_fails_like_the_update_loop(self, runs, block):
+    def test_overflow_mid_batch_matches_the_exact_reference(self, runs, block):
         # runs of +-2^30-scale deltas at k=8 cross the 2^53 limit, or come
         # near it, after tens of updates, inside a block or on its boundary;
-        # about three in four of these streams raise
+        # the call raises exactly when the exact end state is out of range,
+        # and otherwise commits the exact sums, also where the loop raised
         updates = [(item, delta) for item, delta, repeats in runs for _ in range(repeats)]
-        ref, error = _loop_until_error(updates, 8)
+        scaled, total, out_of_range = _exact_reference(updates, 8)
         for workers in (1, 2):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sketch_mod, "_STREAM_BLOCK", block)
                 _split_blocks(mp, workers)
-                s = new_sketch(k=8)
+                if out_of_range:
+                    _fails_unchanged(new_sketch(k=8), updates, OverflowError)
+                    continue
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    if error is None:
-                        s.update_many(updates)
-                    else:
-                        with pytest.raises(error):
-                            s.update_many(updates)
-            assert s.to_bytes() == ref.to_bytes()
+                    s = new_sketch(k=8).update_many(updates)
+            assert s._scaled.tolist() == scaled and s._scaled_total == total
 
     def test_worker_counts_give_the_same_bytes(self, monkeypatch):
         # any split of a block over threads sums to the same int64 bits, also
@@ -399,7 +420,7 @@ class TestUpdateMany:
         real_part_sum = sketch_mod._part_sum
 
         def recording_part_sum(*args):
-            parts.append(args[-2:])
+            parts.append(args[-1])  # the block's shared queue of batches
             return real_part_sum(*args)
 
         monkeypatch.setattr(sketch_mod, "_part_sum", recording_part_sum)
@@ -413,17 +434,22 @@ class TestUpdateMany:
                 parts.clear()
                 s = new_sketch(k=16, master_seed=9).update_many(updates)
                 assert s.to_bytes() == ref
-                # 151 updates: three full blocks of 50 and one of 1
+                # 151 updates: three full blocks of 50 and one of 1, and
+                # the threads of a block share one queue
                 assert len(parts) == 3 * workers + 1
+                assert len(set(map(id, parts))) == 4
         finally:
             sys.setswitchinterval(interval)
 
     def test_a_part_that_raises_leaves_the_sketch_unchanged(self, monkeypatch):
         _split_blocks(monkeypatch, 2)
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 10)
         real_part_sum = sketch_mod._part_sum
+        calls = []
 
         def failing_part_sum(*args):
-            if args[-2] > 0:  # the second part
+            calls.append(1)
+            if len(calls) == 4:  # a part of the second block
                 raise MemoryError("part failed")
             return real_part_sum(*args)
 
@@ -433,6 +459,48 @@ class TestUpdateMany:
         with pytest.raises(MemoryError, match="part failed"):
             s.update_many(_mixed_updates(9, 3))
         assert s.to_bytes() == before and s._bound == bound
+
+    @pytest.mark.parametrize("kind", ["nan-in-a-later-block", "parse-error", "overflow"])
+    def test_a_failing_call_leaves_the_sketch_unchanged(self, monkeypatch, tmp_path, kind):
+        # blocks of 8 pairs: the failure comes after at least one full block
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 8)
+        s = _loop(_mixed_updates(5, 2), 16)
+        head = _mixed_updates(6, 3)
+        if kind == "nan-in-a-later-block":
+            _fails_unchanged(s, head + [("y", float("nan"))] + head, ValueError)
+        elif kind == "parse-error":
+            path = tmp_path / "s.csv"
+            path.write_text("".join(f"{i},{d}\n" for i, d in head) + "y,1e\nz,1\n")
+            _fails_unchanged(s, iter_stream_file(path), StreamParseError)
+        else:
+            _fails_unchanged(s, head + [("x", 2.0**30)] * 200, OverflowError)
+
+    def test_overflow_does_not_depend_on_the_order(self, monkeypatch):
+        # +-2^30 runs whose loop crosses 2^53 in the given order, and not
+        # in every order; the call raises for every order or for none
+        _split_blocks(monkeypatch, 2)
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        for extra, raises in ((30, False), (40, True)):  # max |v| of "w" is 3.56
+            updates = ([("x", 2.0**30)] * 100 + [("x", -(2.0**30))] * 100
+                       + [("w", 2.0**30)] * extra + [("z", 1.5)] * 9)
+            scaled, total, out_of_range = _exact_reference(updates, 8)
+            assert out_of_range == raises and _loop_error(updates, 8) is OverflowError
+            for _ in range(5):
+                shuffled = [updates[i] for i in rng.permutation(len(updates))]
+                if raises:
+                    _fails_unchanged(new_sketch(k=8), shuffled, OverflowError)
+                else:
+                    s = new_sketch(k=8).update_many(shuffled)
+                    assert s._scaled.tolist() == scaled and s._scaled_total == total
+
+    def test_commits_where_the_update_loop_raises_partway(self):
+        # the loop passes 2^53 on the way; the end state is back in range
+        updates = [("x", 2.0**30)] * 200 + [("x", -(2.0**30))] * 199 + [("y", 3.0)]
+        assert _loop_error(updates, 8) is OverflowError
+        s = new_sketch(k=8).update_many(updates)
+        ref = _loop([("x", 2.0**30), ("y", 3.0)], 8)
+        assert s.to_bytes() == ref.to_bytes() and s._bound == np.abs(ref._scaled).max()
 
 
 class TestPartSum:
@@ -459,33 +527,78 @@ class TestPartSum:
         assert bool(takes) == (repeated and batch_variates > 16)
         assert s.to_bytes() == _loop(updates, 16, seed=5).to_bytes()
 
-    @pytest.mark.parametrize("batch_variates", [16, 3 * 16, 1 << 16])
-    def test_bound_just_under_the_headroom(self, monkeypatch, batch_variates):
-        # terms and partial sums near 2^52: the block's bound comes within
-        # 1e-5 of _BATCH_HEADROOM and it still commits through _part_sum,
-        # not through the update() replay
+    @staticmethod
+    def _near_the_headroom(monkeypatch, batch_variates, share):
+        """Seven groups at k=16 whose summed worst case is ``share`` of
+        ``_EXACT_FLOAT_SUM``, the headroom of exact float sums, the sketch
+        that ``sketch_stream`` makes of them, and the shapes that
+        ``_ints`` converted to Python ints on the way."""
         monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", batch_variates)
         k, seed = 16, 3
         groups = [(f"i{j}", (-1) ** j * (1 + j / 7), 1 + j % 3) for j in range(7)]
         vmax = {item: float(np.abs(variates_np(item_key(item, seed), k)).max())
                 for item, _, _ in groups}
-        assert min(vmax.values()) > 1.0  # so the total stays below the headroom
+        assert min(vmax.values()) > 1.0  # so the total stays below the worst case
         worst = sum(count * vmax[item] * abs(d) * 65536.0 for item, d, count in groups)
-        scale = sketch_mod._BATCH_HEADROOM * (1 - 1e-6) / worst
+        scale = sketch_mod._EXACT_FLOAT_SUM * share / worst
         updates = [(item, d * scale) for item, d, count in groups for _ in range(count)]
-        results = []
-        real_part_sum = sketch_mod._part_sum
+        converted = []
+        real_ints = sketch_mod._ints
 
-        def recording_part_sum(*args):
-            results.append(real_part_sum(*args))
-            return results[-1]
+        def recording_ints(x):
+            converted.append(x.shape)
+            return real_ints(x)
 
-        monkeypatch.setattr(sketch_mod, "_part_sum", recording_part_sum)
+        monkeypatch.setattr(sketch_mod, "_ints", recording_ints)
         s = sketch_stream(updates, k, master_seed=seed)
-        assert len(results) == 1 and results[0][0] is not None
-        assert 1 - 1e-5 < results[0][1] / sketch_mod._BATCH_HEADROOM < 1
-        assert np.abs(s._scaled).max() > 2**50
         assert s.to_bytes() == _loop(updates, k, seed=seed).to_bytes()
+        scaled, total, out_of_range = _exact_reference(updates, k, seed)
+        assert s._scaled.tolist() == scaled and s._scaled_total == total and not out_of_range
+        return s, converted
+
+    @pytest.mark.parametrize("batch_variates", [16, 3 * 16, 1 << 16])
+    def test_bound_just_under_the_headroom(self, monkeypatch, batch_variates):
+        # terms and partial sums near 2^52: the block's bound comes within
+        # 1e-5 of the headroom and it is summed in float64 to the end; only
+        # the one part's final float sum is converted
+        s, converted = self._near_the_headroom(monkeypatch, batch_variates, 1 - 1e-6)
+        assert converted == [(16,)]
+        assert np.abs(s._scaled).max() > 2**50
+
+    @pytest.mark.parametrize("batch_variates", [16, 3 * 16, 1 << 16])
+    def test_past_the_headroom_sums_exactly(self, monkeypatch, batch_variates):
+        # 1.5 times the headroom: one batch per group spills the float sum
+        # to Python ints; one batch for all groups is summed in Python ints
+        s, converted = self._near_the_headroom(monkeypatch, batch_variates, 1.5)
+        assert len(converted) > 1
+        assert np.abs(s._scaled).max() > 2**51
+
+    @pytest.mark.parametrize("batch_variates", [16, 3 * 16])
+    def test_partial_sums_past_2_53_are_exact(self, monkeypatch, batch_variates):
+        # the str and bytes forms of "x" share a key, so their groups are
+        # summed in the order given: eight of about 0.95 * 2^52 each take
+        # the running sum to 3.8 * 2^53, where a float sum would round the
+        # small groups, and eight more cancel them
+        monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", batch_variates)
+        k = 16
+        big = 0.95 * 2**52 / (float(np.abs(variates_np(item_key("x", 0), k)).max()) * 65536.0)
+        forms = ["x", b"x"] * 4
+        updates = ([(form, big * (1 + j / 1000)) for j, form in enumerate(forms)]
+                   + [("x", 1.25), (b"x", -3.75)]
+                   + [(form, -big * (1 + j / 1000)) for j, form in enumerate(forms)])
+        scaled, total, out_of_range = _exact_reference(updates, k)
+        assert not out_of_range and _loop_error(updates, k) is OverflowError
+        s = new_sketch(k=k).update_many(updates)
+        assert s._scaled.tolist() == scaled and s._scaled_total == total
+
+    def test_terms_past_int64_cancel_exactly(self, monkeypatch):
+        # each big x increment is about 5e20, past int64, and their exact
+        # sum is 0; the str and bytes forms of "x" share a key, so the small
+        # group is summed between them, where a float sum would round it
+        _split_blocks(monkeypatch, 2)
+        updates = [("x", 1e15), (b"x", 1.25), ("x", 1e15), (b"x", -2e15), ("z", -2.5)]
+        ref = _loop([(b"x", 1.25), ("z", -2.5)], 8)
+        assert new_sketch(k=8).update_many(updates).to_bytes() == ref.to_bytes()
 
 
 class TestGoldenBytes:
