@@ -57,6 +57,9 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must not be empty")
         if min(self.k_values) < 1:
             raise ValueError("k_values must be >= 1")
+        if self.kind in ("mse_curve", "end_to_end") and min(self.k_values) < 2:
+            # these apply the estimator's bias correction, which is -inf at k=1
+            raise ValueError(f"k_values must be >= 2 for {self.kind}")
         for name in ("zeta_values", "epsilons"):
             if not all(0.0 < x < math.inf for x in getattr(self, name)):
                 raise ValueError(f"{name} must be > 0 and finite")

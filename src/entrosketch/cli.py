@@ -9,8 +9,9 @@ field's default, and the spec rejects out-of-range values by field name.
 Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
 ``estimate`` and ``merge`` read sketch files through the stdlib-only
-``sketchfile``; only ``ingest``, ``oracle``, ``bench`` and a Monte Carlo
-bias correction load numpy.  Before that, ``main`` sets
+``sketchfile``, and ``estimate``'s bias correction is pure Python at
+every (k, zeta); only ``ingest``, ``oracle`` and ``bench`` load numpy.
+Before that, ``main`` sets
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where the caller
 left them unset.  A bad value, an overflow, a file error or
 an allocation too large for memory prints ``error: ...`` and exits 1.
@@ -70,7 +71,7 @@ def cmd_estimate(args) -> int:
     from .estimator import estimate
 
     sketch = _load_sketch(args.sketch)
-    result = estimate(sketch, bc_mode=args.bc_mode, mc_reps=args.reps)
+    result = estimate(sketch, bc_mode=args.bc_mode)
     print(f"entropy={_g(result.entropy_hat)}")
     print(f"delta={_g(result.delta_hat)}")
     print(f"bias_correction={_g(result.bias_correction)}")
@@ -141,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bc-mode",
         default="auto",
-        choices=["auto", "mc", "none"],
+        choices=["auto", "none"],
         help="auto: closed-form bias correction for zeta <= 1.5 and k large enough "
-        "(k >= 8 at zeta=1), else Monte Carlo; mc: always Monte Carlo; none: no correction",
+        "(k >= 8 at zeta=1), else by quadrature; k=1 has none and fails; "
+        "none: no correction",
     )
-    p.add_argument("--reps", type=int, default=500_000, help="Monte Carlo BC replicates")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("merge", help="merge two sketches with equal configs")

@@ -8,19 +8,20 @@ paper's identity E exp(m X) = m^m gives every moment of
 W = exp(zeta X)/zeta^zeta in closed form, so BC has a delta-method
 expansion in 1/k through 1/k^3.  That expansion is used for zeta <= 1.5
 wherever its 1/k^3 term is at most 2e-3; everywhere else BC is computed
-by Monte Carlo.  The Shannon entropy is -delta.
+by quadrature (``quadrature.bias_correction``).  At k = 1, BC = -inf,
+so a k = 1 sketch estimates only without a correction.  The Shannon
+entropy is -delta.
 
-This module is pure Python.  ``estimate`` reads a sketch value,
-``sketchfile.SketchFile``; an ``EntropySketch`` accumulator is read
-through the same value, which its ``normalized()`` builds.  The Monte
-Carlo engine, ``montecarlo``, is imported only when a Monte Carlo BC is
-computed, so an estimate inside the closed form's region loads no numpy.
+This module is pure Python, and so is the quadrature, which it imports
+only outside the closed form's region: an estimate loads no numpy.
+``estimate`` reads a sketch value, ``sketchfile.SketchFile``; an
+``EntropySketch`` accumulator is read through the same value, which its
+``normalized()`` builds.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .sketchfile import Record
 
@@ -73,68 +74,54 @@ def _bias_terms(k: int, zeta: float) -> tuple[float, float, float]:
     return t1 / zeta, t2 / zeta, t3 / zeta
 
 
-@lru_cache(maxsize=64)
-def _monte_carlo_bias(k: int, zeta: float, reps: int) -> float:
-    # imported here: only this path needs numpy and logging
-    import logging
-
-    from .montecarlo import bias_correction
-
-    logging.getLogger(__name__).info(
-        "bias correction by Monte Carlo: k=%d, zeta=%r, reps=%d", k, zeta, reps
-    )
-    return bias_correction(k, zeta, reps=reps, seed=0).value
-
-
-def resolve_bias(
-    k: int,
-    zeta: float,
-    mode: str = "auto",
-    mc_reps: int = 500_000,
-) -> float:
+def resolve_bias(k: int, zeta: float, mode: str = "auto") -> float:
     """BC for (k, zeta) per the configured policy.
 
     auto: the closed-form expansion of ``_bias_terms`` where it holds
     (zeta <= 1.5 and a 1/k^3 term of at most 2e-3; k >= 8 at zeta = 1,
-    k >= 28 at zeta = 1.5), else Monte Carlo.  mc: always Monte Carlo.
-    none: BC = 0 (the raw estimator).  ``mc_reps`` must be at least 1 in
-    every mode, so a bad value fails whichever path (k, zeta) takes.
-    Monte Carlo values are cached per (k, zeta, mc_reps) with seed 0, and
-    each computation is logged at INFO with k, zeta and reps.
+    k >= 28 at zeta = 1.5), else ``quadrature.bias_correction``, cached
+    per (k, zeta) and logged at INFO.  k = 1 has no finite BC and raises.
+    none: BC = 0 (the raw estimator), at any k.
     """
-    if mode not in ("auto", "mc", "none"):
+    if mode not in ("auto", "none"):
         raise ValueError(f"unknown bias mode {mode!r}")
     if k < 1 or not zeta > 0.0:
         raise ValueError("k must be >= 1 and zeta positive")
-    if mc_reps < 1:
-        raise ValueError("reps must be >= 1")
     if mode == "none":
         return 0.0
-    if mode == "auto" and zeta <= _CLOSED_FORM_ZETA_MAX:
+    if k == 1:
+        raise ValueError(
+            "k=1 has no finite bias correction (it is -inf); use k >= 2 or no correction"
+        )
+    if zeta <= _CLOSED_FORM_ZETA_MAX:
         terms = _bias_terms(k, zeta)
         if abs(terms[2]) <= _CLOSED_FORM_T3_MAX:
             return sum(terms)
-    return _monte_carlo_bias(k, zeta, mc_reps)
+    from .quadrature import bias_correction  # imported here: only this path needs it
+
+    return bias_correction(k, zeta)
 
 
-def estimate(sketch, bc_mode: str = "auto", mc_reps: int = 500_000) -> EstimateResult:
+def estimate(sketch, bc_mode: str = "auto") -> EstimateResult:
     """Entropy estimate from a sketch: H = -(log-mean - BC).
 
     ``sketch`` is anything with ``config.k``, ``config.zeta``, ``total``
     and ``normalized()``: a ``SketchFile``, or an ``EntropySketch`` through its own.
+    A zeta without a finite positive asymptotic SE fails before any bias work.
     """
     if not sketch.total > 0.0:
         raise ValueError("sketch total must be positive (frequencies undefined)")
     zeta = sketch.config.zeta
     k = sketch.config.k
+    se = asymptotic_std_error(k, zeta)
     raw = log_mean(sketch.normalized(), zeta)
-    bc = resolve_bias(k, zeta, mode=bc_mode, mc_reps=mc_reps)
+    bc = resolve_bias(k, zeta, mode=bc_mode)
     delta_hat = raw - bc
     return EstimateResult(
         delta_hat=delta_hat,
         entropy_hat=-delta_hat,
         bias_correction=bc,
-        asymptotic_se=asymptotic_std_error(k, zeta),
+        asymptotic_se=se,
     )
 
 
@@ -146,9 +133,19 @@ def are(zeta: float) -> float:
 
 
 def asymptotic_std_error(k: int, zeta: float) -> float:
-    """Large-k standard deviation of the estimator: sqrt((4^z-1)/(z^2 k))."""
+    """Large-k standard deviation of the estimator: sqrt((4^z-1)/(z^2 k)).
+
+    Raises ValueError naming zeta where that is not a finite positive
+    double: 4^z overflows, or z^2 underflows, or 4^z - 1 rounds to 0.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not zeta > 0.0:
         raise ValueError("zeta must be positive")
-    return math.sqrt((4.0**zeta - 1.0) / (zeta**2 * k))
+    try:
+        se = math.sqrt((4.0**zeta - 1.0) / (zeta**2 * k))
+    except (OverflowError, ZeroDivisionError):
+        se = math.inf
+    if not 0.0 < se < math.inf:
+        raise ValueError(f"zeta={zeta!r} has no finite positive asymptotic standard error at k={k}")
+    return se

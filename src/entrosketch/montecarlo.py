@@ -3,9 +3,8 @@
 BC(k, zeta) is the mean log-mean of k pure G(z;0) samples.
 ``log_mean_replicates`` draws those replicates from counter-based
 Philox streams in blocks, on threads, and ``bias_correction`` averages
-them.  ``estimator.resolve_bias`` imports this module only when it
-takes the Monte Carlo path, so an estimate inside the closed form's
-region loads no numpy; ``bench`` uses the replicates directly.
+them.  ``bench`` uses both, and the tests check the estimator's closed
+form and quadrature against them; ``estimate`` never runs this module.
 """
 
 from __future__ import annotations

@@ -29,6 +29,13 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="bias_table", reps=0)
 
+    def test_k1_only_for_the_bias_table(self):
+        # mse_curve and end_to_end subtract the bias correction, which is -inf at k=1
+        assert ExperimentSpec(kind="bias_table", k_values=[1]).k_values == [1]
+        for kind in ("mse_curve", "end_to_end"):
+            with pytest.raises(ValueError, match=f"^k_values must be >= 2 for {kind}$"):
+                ExperimentSpec(kind=kind, k_values=[10, 1])
+
     @pytest.mark.parametrize("name", ["k_values", "zeta_values"])
     def test_empty_grid_rejected(self, name):
         # no flag gives an empty list (nargs="+"), so this is checked here

@@ -102,14 +102,14 @@ class TestIngestEstimate:
         kv = parse_kv(capsys.readouterr().out)
         assert float(kv["bias_correction"]) == 0.0
 
-    def test_monte_carlo_estimate_prints_no_log(self, tmp_path, capsys):
-        # the Monte Carlo fallback logs at INFO, which the CLI does not show;
+    def test_quadrature_estimate_prints_no_log(self, tmp_path, capsys):
+        # the quadrature logs at INFO, which the CLI does not show;
         # k=5 is below the closed form's region
         src = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
         out = str(tmp_path / "s.bin")
         main(["ingest", "--input", src, "--output", out, "--k", "5", "--zeta", "0.9"])
         capsys.readouterr()
-        assert main(["estimate", out, "--reps", "500"]) == 0
+        assert main(["estimate", out]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         assert list(parse_kv(captured.out)) == ["entropy", "delta", "bias_correction", "asymptotic_se"]
@@ -191,12 +191,39 @@ class TestIngestEstimate:
         capsys.readouterr()
         assert main(["estimate", out]) == 1
 
-    @pytest.mark.parametrize("k", [64, 4])  # inside and outside the closed form's region
-    def test_reps_below_one_fails_at_any_k(self, tmp_path, capsys, k):
-        assert main(["estimate", _sketch_file(tmp_path, "s.bin", k), "--reps", "0"]) == 1
+    @pytest.mark.parametrize("flags, message", [
+        (["--reps", "10"], "unrecognized arguments: --reps 10"),
+        (["--bc-mode", "mc"], "argument --bc-mode: invalid choice: 'mc'"),
+    ], ids=["reps", "bc-mode-mc"])
+    def test_monte_carlo_flags_exit_2(self, tmp_path, capsys, flags, message):
+        # the bias correction has no Monte Carlo path, and so no options for one
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", _sketch_file(tmp_path, "s.bin", 4), *flags])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: reps must be >= 1\n"
+        assert message in captured.err
+
+    @pytest.mark.parametrize("zeta", [1e-300, 600.0])
+    def test_zeta_without_a_standard_error_fails_cleanly(self, tmp_path, capsys, zeta):
+        # 1e-300**2 underflows to 0 and 4.0**600 overflows, both before any bias work
+        src = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
+        out = str(tmp_path / "s.bin")
+        assert main(["ingest", "--input", src, "--output", out, "--k", "5",
+                     "--zeta", repr(zeta)]) == 0
+        capsys.readouterr()
+        assert main(["estimate", out]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: zeta={zeta!r} has no finite positive asymptotic standard error at k=5\n")
+
+    def test_k1_estimate_fails_and_estimates_uncorrected(self, tmp_path, capsys):
+        path = _sketch_file(tmp_path, "s.bin", 1)
+        assert main(["estimate", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: k=1 has no finite bias correction")
+        assert main(["estimate", path, "--bc-mode", "none"]) == 0
+        assert parse_kv(capsys.readouterr().out)["bias_correction"] == "0"
 
     def test_corrupt_sketch_fails(self, tmp_path, capsys):
         path = tmp_path / "junk.bin"
@@ -273,10 +300,16 @@ class TestFileContracts:
     )
     @settings(max_examples=40, deadline=None)
     def test_estimate_prints_the_library_estimate(self, xs, k, zeta, seed):
-        # k=1 and k=2 take the Monte Carlo bias correction, the others the closed form
+        # k=2 takes the quadrature, k=16 and k=200 the closed form, and k=1,
+        # which has no bias correction, the library's error
         data = sketch_stream(xs, k=k, zeta=zeta, master_seed=seed).to_bytes()
-        code, out, _, _ = run_cli(["estimate", "s.bin", "--reps", "200"], {"s.bin": data})
-        r = estimate(EntropySketch.from_bytes(data), mc_reps=200)
+        code, out, err, _ = run_cli(["estimate", "s.bin"], {"s.bin": data})
+        if k == 1:
+            with pytest.raises(ValueError) as exc:
+                estimate(EntropySketch.from_bytes(data))
+            assert (code, out, err) == (1, "", f"error: {exc.value}\n")
+            return
+        r = estimate(EntropySketch.from_bytes(data))
         assert code == 0
         assert out == (f"entropy={_g(r.entropy_hat)}\ndelta={_g(r.delta_hat)}\n"
                        f"bias_correction={_g(r.bias_correction)}\nasymptotic_se={_g(r.asymptotic_se)}\n")
@@ -476,6 +509,7 @@ class TestBench:
         (["--zipf-s", "inf"], "zipf_s"),
         (["--seed", "-1"], "seed"),
         (["--seed", str(2**64)], "seed"),
+        (["--k", "1"], "k_values"),  # end_to_end's bias correction is -inf at k=1
     ])
     def test_out_of_range_flag_fails_naming_its_field(self, tmp_path, capsys, flags, name):
         out = tmp_path / "res.csv"
@@ -541,10 +575,11 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def modules_after(code: str) -> set:
-    """Names in sys.modules after a fresh interpreter runs ``code``."""
+def modules_after(code: str, *flags: str) -> set:
+    """Names in sys.modules after a fresh interpreter, started with
+    ``flags``, runs ``code``."""
     probe = code + "\nimport sys\nsys.stderr.write('\\n' + ' '.join(sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+    proc = subprocess.run([sys.executable, *flags, "-c", probe], env=_child_env(),
                           capture_output=True, text=True, check=True)
     return set(proc.stderr.splitlines()[-1].split())
 
@@ -598,23 +633,30 @@ class TestImportGraph:
             "entrosketch", "entrosketch.cli", "entrosketch.sketchfile"}
         assert not {"numpy", "json", "dataclasses", "inspect"} & modules
 
-    @pytest.mark.parametrize("k, zeta, flags", [
-        pytest.param(64, 1.0, ["--bc-mode", "mc"], id="bc-mode-mc"),
-        pytest.param(5, 1.0, [], id="out-of-region"),
-    ])
-    def test_monte_carlo_estimate_loads_numpy_and_logs(self, tmp_path, k, zeta, flags):
-        args = ["estimate", _sketch_file(tmp_path, "s.bin", k, zeta), "--reps", "500", *flags]
-        expected = ("INFO:entrosketch.estimator:bias correction by Monte Carlo: "
-                    f"k={k}, zeta={zeta!r}, reps=500\n")
+    @pytest.mark.parametrize("k, zeta", [(5, 1.0), (20, 2.0)], ids=["k5-zeta1", "k20-zeta2"])
+    def test_out_of_region_estimate_loads_only_its_modules(self, tmp_path, k, zeta):
+        # outside the closed form's region the bias correction is the
+        # stdlib-only quadrature: no numpy, Monte Carlo, sampler or threads
+        # -S: a site-packages .pth file may import threading at start-up
         modules = modules_after(
+            "from entrosketch.cli import main\n"
+            f"assert main(['estimate', {_sketch_file(tmp_path, 's.bin', k, zeta)!r}]) == 0", "-S")
+        assert {m for m in modules if m.startswith("entrosketch")} == {
+            "entrosketch", "entrosketch.cli", "entrosketch.sketchfile", "entrosketch.estimator",
+            "entrosketch.quadrature"}
+        assert not {"numpy", "threading", "logging", "json", "csv", "concurrent.futures",
+                    "dataclasses", "inspect"} & modules
+
+    def test_quadrature_is_logged_where_logging_is_set_up(self, tmp_path):
+        args = ["estimate", _sketch_file(tmp_path, "s.bin", 5)]
+        expected = "INFO:entrosketch.quadrature:bias correction by quadrature: k=5, zeta=1.0\n"
+        modules_after(
             "import io, logging\n"
             "log = io.StringIO()\n"
             "logging.basicConfig(stream=log, level=logging.INFO)\n"
             "from entrosketch.cli import main\n"
             f"assert main({args!r}) == 0\n"
             f"assert log.getvalue() == {expected!r}, log.getvalue()")
-        assert {"numpy", "entrosketch.montecarlo", "entrosketch.stable"} <= modules
-        assert "entrosketch.sketch" not in modules
 
 
 class TestBlasThreads:

@@ -10,11 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from entrosketch import montecarlo
+from entrosketch import montecarlo, quadrature
 from entrosketch.estimator import (
     FISHER_INFO,
     _bias_terms,
-    _monte_carlo_bias,
     are,
     asymptotic_std_error,
     estimate,
@@ -196,63 +195,93 @@ class TestResolveBias:
     def test_modes(self):
         assert resolve_bias(10, 1.0, mode="none") == 0.0
         assert resolve_bias(10, 1.0, mode="auto") == sum(_bias_terms(10, 1.0))
-        # mc runs Monte Carlo also inside the closed form's region
-        mc = resolve_bias(10, 1.0, mode="mc", mc_reps=2000)
-        assert mc == bias_correction(10, 1.0, reps=2000).value
+        # outside the closed form's region, auto takes the quadrature
+        assert resolve_bias(5, 1.0, mode="auto") == quadrature.bias_correction(5, 1.0)
 
     def test_unknown_mode_raises(self):
-        # "table" was a mode once; it must not fall through to Monte Carlo
-        with pytest.raises(ValueError):
-            resolve_bias(10, 0.77, mode="table")
+        # "table" and "mc" (Monte Carlo) were modes once; neither may fall through
+        for mode in ("table", "mc"):
+            with pytest.raises(ValueError, match="unknown bias mode"):
+                resolve_bias(10, 0.77, mode=mode)
 
-    @pytest.mark.parametrize("mode", ["auto", "mc", "none"])
-    def test_reps_below_one_raises_in_every_mode(self, mode):
-        # (64, 1.0) is inside the closed form's region, where reps is not used
-        with pytest.raises(ValueError, match="^reps must be >= 1$"):
-            resolve_bias(64, 1.0, mode=mode, mc_reps=0)
+    def test_k1_has_no_bias_correction(self):
+        # E exp(sX) = s^s, so E X = -inf: BC(1, zeta) = -inf at every zeta
+        for zeta in (0.5, 1.0, 2.0):
+            with pytest.raises(ValueError, match="^k=1 has no finite bias correction"):
+                resolve_bias(1, zeta)
+            assert resolve_bias(1, zeta, mode="none") == 0.0
 
-    def test_mc_mode_cached(self):
-        a = resolve_bias(12, 1.0, mode="mc", mc_reps=20_000)
-        b = resolve_bias(12, 1.0, mode="mc", mc_reps=20_000)
+    def test_quadrature_cached(self):
+        quadrature.bias_correction.cache_clear()
+        a = resolve_bias(12, 1.6)
+        b = resolve_bias(12, 1.6)
         assert a == b
-
-    def test_mc_cache_keys_on_reps(self):
-        # a cache keyed on (k, zeta) alone returned the 50-replicate value here
-        _monte_carlo_bias.cache_clear()
-        resolve_bias(12, 0.8, mode="mc", mc_reps=50)
-        many = resolve_bias(12, 0.8, mode="mc", mc_reps=50_000)
-        assert many == bias_correction(12, 0.8, reps=50_000).value
-        assert many != bias_correction(12, 0.8, reps=50).value
+        assert quadrature.bias_correction.cache_info().hits == 1
 
     @pytest.mark.parametrize("k, zeta", [(10, 1.0), (20, 0.9), (15, 1.3), (28, 1.5), (100, 1.15)])
-    def test_closed_form_matches_monte_carlo(self, caplog, k, zeta):
+    def test_closed_form_matches_monte_carlo(self, k, zeta):
         # inside the region, near its edge (k=15 at 1.3, k=28 at 1.5) and
         # at the benchmark's Monte Carlo class (20, 0.9)
-        with caplog.at_level(logging.INFO, logger="entrosketch.estimator"):
-            closed_form = resolve_bias(k, zeta)
-        assert not caplog.records  # no Monte Carlo ran
+        calls = quadrature.bias_correction.cache_info()
+        closed_form = resolve_bias(k, zeta)
+        assert quadrature.bias_correction.cache_info() == calls  # no quadrature ran
         est = bias_correction(k, zeta, seed=0)
         assert abs(closed_form - est.value) <= 3 * est.std_error
 
-    def test_monte_carlo_fallback_is_logged(self, caplog):
+    def test_quadrature_fallback_is_logged(self, caplog):
         # outside the closed form's region: (20, 1.5) and (5, 1) have a
         # 1/k^3 term above 2e-3; (100, 2) has a small one, but zeta > 1.5
-        _monte_carlo_bias.cache_clear()
+        quadrature.bias_correction.cache_clear()
         for k, zeta in ((20, 1.5), (5, 1.0), (100, 2.0)):
             caplog.clear()
-            with caplog.at_level(logging.INFO, logger="entrosketch.estimator"):
-                bc = resolve_bias(k, zeta, mc_reps=500)
-            assert bc == bias_correction(k, zeta, reps=500).value
+            with caplog.at_level(logging.INFO, logger="entrosketch.quadrature"):
+                bc = resolve_bias(k, zeta)
+                assert resolve_bias(k, zeta) == bc  # cached: logged once
             (record,) = caplog.records
             assert record.levelno == logging.INFO
-            msg = record.getMessage()
-            assert f"k={k}" in msg and f"zeta={zeta!r}" in msg and "reps=500" in msg
+            assert record.getMessage() == f"bias correction by quadrature: k={k}, zeta={zeta!r}"
 
     def test_no_cutoff_at_large_k(self):
         # the closed form replaces the old table's "BC = 0 above k=1000"
         bc = resolve_bias(5000, 1.0)
         assert bc == sum(_bias_terms(5000, 1.0))
         assert bc == pytest.approx(-3.0 / 10_000, rel=1e-3)
+
+
+class TestQuadrature:
+    """``quadrature.bias_correction`` against the package's two other rules."""
+
+    @pytest.mark.parametrize("zeta", [0.5, 0.8, 1.0, 1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10, 64])
+    def test_matches_monte_carlo(self, k, zeta):
+        # 10^5 replicates: a standard error of about 1e-3 at k=64
+        est = bias_correction(k, zeta, reps=100_000, seed=7)
+        assert abs(quadrature.bias_correction(k, zeta) - est.value) <= 3 * est.std_error
+
+    def test_matches_every_shipped_row(self, shipped_bias_rows):
+        for (k, zeta), (bc, se) in shipped_bias_rows.items():
+            assert abs(quadrature.bias_correction(k, zeta) - bc) <= 3 * se, (k, zeta)
+
+    @pytest.mark.parametrize("k, zeta", [(8, 1.0), (10, 1.0), (20, 1.0), (100, 1.0), (2217, 1.0),
+                                         (10, 1.15), (20, 1.15), (100, 1.15), (2217, 1.15)])
+    def test_matches_closed_form_inside_its_region(self, k, zeta):
+        # the expansion drops terms of order 1/k^4: they are below its last term
+        terms = _bias_terms(k, zeta)
+        assert abs(terms[2]) <= 2e-3  # inside the region
+        tolerance = max(abs(terms[2]), 1e-8)
+        assert abs(quadrature.bias_correction(k, zeta) - sum(terms)) <= tolerance
+
+    @pytest.mark.parametrize("zeta", [0.05, 1.0, 4.0, 50.0])
+    def test_finite_and_rising_to_zero_in_k(self, zeta):
+        # E log(mean of k W's) rises with k towards log E W = 0
+        values = [quadrature.bias_correction(k, zeta) for k in (2, 3, 7, 1000, 10**6)]
+        assert all(math.isfinite(v) for v in values)
+        assert values == sorted(values) and values[-1] < 0.0
+
+    def test_k_below_two_or_a_bad_zeta_raises(self):
+        for k, zeta in ((1, 1.0), (0, 1.0), (2, 0.0), (2, -1.0), (2, math.nan), (2, math.inf)):
+            with pytest.raises(ValueError, match="needs k >= 2 and a finite zeta > 0"):
+                quadrature.bias_correction(k, zeta)
 
 
 class TestEstimate:
