@@ -204,6 +204,16 @@ class TestIngestEstimate:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("k", [64, 4])  # inside and outside the closed form's region
+    def test_reps_below_one_fails_at_any_k(self, tmp_path, capsys, k):
+        # --reps is gone, so a bad replicate count is refused before any bias work
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", _sketch_file(tmp_path, "s.bin", k), "--reps", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --reps 0" in captured.err
+
     @pytest.mark.parametrize("zeta", [1e-300, 600.0])
     def test_zeta_without_a_standard_error_fails_cleanly(self, tmp_path, capsys, zeta):
         # 1e-300**2 underflows to 0 and 4.0**600 overflows, both before any bias work
