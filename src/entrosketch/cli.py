@@ -10,7 +10,7 @@ Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
 ``estimate`` and ``merge`` read sketch files through the stdlib-only
 ``sketchfile``, and ``estimate``'s bias correction is pure Python at
-every (k, zeta); only ``ingest``, ``oracle`` and ``bench`` load numpy.
+every (k, zeta); only ``ingest`` and ``bench`` load numpy.
 Before that, ``main`` sets
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where the caller
 left them unset.  A bad value, an overflow, a file error or

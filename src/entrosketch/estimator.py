@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .sketchfile import Record
+from .sketchfile import Record, asymptotic_std_error
 
 FISHER_INFO = 0.3445  # Fisher information for delta per sketch coordinate
 
@@ -107,7 +107,7 @@ def estimate(sketch, bc_mode: str = "auto") -> EstimateResult:
 
     ``sketch`` is anything with ``config.k``, ``config.zeta``, ``total``
     and ``normalized()``: a ``SketchFile``, or an ``EntropySketch`` through its own.
-    A zeta without a finite positive asymptotic SE fails before any bias work.
+    Its ``SketchConfig`` holds no zeta without a finite positive asymptotic SE.
     """
     if not sketch.total > 0.0:
         raise ValueError("sketch total must be positive (frequencies undefined)")
@@ -130,22 +130,3 @@ def are(zeta: float) -> float:
     if not zeta > 0.0:
         raise ValueError("zeta must be positive")
     return zeta**2 / (FISHER_INFO * (4.0**zeta - 1.0))
-
-
-def asymptotic_std_error(k: int, zeta: float) -> float:
-    """Large-k standard deviation of the estimator: sqrt((4^z-1)/(z^2 k)).
-
-    Raises ValueError naming zeta where that is not a finite positive
-    double: 4^z overflows, or z^2 underflows, or 4^z - 1 rounds to 0.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not zeta > 0.0:
-        raise ValueError("zeta must be positive")
-    try:
-        se = math.sqrt((4.0**zeta - 1.0) / (zeta**2 * k))
-    except (OverflowError, ZeroDivisionError):
-        se = math.inf
-    if not 0.0 < se < math.inf:
-        raise ValueError(f"zeta={zeta!r} has no finite positive asymptotic standard error at k={k}")
-    return se

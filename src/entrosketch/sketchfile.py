@@ -20,7 +20,9 @@ that is not finite or not below 2^37 in magnitude, and round a value off
 that grid to the nearest multiple.  ``from_json`` coerces no type: a
 version, k or master_seed that is not a JSON integer, or a zeta, total
 or projection that is not a JSON number, raises ValueError, as does a
-bool anywhere.
+bool anywhere.  ``SketchConfig`` refuses a zeta without a finite
+positive asymptotic standard error (``asymptotic_std_error``), so no
+sketch holds a zeta that no estimate can use.
 
 Merge adds the integers.  Integer addition is exact, associative and
 invertible, so a merge equals the single-pass sketch bit for bit; a sum
@@ -114,8 +116,28 @@ class SketchConfig(Record):
         # an int zeta must also convert to a finite double
         if not _is_number(self.zeta) or not 0.0 < self.zeta <= sys.float_info.max:
             raise ValueError("zeta must be a positive finite number")
+        asymptotic_std_error(self.k, self.zeta)  # a zeta no estimate can use is refused here
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 1 << 64:
             raise ValueError("master_seed must be an integer that fits in 64 bits")
+
+
+def asymptotic_std_error(k: int, zeta: float) -> float:
+    """Large-k standard deviation of the estimator: sqrt((4^z-1)/(z^2 k)).
+
+    Raises ValueError naming zeta where that is not a finite positive
+    double: 4^z overflows, or z^2 underflows, or 4^z - 1 rounds to 0.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not zeta > 0.0:
+        raise ValueError("zeta must be positive")
+    try:
+        se = math.sqrt((4.0**zeta - 1.0) / (zeta**2 * k))
+    except (OverflowError, ZeroDivisionError):
+        se = math.inf
+    if not 0.0 < se < math.inf:
+        raise ValueError(f"zeta={zeta!r} has no finite positive asymptotic standard error at k={k}")
+    return se
 
 
 def _is_int(value) -> bool:

@@ -9,8 +9,10 @@ that is not a finite number raises ``StreamParseError``.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # the generators import numpy themselves: parsing a file needs none
+    import numpy as np
 
 
 class StreamParseError(ValueError):
@@ -53,6 +55,8 @@ def uniform_stream(n_items: int, n_updates: int, rng: np.random.Generator):
 
 
 def zipf_probabilities(n_items: int, s: float) -> np.ndarray:
+    import numpy as np
+
     ranks = np.arange(1, n_items + 1, dtype=np.float64)
     p = ranks**-s
     return p / p.sum()
@@ -60,6 +64,8 @@ def zipf_probabilities(n_items: int, s: float) -> np.ndarray:
 
 def zipf_counts(n_items: int, s: float, n_updates: int, rng: np.random.Generator) -> np.ndarray:
     """Multinomial item totals of a Zipf(s) stream of n_updates updates."""
+    import numpy as np
+
     return rng.multinomial(n_updates, zipf_probabilities(n_items, s)).astype(np.float64)
 
 

@@ -1,24 +1,31 @@
 """Chernoff tail machinery for the raw log-mean estimator (zeta <= 1).
 
-The moment series M(t) = sum_j t^j j^(zeta*j)/j! converges for all
-t > 0 when zeta < 1 and for |t| < 1/e when zeta = 1; there is no
-exponential bound for zeta > 1.  The tail constants are
-    G_R = eps^2 / sup_t [-log M(t)  + t exp( zeta*eps)]
-    G_L = eps^2 / sup_t [-log M(-t) - t exp(-zeta*eps)]
-and the error probability is bounded by exp(-k eps^2 / G).  Both
-constants tend to 2(4^zeta - 1)/zeta^2 as eps -> 0.  The bound applies
-to the estimator *without* the small-sample bias correction.
+With W = exp(zeta X)/zeta^zeta, the paper's E exp(jX) = j^j gives the
+moment series M(t) = E exp(t W) = sum_j t^j j^(zeta*j)/j!, which
+converges for all t > 0 when zeta < 1 and for t < 1/e when zeta = 1;
+there is no exponential bound for zeta > 1.  The tail constants are
+    G_R = eps^2 / sup_t [-log M(t) + t exp( zeta*eps)]
+    G_L = eps^2 / sup_t [-log L(t) - t exp(-zeta*eps)]
+with L(t) = M(-t) = E exp(-t W) the Laplace transform, finite for every
+t > 0 and computed by ``quadrature.log_laplace`` (in closed form at
+zeta = 1), and the error probability is bounded by exp(-k eps^2 / G).
+Both constants tend to 2(4^zeta - 1)/zeta^2 as eps -> 0.  The bound
+applies to the estimator *without* the small-sample bias correction.
+Where the right tail's sup lies beyond what the series can sum in
+doubles (zeta = 0.99 at eps >= 1, zeta = 0.9 at eps = 3), there are
+no constants, and ``tail_constants`` raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
 
+from .quadrature import log_laplace
 from .sketchfile import Record
 
 _E_INV = math.exp(-1.0)
 _MAX_TERMS = 50_000
-# the zeta=1 search domain is clipped at (1 - 5e-3)/e: closer to the
+# the right tail's zeta=1 search domain is clipped at (1 - 5e-3)/e: closer to the
 # edge the series needs millions of terms, and stopping short of the
 # sup only makes the returned constants larger, never invalid
 _EDGE = 1.0 - 5e-3
@@ -40,34 +47,30 @@ def series_domain(zeta: float) -> SeriesDomain:
 
 
 def m_series(zeta: float, t: float) -> float:
-    """sum_{j>=0} t^j j^(zeta j)/j! with 0^0 := 1, to ~1e-12 relative.
+    """sum_{j>=0} t^j j^(zeta j)/j! with 0^0 := 1, to ~1e-12 relative,
+    for t >= 0 in the convergence domain.
 
-    Terms are computed in log space (j^(zeta j) overflows quickly);
-    negative t gives the alternating series with the same |t| domain.
+    Terms are computed in log space (j^(zeta j) overflows quickly).
     """
     dom = series_domain(zeta)
-    if abs(t) >= dom.t_max:
-        raise ValueError(f"|t|={abs(t)} outside convergence domain (max {dom.t_max})")
+    if not 0.0 <= t < dom.t_max:
+        raise ValueError(f"t={t} outside [0, {dom.t_max})")
     if t == 0.0:
         return 1.0
-    log_at = math.log(abs(t))
-    negative = t < 0.0
+    log_t = math.log(t)
     terms = [1.0]
     magsum = 1.0
     j = 1
     while True:
-        mag = math.exp(j * log_at + zeta * j * math.log(j) - math.lgamma(j + 1))
-        terms.append(-mag if (negative and j % 2 == 1) else mag)
+        mag = math.exp(j * log_t + zeta * j * math.log(j) - math.lgamma(j + 1))
+        terms.append(mag)
         magsum += mag
         if j >= 5 and mag < 1e-16 * magsum:
             break
         j += 1
         if j > _MAX_TERMS:
             raise RuntimeError(f"series did not converge within {_MAX_TERMS} terms")
-    total = math.fsum(terms)
-    if abs(total) < 1e-10 * magsum:
-        raise RuntimeError("catastrophic cancellation in alternating series")
-    return total
+    return math.fsum(terms)
 
 
 def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-10):
@@ -100,10 +103,9 @@ def _expand_bracket(f, b0: float, b_cap: float) -> float:
 def tail_constants(zeta: float, epsilon: float) -> TailBoundResult:
     """Compute G_R, G_L and the optimizing t for each tail.
 
-    The left-tail search is restricted to the same domain T as the
-    right tail: the alternating series representation of M(-t) is only
-    absolutely convergent there, and a restricted sup still yields a
-    valid (at most slightly larger) constant.
+    The left tail's sup runs over every t > 0.  The right tail's runs
+    over the series' domain, and raises ValueError naming zeta and
+    epsilon where the series cannot be summed in doubles.
     """
     dom = series_domain(zeta)
     if not epsilon > 0.0:
@@ -116,19 +118,21 @@ def tail_constants(zeta: float, epsilon: float) -> TailBoundResult:
         return -math.log(m_series(zeta, t)) + t * er
 
     def q_left(t: float) -> float:
-        return -math.log(m_series(zeta, -t)) - t * el
+        return -log_laplace(zeta, math.log(t)) - t * el
 
     lo = 1e-300
-    if math.isfinite(dom.t_max):
-        hi_r = hi_l = dom.t_max * _EDGE
-    else:
-        # bracket expansion stays near the optimum, keeping the
-        # alternating left-tail series well conditioned
-        hi_r = _expand_bracket(q_right, 0.25, 2.0**60)
-        hi_l = _expand_bracket(q_left, 0.25, 2.0**60)
-
-    t_r, q_r = golden_section_max(q_right, lo, hi_r)
-    t_l, q_l = golden_section_max(q_left, lo, hi_l)
+    try:
+        if math.isfinite(dom.t_max):
+            hi_r = dom.t_max * _EDGE
+        else:
+            hi_r = _expand_bracket(q_right, 0.25, 2.0**60)
+        t_r, q_r = golden_section_max(q_right, lo, hi_r)
+    except (OverflowError, RuntimeError) as exc:  # an overflow, or _MAX_TERMS terms
+        raise ValueError(
+            f"no tail constants at zeta={zeta!r}, epsilon={epsilon!r}: the right tail's "
+            f"moment series cannot be summed in doubles near its optimum ({exc})"
+        ) from exc
+    t_l, q_l = golden_section_max(q_left, lo, _expand_bracket(q_left, 0.25, 2.0**60))
     if not (q_r > 0.0 and q_l > 0.0):
         raise RuntimeError("tail objective not positive at optimum")
     return TailBoundResult(

@@ -224,3 +224,44 @@ def limit_check(acc: AccumulationVector, alpha_grid) -> list[tuple[float, float,
 def small_eps_limit(zeta: float) -> float:
     """Common eps -> 0 limit of both tail constants: 2(4^zeta-1)/zeta^2."""
     return 2.0 * (4.0**zeta - 1.0) / zeta**2
+
+
+def laplace_series(zeta: float, t: float) -> float:
+    """L(t) = E exp(-t W), W = exp(zeta X)/zeta^zeta, by the alternating
+    moment series sum_j (-t)^j j^(zeta j)/j!, summed in log space.
+
+    The small-t reference of ``quadrature.log_laplace``: the series
+    cancels as t grows, so it serves only for t well inside (0, 1/e) at
+    zeta = 1 and for small t at zeta < 1.
+    """
+    terms = [1.0]
+    j = 1
+    while True:
+        mag = math.exp(j * math.log(t) + zeta * j * math.log(j) - math.lgamma(j + 1))
+        terms.append(-mag if j % 2 else mag)
+        if j >= 5 and mag < 1e-17:
+            return math.fsum(terms)
+        j += 1
+
+
+def bias_correction_digamma(k: int) -> float:
+    """BC(k, 1) = psi(k-1) - log k + int_0^inf [(1+w) e^(-k w e^w) - e^(-k w)] dw/w.
+
+    With L(t) = 1/(1 + W(t)) at zeta = 1, substituting t = w e^w in
+    BC = int_0^inf (e^-t - L(t/k)^k) dt/t and splitting off the Frullani
+    integral int [e^(-kw) - (1+w)^(1-k)] dw/w = psi(k-1) - log k leaves
+    this integral, whose integrand is e^(-kw) expm1(log1p(w) - k w expm1(w))/w.
+    It runs over u = k w by 24-point Gauss-Legendre panels that double
+    from u = 2^-12 to 64, where e^-u is below 2e-28.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    edges = [0.0] + [2.0**j for j in range(-12, 7)]
+    total = []
+    for lo, hi in zip(edges, edges[1:]):
+        for x, wt in zip(nodes.tolist(), weights.tolist()):
+            u = (lo + hi) / 2 + (hi - lo) / 2 * x
+            w = u / k
+            f = math.exp(-u) * math.expm1(math.log1p(w) - u * math.expm1(w)) / u
+            total.append((hi - lo) / 2 * wt * f)
+    psi = -0.57721566490153286 + math.fsum(1.0 / j for j in range(1, k - 1))
+    return psi - math.log(k) + math.fsum(total)

@@ -1,6 +1,7 @@
 """CLI flows: ingest -> estimate -> merge, plus size/oracle/bench."""
 
 import io
+import json
 import math
 import os
 import re
@@ -23,7 +24,9 @@ from entrosketch.bench import ExperimentSpec
 from entrosketch.cli import _g, main
 from entrosketch.estimator import estimate
 from entrosketch.sketch import EntropySketch, new_sketch, sketch_stream
-from entrosketch.sketchfile import FORMAT_VERSION, HEADER, LIMIT, SketchConfig, SketchFile
+from entrosketch.sketchfile import (
+    FORMAT_VERSION, HEADER, LIMIT, MAGIC, SketchConfig, SketchFile,
+)
 
 
 def parse_kv(out: str) -> dict:
@@ -216,15 +219,24 @@ class TestIngestEstimate:
 
     @pytest.mark.parametrize("zeta", [1e-300, 600.0])
     def test_zeta_without_a_standard_error_fails_cleanly(self, tmp_path, capsys, zeta):
-        # 1e-300**2 underflows to 0 and 4.0**600 overflows, both before any bias work
-        src = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
-        out = str(tmp_path / "s.bin")
-        assert main(["ingest", "--input", src, "--output", out, "--k", "5",
-                     "--zeta", repr(zeta)]) == 0
-        capsys.readouterr()
-        assert main(["estimate", out]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: zeta={zeta!r} has no finite positive asymptotic standard error at k=5\n")
+        # 1e-300**2 underflows to 0 and 4.0**600 overflows.  ingest refuses
+        # such a zeta before it opens its input (here a missing file)
+        message = f"zeta={zeta!r} has no finite positive asymptotic standard error at k=5"
+        out = tmp_path / "s.bin"
+        assert main(["ingest", "--input", str(tmp_path / "missing.csv"), "--output", str(out),
+                     "--k", "5", "--zeta", repr(zeta)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+        # and both loaders refuse a hand-packed v1 file that holds one
+        out.write_bytes(HEADER.pack(MAGIC, FORMAT_VERSION, 5, zeta, 0, 3.0)
+                        + struct.pack("<5d", 1.0, 2.0, 0.5, -1.0, 0.25))
+        assert main(["estimate", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        document = {"format_version": FORMAT_VERSION, "k": 5, "zeta": zeta, "master_seed": 0,
+                    "total": 3.0, "projections": [1.0, 2.0, 0.5, -1.0, 0.25]}
+        with pytest.raises(ValueError) as exc:
+            SketchFile.from_json(json.dumps(document))
+        assert str(exc.value) == message
 
     def test_k1_estimate_fails_and_estimates_uncorrected(self, tmp_path, capsys):
         path = _sketch_file(tmp_path, "s.bin", 1)
@@ -434,7 +446,7 @@ class TestSize:
         assert main(["size", "--epsilon", "0.1", "--gamma", "0.05"]) == 0
         assert calls == [(1.0, 0.1)]
         assert capsys.readouterr().out == (
-            "k=2217\ng_right=5.7804489833433985\ng_left=6.2249006231494386\n")
+            "k=2217\ng_right=5.7804489833433985\ng_left=6.2249006231491695\n")
 
     def test_quarter_epsilon_rule(self, capsys):
         main(["size", "--epsilon", "0.1", "--gamma", "0.05"])
@@ -442,6 +454,26 @@ class TestSize:
         main(["size", "--epsilon", "0.05", "--gamma", "0.05"])
         k2 = int(parse_kv(capsys.readouterr().out)["k"])
         assert k2 / k1 == pytest.approx(4.0, rel=0.01)
+
+    def test_left_tail_at_large_epsilon(self, capsys):
+        # the alternating series for the left tail used to cancel here
+        assert main(["size", "--epsilon", "2", "--gamma", "0.05", "--zeta", "0.9"]) == 0
+        assert parse_kv(capsys.readouterr().out)["k"] == "9"
+
+    @pytest.mark.parametrize("argv", [
+        ["size", "--epsilon", "1", "--gamma", "0.05", "--zeta", "0.99"],
+        ["bench", "--kind", "tail_curve", "--zeta", "0.99", "--epsilon", "1", "--output", "t.csv"],
+    ], ids=["size", "bench"])
+    def test_right_tail_beyond_doubles_fails_cleanly(self, tmp_path, capsys, monkeypatch, argv):
+        # the right tail's series overflows before its sup: one error line, no CSV
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: no tail constants at zeta=0.99, epsilon=1.0: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
 
     def test_zeta_above_one_fails(self, capsys):
         assert main(["size", "--epsilon", "0.1", "--gamma", "0.05",
@@ -609,6 +641,16 @@ class TestImportGraph:
             "assert main(['size', '--epsilon', '0.1', '--gamma', '0.05']) == 0")
         assert "entrosketch.tailbounds" in modules
         assert not {"numpy", "dataclasses", "inspect"} & modules
+
+    def test_oracle_loads_no_numpy(self, tmp_path):
+        stream = tmp_path / "s.csv"
+        stream.write_text("a,1\nb,2\na,-1\nc\n")
+        modules = modules_after(
+            "from entrosketch.cli import main\n"
+            f"assert main(['oracle', '--input', {str(stream)!r}]) == 0")
+        assert {m for m in modules if m.startswith("entrosketch")} == {
+            "entrosketch", "entrosketch.cli", "entrosketch.streams", "entrosketch.oracle"}
+        assert "numpy" not in modules
 
     def test_ingest_loads_only_its_modules(self, tmp_path):
         # 3 distinct items at k=64 are far below the threading threshold

@@ -23,6 +23,7 @@ from entrosketch.estimator import (
 from entrosketch.montecarlo import bias_correction
 from entrosketch.sketch import new_sketch, sketch_stream
 from entrosketch.stable import sample_g0
+from paper import bias_correction_digamma
 
 
 class TestLogMean:
@@ -278,10 +279,41 @@ class TestQuadrature:
         assert all(math.isfinite(v) for v in values)
         assert values == sorted(values) and values[-1] < 0.0
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 10, 20, 100, 2217])
+    def test_matches_the_digamma_identity_at_zeta_one(self, k):
+        assert abs(quadrature.bias_correction(k, 1.0) - bias_correction_digamma(k)) <= 2e-10
+
     def test_k_below_two_or_a_bad_zeta_raises(self):
         for k, zeta in ((1, 1.0), (0, 1.0), (2, 0.0), (2, -1.0), (2, math.nan), (2, math.inf)):
             with pytest.raises(ValueError, match="needs k >= 2 and a finite zeta > 0"):
                 quadrature.bias_correction(k, zeta)
+
+
+class TestLaplace:
+    """``quadrature.log_laplace``, the one L(t) = E exp(-t W)."""
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0])
+    def test_matches_monte_carlo(self, zeta):
+        # at zeta = 1, L(t) = 1/(1 + W(t)) with W Lambert's function
+        w = np.exp(zeta * sample_g0(np.random.default_rng(11), 1_000_000)) / zeta**zeta
+        for t in (0.1, 1.0, 100.0):
+            v = np.exp(-t * w)
+            se = float(v.std(ddof=1)) / math.sqrt(v.size)
+            assert abs(math.exp(quadrature.log_laplace(zeta, math.log(t))) - v.mean()) <= 5 * se, t
+
+    def test_closed_form_at_zeta_one(self, monkeypatch):
+        # no logit table and no s-panels, and log t beyond exp's range is fine
+        def refuse(*args):
+            raise AssertionError("the s-integral ran at zeta = 1")
+
+        monkeypatch.setattr(quadrature, "_s_rule", refuse)
+        monkeypatch.setattr(quadrature, "_logit_phi", refuse)
+        for log_t in (-30.0, -1.0, 0.0, 1.0, 5.0, 1e4):
+            w = math.expm1(-quadrature.log_laplace(1.0, log_t))  # W(t) = 1/L(t) - 1
+            assert math.log(w) + w == pytest.approx(log_t, rel=1e-14, abs=1e-14)  # w e^w = t
+        assert quadrature.log_laplace(1.0, -800.0) == 0.0  # t = e^-800 is 0 in doubles
+        bc = quadrature.bias_correction.__wrapped__(3, 1.0)  # uncached
+        assert abs(bc - bias_correction_digamma(3)) <= 2e-10
 
 
 class TestEstimate:

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from entrosketch.quadrature import log_laplace
 from entrosketch.tailbounds import (
     SeriesDomain,
     exceedance_bound,
@@ -19,7 +20,7 @@ from entrosketch.tailbounds import (
     tail_constants,
     tail_curve,
 )
-from paper import small_eps_limit
+from paper import laplace_series, small_eps_limit
 
 
 class TestSeries:
@@ -47,14 +48,19 @@ class TestSeries:
     def test_rejects_outside_domain(self):
         with pytest.raises(ValueError):
             m_series(1.0, 0.4)  # beyond 1/e
+        for zeta in (0.5, 1.0):  # M(-t) is L(t), which log_laplace computes
+            with pytest.raises(ValueError):
+                m_series(zeta, -0.1)
 
     def test_converges_for_small_zeta_large_t(self):
         assert math.isfinite(m_series(0.5, 5.0))
 
-    def test_negative_argument(self):
-        # alternating series stays in (0, 1) for small |t|
-        v = m_series(1.0, -0.1)
-        assert 0.0 < v < 1.0
+    @pytest.mark.parametrize("zeta", [0.3, 0.5, 0.9, 1.0])
+    def test_laplace_matches_alternating_series(self, zeta):
+        # L(t) = M(-t): the alternating series is exact enough for small t
+        for t in (1e-4, 0.01, 0.1, 0.3):
+            ref = math.log(laplace_series(zeta, t))
+            assert abs(log_laplace(zeta, math.log(t)) - ref) <= 1e-9, t
 
 
 class TestGoldenSection:
@@ -96,6 +102,26 @@ class TestTailConstants:
             for e in (0.5, 0.1, 0.02)
         ]
         assert residuals[0] > residuals[1] > residuals[2]
+
+    def test_left_tail_sup_runs_over_every_t(self):
+        # at zeta = 1 the left tail's sup lies beyond 1/e from eps = 1 on;
+        # 40-digit mpmath gives G_L(1, 1) = 8.4924395620336...
+        r = tail_constants(1.0, 1.0)
+        assert r.t_star_left > math.exp(-1.0)
+        assert r.g_left == pytest.approx(8.4924395620336, rel=1e-12)
+
+    @pytest.mark.parametrize("zeta", [0.05, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0])
+    def test_constants_or_a_value_error_on_the_grid(self, zeta):
+        for eps in (0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0):
+            try:
+                r = tail_constants(zeta, eps)
+            except ValueError as exc:
+                # the right tail's series overflows near its optimum
+                assert f"no tail constants at zeta={zeta!r}, epsilon={eps!r}" in str(exc)
+                assert zeta < 1.0 and eps >= 0.5
+                continue
+            for value in (r.g_right, r.g_left, r.t_star_right, r.t_star_left):
+                assert 0.0 < value < math.inf, (eps, r)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
