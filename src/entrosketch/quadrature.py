@@ -1,62 +1,59 @@
-"""The Laplace transform L(t) of W, and the bias correction of the log-mean
-by quadrature over it, in pure Python.
+"""The transform L(t) = E exp(-t W) of W = exp(zeta X)/zeta^zeta, X ~ G(x;0),
+for both signs of t, and the bias correction of the log-mean by
+quadrature over it, in pure Python.
 
-W = exp(zeta X)/zeta^zeta with X ~ G(x;0), and L(t) = E exp(-t W).
 ``log_laplace`` is the package's one L: the bias correction integrates
-it, and ``tailbounds`` maximises -log L(t) - t exp(-zeta eps) for the
-Chernoff left tail.
+L(t), and ``tailbounds`` maximises -log L(t) - t exp(-zeta eps) and
+-log M(t) + t exp(zeta eps), M(t) = L(-t) = E exp(t W), for the left and
+right Chernoff tails.  M is finite for every t at zeta < 1, for t < 1/e
+at zeta = 1, and for no t > 0 above.
 
-* At zeta = 1 it has a closed form.  The paper's E exp(jX) = j^j makes
-  L's moment series sum_j (-t)^j j^j/j! the tree-function series of
-  1/(1 + W(t)), W Lambert's function.  W is found from log t, so e^v/k
-  never overflows: Halley's method on w e^w = t below t = e, Newton's
-  on w + log w = log t above.
-* Elsewhere the package's Chambers-Mallows-Stuck sampler gives
-  X = log w + log A(s), w ~ Exp(1) and s = u + pi/2 uniform on (0, pi),
-  with
-
-      log A(s) = log sin s - log(pi - s) - (pi - s) cot s,
-
-  increasing from -inf to 1.  So L(t) = E_s phi(t A(s)^zeta / zeta^zeta),
-  with phi(c) = E_w exp(-c w^zeta).  The s-integral runs over q = pi/s
-  in (1, inf), with weight 1/q^2.  For large t, phi(...) steps from 1 to
-  0 where log A = -log(t)/zeta, a step of fixed width 1/zeta in q that
-  moves out like log t.  So each t gets its own Gauss-Legendre panels,
-  doubling in width away from that step until phi's asymptotes put it
-  within e^-25 of 0 or 1, and cut where they would reach too close to
-  q = 1/2, where log A(pi/q) is singular; the rest of (1, inf) is added
-  exactly.  logit phi is tabulated once per zeta (the last 16 are kept)
-  on a grid in log c, by the trapezoid rule over the log of an
-  exponential variate, and read by six-point Lagrange interpolation.
-  Outside the grid it follows its asymptotes, from
+* At zeta = 1 the paper's E exp(jX) = j^j makes L's moment series
+  sum_j (-t)^j j^j/j! the tree-function series of 1/(1 + W0(t)), W0
+  Lambert's function, for either sign of t.
+* At zeta < 1 and |t| <= 1/32, L is that series to 20 terms: quadrature's
+  relative 1e-12 in 1 - L would leave a Chernoff sup at eps = 1e-8, 1e-17
+  from terms near 1e-8, no digits.
+* Elsewhere X = log w + log A(s) as the package's sampler draws it, with
+  w ~ Exp(1), s uniform on (0, pi) and log A(s) = log sin s - log(pi - s)
+  - (pi - s) cot s rising from -inf to 1.  So L(t) = E_s phi(t A(s)^zeta
+  / zeta^zeta), phi(c) = E_w exp(-c w^zeta), over q = pi/s in (1, inf)
+  with weight 1/q^2.  For large t, phi steps from 1 to 0 where log A =
+  -log(t)/zeta, a step 1/zeta wide in q: each t gets Gauss-Legendre
+  panels doubling away from it until phi's asymptotes put it e^-25 from
+  0 or 1, cut short of q = 1/2, where log A(pi/q) is singular; the rest
+  of (1, inf) is added exactly.  logit phi is tabulated once per zeta
+  (the last 16 are kept) on a grid in log c, by the trapezoid rule over
+  the log of an exponential variate, read by six-point Lagrange
+  interpolation, and follows its asymptotes outside, from
   phi = 1 - Gamma(1+zeta) c and phi = Gamma(1+1/zeta) c^(-1/zeta).
-  Near L = 1, log L = log1p(-(1 - L)), with 1 - L summed as such: a
-  large k needs it to a relative 1e-12, and a small Chernoff eps to an
-  absolute 1e-12.
+* M(t) at zeta < 1 takes the other order, E_w rho(t w^zeta/zeta^zeta)
+  with rho(b) = E_s exp(b A(s)^zeta): a growing t then only moves and
+  narrows the w-integrand's peak, where E_s of E_w exp(c w^zeta) would
+  meet a near-pole at c = 1 as zeta -> 1.  log log rho is tabulated the
+  same way for log b in [0, 10], with rho's Taylor series below and its
+  Laplace asymptote at s = pi above.  M - 1 is summed in log space by the
+  trapezoid rule over log w, out from the peak: within 5e-12 of the
+  moment series, in 4-9 ms per zeta for the table and 0.3 ms per t.
 
-BC(k, zeta) = zeta^-1 E log(mean of k W's).  From
-log m = int (e^-t - e^-tm) dt/t, with t = e^v,
-
-    BC = zeta^-1 int (exp(-e^v) - L(e^v/k)^k) dv  over all real v.
-
-L^k is exp(k log L).  The v-integral runs over Gauss-Legendre panels
+BC(k, zeta) = zeta^-1 E log(mean of k W's) = zeta^-1 int (exp(-e^v)
+- L(e^v/k)^k) dv over all real v, from log m = int (e^-t - e^-tm) dt/t,
+t = e^v.  L^k is exp(k log L), with 1 - L summed as such: a large k needs
+it to a relative 1e-12.  The v-integral runs over Gauss-Legendre panels
 that double outward from 0.  Below 0 the integrand is O(4^zeta e^2v).
 Above it, it is -L^k, which decays only as (zeta/v)^k: X's left tail is
-heavy.  The panels stop once one adds less than 1e-10 zeta; past
-v = 2^14 max(1, zeta) the rest comes from the tail's asymptote
-L = s/pi, with log A(s) = -(v - log k - zeta log zeta
-+ gamma (1 - zeta))/zeta, integrated over s.
+heavy.  The panels stop once one adds less than 1e-10 zeta; past v = 2^14
+max(1, zeta) the rest comes from the tail's asymptote L = s/pi, with
+log A(s) = -(v - log k - zeta log zeta + gamma (1 - zeta))/zeta, over s.
 
-At zeta = 1 and k from 2 to 2217 the result is within 1e-10 of the
-digamma identity BC(k, 1) = psi(k-1) - log k
-+ int_0^inf [(1+w) e^(-k w e^w) - e^(-k w)] dw/w, and takes about
-0.3 ms.  For 0.5 <= zeta <= 2.5 and k from 2 to 2217 it is within 1e-9
-of a run with 12-node panels, a table step of 0.02 and the asymptote
-from v = 2^18, and takes 20-90 ms.  Every result tried, for zeta from
-0.05 to 200, was within 1.5 standard errors of Monte Carlo.  Below
-zeta = 1e-6 its rounding errors, which BC scales by 1/zeta, grow.
-BC(1, zeta) = -inf (E X = -inf), so k must be at least 2.  Results are
-cached per (k, zeta); each computation is logged at INFO.
+At zeta = 1 and k from 2 to 2217 the result is within 1e-10 of the digamma
+identity BC(k, 1) = psi(k-1) - log k + int_0^inf [(1+w) e^(-k w e^w)
+- e^(-k w)] dw/w, in about 0.3 ms.  For 0.5 <= zeta <= 2.5 it is within
+1e-9 of a run with 12-node panels, a table step of 0.02 and the asymptote
+from v = 2^18, in 20-90 ms.  Every result tried, for zeta from 0.05 to
+200, was within 1.5 standard errors of Monte Carlo.  Below zeta = 1e-6
+its rounding errors, which BC scales by 1/zeta, grow.  BC(1, zeta) = -inf
+(E X = -inf), so k >= 2.  Results are cached per (k, zeta), logged at INFO.
 """
 
 from __future__ import annotations
@@ -71,6 +68,7 @@ _TAIL_TOL = 1e-10  # the v-panels stop once one adds less than this, times zeta
 _ASYMPTOTE_V = 2.0**14  # past this v, times max(1, zeta), the tail's asymptote
 _LOGIT_STEP = 0.1  # grid step of the logit phi table, times max(1, zeta)
 _TRAPEZOID_STEP = 0.4  # trapezoid step over the log of an exponential variate
+_RHO_TOP = 10.0  # the log log rho table's top in log b, above which rho follows its asymptote
 
 
 @lru_cache(maxsize=None)
@@ -130,6 +128,18 @@ def _s_root(y: float) -> float:
     return s
 
 
+def _lagrange(table: list[float], x0: float, h: float, x: float) -> float:
+    """Six-point Lagrange interpolation on the grid x0 + i h, i >= 2."""
+    t = (x - x0) / h
+    i = int(t)
+    f = t - i
+    m2, m1, p0, p1, p2, p3 = table[i - 2 : i + 4]
+    a, b, d, e, g = f + 2.0, f + 1.0, f - 1.0, f - 2.0, f - 3.0
+    fde, ab = f * d * e, a * b
+    return ((a * m1 - 0.2 * b * m2) * fde * g / 24.0 + (p1 * f - p0 * d) * ab * e * g / 12.0
+            + (0.2 * p3 * e - p2 * g) * ab * f * d / 24.0)
+
+
 def _logit_phi(zeta: float):
     """x -> logit phi(e^x), phi(c) = E exp(-c w^zeta) with w ~ Exp(1).
 
@@ -172,18 +182,7 @@ def _logit_phi(zeta: float):
             return left - x
         if x > top:
             return right - x / zeta
-        # six-point Lagrange interpolation, at f in [0, 1) between nodes 0 and 1
-        t = (x - x0) / h
-        i = int(t)
-        f = t - i
-        m2, m1, p0, p1, p2, p3 = table[i - 2 : i + 4]
-        a, b, d, e, g = f + 2.0, f + 1.0, f - 1.0, f - 2.0, f - 3.0
-        fde, ab = f * d * e, a * b
-        return (
-            (a * m1 - 0.2 * b * m2) * fde * g / 24.0
-            + (p1 * f - p0 * d) * ab * e * g / 12.0
-            + (0.2 * p3 * e - p2 * g) * ab * f * d / 24.0
-        )
+        return _lagrange(table, x0, h, x)
 
     return logit
 
@@ -193,19 +192,20 @@ def _doubling(unit: float, reach: float) -> list[float]:
     return [unit * (2**j - 1) for j in range(1 + math.ceil(math.log2(reach / unit + 1.0)))]
 
 
-def _lambert_w(log_t: float) -> float:
-    """W(t), the w >= 0 with w e^w = t, from log t: Halley's method on
-    w e^w = t below t = e, Newton's on w + log w = log t above, so t
-    itself is never formed where it could overflow."""
+def _lambert_w(log_t: float, sign: float = 1.0) -> float:
+    """W0(sign t), the w > -1 with w e^w = sign t (t < 1/e if sign is -1), from
+    log t: Halley's method on w e^w = sign t below t = e, Newton's on
+    w + log w = log t above, so t is never formed where it could overflow."""
     if log_t < 1.0:
-        t = math.exp(log_t)
-        w = math.log1p(t)  # at or above the root, where Halley's method descends to it
+        x = sign * math.exp(log_t)
+        # (1+x) log1p(x) >= x: at or above the root, where Halley's method descends
+        w = math.log1p(x)
         for _ in range(100):
             ew = math.exp(w)
-            f = w * ew - t
+            f = w * ew - x
             step = f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
             w -= step
-            if abs(step) <= 1e-14 * w:
+            if abs(step) <= 1e-14 * abs(w):
                 break
         return w
     w = log_t - math.log(log_t)  # at or below the root, where Newton's method rises to it
@@ -227,15 +227,81 @@ def _s_rule(zeta: float):
     return _logit_phi(zeta), below, above
 
 
-def log_laplace(zeta: float, log_t: float) -> float:
-    """log L(t), L(t) = E exp(-t W) with W = exp(zeta X)/zeta^zeta, from log t.
+@lru_cache(maxsize=16)
+def _log_moment(zeta: float):
+    """log t -> log M(t) = log E_w rho(t w^zeta/zeta^zeta), rho(b) = E_s exp(b A(s)^zeta)."""
+    ez, h = math.exp(zeta), 1.0 / 32.0  # h is the table's step in log b
+    # rho - 1 = sum_j b^j E_s A^(j zeta)/j!, E_s A^(j zeta) = (j zeta)^(j zeta)/Gamma(1 + j zeta)
+    coef = [math.exp(j * zeta * math.log(j * zeta) - math.lgamma(1 + j * zeta) - math.lgamma(1 + j))
+            for j in range(30, 0, -1)]
+    # b A^zeta is largest, b e^zeta, at s = pi; past the last edge it is below b e^-40
+    edges = [1.0 + d for d in _doubling(2.0**-11, 40.0 / zeta)]
+    nodes = [(math.log(w / q**2), math.exp(zeta * _log_a(math.pi / q)) - ez)
+             for q, w in _panels(edges)]
+    table = [math.log(b * ez + math.log(sum(math.exp(lw + b * a) for lw, a in nodes)
+                                        + math.exp(-b * ez) / edges[-1]))
+             for b in (math.exp((i - 2) * h) for i in range(int(_RHO_TOP / h) + 6))]
+    # log A = 1 - d^2/2 - d^4/36 + ... at s = pi - d gives, with B = zeta b e^zeta,
+    # log rho = b e^zeta - log(2 pi B)/2 + 3 (zeta/8 - 1/36)/B + O(B^-2)
+    half, beta = 0.5 * math.log(2.0 * math.pi * zeta * ez), (0.375 * zeta - 1 / 12) / (zeta * ez)
 
-    zeta is positive and finite.  At zeta = 1, L(t) = 1/(1 + W(t)) with W
-    Lambert's function: the paper's E exp(jX) = j^j makes the moment
-    series of L the tree-function series.  Elsewhere L is the s-integral.
-    """
+    def log_excess(y: float) -> float:  # log(rho(e^y) - 1)
+        b, total = math.exp(y), 0.0
+        if y < 0.0:  # by Horner's rule: 30 terms reach 1e-17 below b = 1
+            for c in coef:
+                total = (total + c) * b
+            return math.log(total)
+        lr = (b * ez - 0.5 * y - half + beta / b if y > _RHO_TOP
+              else math.exp(_lagrange(table, -2.0 * h, h, y)))
+        return lr + math.log(-math.expm1(-lr))
+
+    def log_m(log_t: float) -> float:
+        lb = log_t - zeta * math.log(zeta)  # log b = lb + zeta r at w = e^r
+        # the peak of r - e^r + b e^zeta, at e^r = 1 + zeta b e^zeta > zeta b e^zeta:
+        # Newton's method on log1p(zeta b e^zeta) - r, convex and falling, rises to it
+        zk = zeta * math.exp(lb + zeta)
+        r = max(0.0, math.log(zk) / (1.0 - zeta))
+        if r > 40.0:  # log M above e^40 (1 - zeta)/zeta: inf, as its doubles could not resolve it
+            return math.inf
+        for _ in range(100):
+            u = zk * math.exp(zeta * r)
+            step = (math.log1p(u) - r) / (1.0 - zeta * u / (1.0 + u))
+            r += step
+            if step < 1e-6:
+                break
+        dx = 0.3 / math.sqrt(1.0 + (1.0 - zeta) * math.expm1(r))  # 0.3 of the peak's width
+        # log of each node's share of M - 1, out from the peak to e^-40 below the largest
+        terms = []
+        for step in (dx, -dx):
+            x, best, prev = r if step > 0.0 else r - dx, -math.inf, math.inf
+            while True:
+                v = x - math.exp(x) + log_excess(lb + zeta * x)
+                terms.append(v)
+                best = max(best, v)
+                if v < best - 40.0 and v < prev:
+                    break
+                x, prev = x + step, v
+        top = max(terms)
+        log_m1 = top + math.log(dx * math.fsum(math.exp(v - top) for v in terms))
+        return max(log_m1, 0.0) + math.log1p(math.exp(-abs(log_m1)))
+
+    return log_m
+
+
+def log_laplace(zeta: float, log_t: float, sign: float = 1.0) -> float:
+    """log L(sign t), L(t) = E exp(-t W) with W = exp(zeta X)/zeta^zeta, from
+    log t; sign -1 gives log M(t), M(t) = E exp(t W), inf where M diverges or,
+    at zeta < 1, passes about exp(e^40 (1 - zeta)/zeta).  zeta is positive and finite."""
+    if sign < 0.0 and (zeta > 1.0 or zeta == 1.0 and log_t >= -1.0):
+        return math.inf
     if zeta == 1.0:
-        return -math.log1p(_lambert_w(log_t))
+        return -math.log1p(_lambert_w(log_t, sign))
+    if zeta < 1.0 and log_t <= -math.log(32.0):  # L(-x) = sum_j x^j j^(zeta j)/j!
+        x = -sign * math.exp(log_t)
+        return math.log1p(math.fsum(
+            x**j * math.exp(zeta * j * math.log(j) - math.lgamma(j + 1.0)) for j in range(1, 21)))
+    if sign < 0.0:
+        return _log_moment(zeta)(log_t)
     logit, below, above = _s_rule(zeta)
     # log c = vs + zeta log A(s)
     vs = log_t - zeta * math.log(zeta)

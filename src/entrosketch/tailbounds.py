@@ -1,19 +1,14 @@
 """Chernoff tail machinery for the raw log-mean estimator (zeta <= 1).
 
-With W = exp(zeta X)/zeta^zeta, the paper's E exp(jX) = j^j gives the
-moment series M(t) = E exp(t W) = sum_j t^j j^(zeta*j)/j!, which
-converges for all t > 0 when zeta < 1 and for t < 1/e when zeta = 1;
-there is no exponential bound for zeta > 1.  The tail constants are
-    G_R = eps^2 / sup_t [-log M(t) + t exp( zeta*eps)]
-    G_L = eps^2 / sup_t [-log L(t) - t exp(-zeta*eps)]
-with L(t) = M(-t) = E exp(-t W) the Laplace transform, finite for every
-t > 0 and computed by ``quadrature.log_laplace`` (in closed form at
-zeta = 1), and the error probability is bounded by exp(-k eps^2 / G).
-Both constants tend to 2(4^zeta - 1)/zeta^2 as eps -> 0.  The bound
-applies to the estimator *without* the small-sample bias correction.
-Where the right tail's sup lies beyond what the series can sum in
-doubles (zeta = 0.99 at eps >= 1, zeta = 0.9 at eps = 3), there are
-no constants, and ``tail_constants`` raises ValueError.
+With W = exp(zeta X)/zeta^zeta and L(t) = E exp(-t W) from
+``quadrature.log_laplace``, the tail constants are
+    G_R = eps^2 / sup_t [-log L(-t) + t exp( zeta*eps)]
+    G_L = eps^2 / sup_t [-log L(t)  - t exp(-zeta*eps)]
+and the error probability is bounded by exp(-k eps^2 / G).  L(-t) is
+finite for every t when zeta < 1, for t < 1/e when zeta = 1, and for no
+t > 0 above.  Each sup is found by golden section over log t.  Both tend
+to 2(4^zeta - 1)/zeta^2 as eps -> 0.  The bound is for the estimator
+*without* the small-sample bias correction.
 """
 
 from __future__ import annotations
@@ -21,63 +16,19 @@ from __future__ import annotations
 import math
 
 from .quadrature import log_laplace
-from .sketchfile import Record
+from .sketchfile import Record, asymptotic_std_error
 
-_E_INV = math.exp(-1.0)
-_MAX_TERMS = 50_000
-# the right tail's zeta=1 search domain is clipped at (1 - 5e-3)/e: closer to the
-# edge the series needs millions of terms, and stopping short of the
-# sup only makes the returned constants larger, never invalid
-_EDGE = 1.0 - 5e-3
-
-
-class SeriesDomain(Record):
-    # t_max is math.inf for zeta < 1, 1/e for zeta = 1
-    __slots__ = ("zeta", "t_max")
+_LOG2 = math.log(2.0)
 
 
 class TailBoundResult(Record):
     __slots__ = ("g_right", "g_left", "t_star_right", "t_star_left", "zeta", "epsilon")
 
 
-def series_domain(zeta: float) -> SeriesDomain:
-    if not 0.0 < zeta <= 1.0:
-        raise ValueError("zeta must be in (0, 1]")
-    return SeriesDomain(zeta=zeta, t_max=_E_INV if zeta == 1.0 else math.inf)
-
-
-def m_series(zeta: float, t: float) -> float:
-    """sum_{j>=0} t^j j^(zeta j)/j! with 0^0 := 1, to ~1e-12 relative,
-    for t >= 0 in the convergence domain.
-
-    Terms are computed in log space (j^(zeta j) overflows quickly).
-    """
-    dom = series_domain(zeta)
-    if not 0.0 <= t < dom.t_max:
-        raise ValueError(f"t={t} outside [0, {dom.t_max})")
-    if t == 0.0:
-        return 1.0
-    log_t = math.log(t)
-    terms = [1.0]
-    magsum = 1.0
-    j = 1
-    while True:
-        mag = math.exp(j * log_t + zeta * j * math.log(j) - math.lgamma(j + 1))
-        terms.append(mag)
-        magsum += mag
-        if j >= 5 and mag < 1e-16 * magsum:
-            break
-        j += 1
-        if j > _MAX_TERMS:
-            raise RuntimeError(f"series did not converge within {_MAX_TERMS} terms")
-    return math.fsum(terms)
-
-
 def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-10):
-    """Maximize a concave f on [a, b]; returns (argmax, max)."""
+    """Maximize a unimodal f on [a, b]; returns (argmax, max)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > rel_tol * max(1.0, abs(a) + abs(b)):
         if fc > fd:
@@ -92,81 +43,64 @@ def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-10):
     return x, f(x)
 
 
-def _expand_bracket(f, b0: float, b_cap: float) -> float:
-    """Grow the upper bracket until f starts decreasing (f is concave)."""
-    b = b0
-    while b < b_cap and f(b) > f(b / 2.0):
-        b = min(2.0 * b, b_cap)
-    return b
+def _expand_bracket(f, v: float, v_cap: float) -> float:
+    """Grow the upper end of a bracket in log t until f, unimodal, falls."""
+    last, now = f(v - _LOG2), f(v)
+    while v < v_cap and now > last:
+        v = min(v + _LOG2, v_cap)
+        last, now = now, f(v)
+    return v
 
 
 def tail_constants(zeta: float, epsilon: float) -> TailBoundResult:
-    """Compute G_R, G_L and the optimizing t for each tail.
-
-    The left tail's sup runs over every t > 0.  The right tail's runs
-    over the series' domain, and raises ValueError naming zeta and
-    epsilon where the series cannot be summed in doubles.
-    """
-    dom = series_domain(zeta)
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-
-    er = math.exp(zeta * epsilon)
+    """G_R, G_L and the optimizing t of each tail.  Raises ValueError naming
+    zeta and epsilon where a sup is not above 1e-9 of its terms, near
+    t* exp(+-zeta eps), whose rounding could then move it by 1e-7."""
+    if not 0.0 < zeta <= 1.0:
+        raise ValueError("zeta must be in (0, 1]")
+    asymptotic_std_error(1, zeta)  # the rule and message ingest applies
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    er = math.exp(zeta * epsilon) if zeta * epsilon < 709.0 else math.inf
     el = math.exp(-zeta * epsilon)
 
-    def q_right(t: float) -> float:
-        return -math.log(m_series(zeta, t)) + t * er
+    def q_right(v: float) -> float:
+        return -log_laplace(zeta, v, -1.0) + math.exp(v) * er
 
-    def q_left(t: float) -> float:
-        return -log_laplace(zeta, math.log(t)) - t * el
+    def q_left(v: float) -> float:
+        return -log_laplace(zeta, v) - math.exp(v) * el
 
-    lo = 1e-300
-    try:
-        if math.isfinite(dom.t_max):
-            hi_r = dom.t_max * _EDGE
-        else:
-            hi_r = _expand_bracket(q_right, 0.25, 2.0**60)
-        t_r, q_r = golden_section_max(q_right, lo, hi_r)
-    except (OverflowError, RuntimeError) as exc:  # an overflow, or _MAX_TERMS terms
-        raise ValueError(
-            f"no tail constants at zeta={zeta!r}, epsilon={epsilon!r}: the right tail's "
-            f"moment series cannot be summed in doubles near its optimum ({exc})"
-        ) from exc
-    t_l, q_l = golden_section_max(q_left, lo, _expand_bracket(q_left, 0.25, 2.0**60))
-    if not (q_r > 0.0 and q_l > 0.0):
-        raise RuntimeError("tail objective not positive at optimum")
-    return TailBoundResult(
-        g_right=epsilon**2 / q_r,
-        g_left=epsilon**2 / q_l,
-        t_star_right=t_r,
-        t_star_left=t_l,
-        zeta=zeta,
-        epsilon=epsilon,
-    )
+    # M(t) diverges at t = 1/e when zeta = 1; t* grows with eps, and is near
+    # eps zeta/(4^zeta - 1) >= eps/3 at small eps, so e^-10 eps is below it
+    hi_r = -1.0 if zeta == 1.0 else _expand_bracket(q_right, -2.0 * _LOG2, 60.0 * _LOG2)
+    hi_l = _expand_bracket(q_left, -2.0 * _LOG2, 60.0 * _LOG2)
+    # the sup is flat in log t: 1e-8 there leaves it within about 1e-15
+    v_r, q_r = golden_section_max(q_right, min(math.log(epsilon), hi_r) - 10.0, hi_r, 1e-8)
+    v_l, q_l = golden_section_max(q_left, min(math.log(epsilon), hi_l) - 10.0, hi_l, 1e-8)
+    t_r, t_l = math.exp(v_r), math.exp(v_l)
+    for t, q, e in ((t_r, q_r, er), (t_l, q_l, el)):
+        if not 1e-9 * t * e < q < math.inf:  # its terms are near t e
+            raise ValueError(f"no tail constants at zeta={zeta!r}, epsilon={epsilon!r}: the "
+                             f"sup {q!r} at t={t!r} is not above 1e-9 of its terms")
+    return TailBoundResult(epsilon**2 / q_r, epsilon**2 / q_l, t_r, t_l, zeta, epsilon)
 
 
 def exceedance_bound(k: int, epsilon: float, bounds: TailBoundResult) -> float:
     """Two-sided union bound on P(|delta_raw - delta| >= eps)."""
-    return math.exp(-k * epsilon**2 / bounds.g_right) + math.exp(
-        -k * epsilon**2 / bounds.g_left
-    )
+    return math.exp(-k * epsilon**2 / bounds.g_right) + math.exp(-k * epsilon**2 / bounds.g_left)
 
 
 def required_sketch_size(epsilon: float, gamma: float, zeta: float = 1.0) -> int:
-    """Smallest k with exp(-k e^2/G_R) + exp(-k e^2/G_L) <= gamma.
-
-    The guarantee covers the raw (uncorrected) log-mean estimator.
-    """
+    """Smallest k with exp(-k e^2/G_R) + exp(-k e^2/G_L) <= gamma, a guarantee
+    for the raw (uncorrected) log-mean estimator."""
     return _size_and_bounds(epsilon, gamma, zeta)[0]
 
 
 def _size_and_bounds(epsilon: float, gamma: float, zeta: float) -> tuple[int, TailBoundResult]:
     """``required_sketch_size`` and the tail constants it was found from."""
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
-    bounds = tail_constants(zeta, epsilon)  # validates zeta <= 1
+    bounds = tail_constants(zeta, epsilon)  # validates zeta and epsilon
     g_max = max(bounds.g_right, bounds.g_left)
     hi = max(1, math.ceil(g_max / epsilon**2 * math.log(2.0 / gamma)))
     if exceedance_bound(hi, epsilon, bounds) > gamma:

@@ -244,6 +244,36 @@ def laplace_series(zeta: float, t: float) -> float:
         j += 1
 
 
+def m_series(zeta: float, t: float) -> float:
+    """M(t) = E exp(t W) = sum_{j>=0} t^j j^(zeta j)/j! with 0^0 := 1, to
+    ~1e-12 relative, for 0 <= t < 1/e at zeta = 1 and t >= 0 at zeta < 1.
+
+    The small-t reference of ``quadrature.log_laplace(zeta, log t, -1.0)``.
+    Terms are computed in log space (j^(zeta j) overflows quickly); near
+    1/e at zeta = 1 it needs thousands of them, and at zeta < 1 its terms
+    only start to fall near j = (e t)^(1/(1 - zeta)), so it serves only
+    where that is small.
+    """
+    if not 0.0 < zeta <= 1.0:
+        raise ValueError("zeta must be in (0, 1]")
+    t_max = math.exp(-1.0) if zeta == 1.0 else math.inf
+    if not 0.0 <= t < t_max:
+        raise ValueError(f"t={t} outside [0, {t_max})")
+    if t == 0.0:
+        return 1.0
+    log_t = math.log(t)
+    terms = [1.0]
+    magsum = 1.0
+    j = 1
+    while True:
+        mag = math.exp(j * log_t + zeta * j * math.log(j) - math.lgamma(j + 1))
+        terms.append(mag)
+        magsum += mag
+        if j >= 5 and mag < 1e-16 * magsum:
+            return math.fsum(terms)
+        j += 1
+
+
 def bias_correction_digamma(k: int) -> float:
     """BC(k, 1) = psi(k-1) - log k + int_0^inf [(1+w) e^(-k w e^w) - e^(-k w)] dw/w.
 

@@ -24,8 +24,8 @@ from entrosketch.montecarlo import bias_correction
 from entrosketch.oracle import AccumulationVector, shannon_entropy
 from entrosketch.sketch import EntropySketch, new_sketch, sketch_stream
 from entrosketch.stable import sample_g0
-from entrosketch.tailbounds import m_series, required_sketch_size, tail_constants
-from paper import char_fn, limit_check, small_eps_limit
+from entrosketch.tailbounds import required_sketch_size, tail_constants
+from paper import char_fn, limit_check, m_series, small_eps_limit
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

@@ -446,7 +446,7 @@ class TestSize:
         assert main(["size", "--epsilon", "0.1", "--gamma", "0.05"]) == 0
         assert calls == [(1.0, 0.1)]
         assert capsys.readouterr().out == (
-            "k=2217\ng_right=5.7804489833433985\ng_left=6.2249006231491695\n")
+            "k=2217\ng_right=5.7804489833433523\ng_left=6.2249006231491695\n")
 
     def test_quarter_epsilon_rule(self, capsys):
         main(["size", "--epsilon", "0.1", "--gamma", "0.05"])
@@ -464,16 +464,29 @@ class TestSize:
         ["size", "--epsilon", "1", "--gamma", "0.05", "--zeta", "0.99"],
         ["bench", "--kind", "tail_curve", "--zeta", "0.99", "--epsilon", "1", "--output", "t.csv"],
     ], ids=["size", "bench"])
-    def test_right_tail_beyond_doubles_fails_cleanly(self, tmp_path, capsys, monkeypatch, argv):
-        # the right tail's series overflows before its sup: one error line, no CSV
+    def test_right_tail_beyond_doubles(self, tmp_path, capsys, monkeypatch, argv):
+        # the moment series overflowed before this sup; M(t) = L(-t) is finite for every t
         monkeypatch.chdir(tmp_path)
-        assert main(argv) == 1
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if argv[0] == "size":  # the bound is 0.0486 at k = 26 and 0.0550 at k = 25
+            assert parse_kv(captured.out)["k"] == "26"
+        else:
+            rows = (tmp_path / "t.csv").read_text().splitlines()
+            assert rows[0].startswith("zeta,epsilon,g_right,g_left") and len(rows) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--epsilon", "1e-10"], ["--epsilon", "1e-50"], ["--epsilon", "1e-200"],
+        ["--epsilon", "inf"], ["--epsilon", "1e300"],
+        ["--epsilon", "0.1", "--zeta", "1e-50"], ["--epsilon", "0.1", "--zeta", "1e-300"],
+    ], ids=" ".join)
+    def test_refused_without_a_traceback(self, capsys, argv):
+        # tiny eps or zeta, or eps beyond a double's exp: one error line
+        assert main(["size", "--gamma", "0.05", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
-            "error: no tail constants at zeta=0.99, epsilon=1.0: ")
-        assert captured.err.count("\n") == 1
-        assert not (tmp_path / "t.csv").exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_zeta_above_one_fails(self, capsys):
         assert main(["size", "--epsilon", "0.1", "--gamma", "0.05",

@@ -10,7 +10,7 @@ import pytest
 from entrosketch.estimator import EstimateResult
 from entrosketch.montecarlo import BiasEstimate
 from entrosketch.sketchfile import SketchConfig, SketchFile
-from entrosketch.tailbounds import SeriesDomain, TailBoundResult
+from entrosketch.tailbounds import TailBoundResult
 from paper import HALF_PI, StableParams, UniformExpPair
 
 # (class, field values, repr, defaults, {field: (bad value, ValueError message)})
@@ -30,9 +30,6 @@ RECORDS = [
         EstimateResult, (-1.5, 1.5, -0.25, 0.125),
         "EstimateResult(delta_hat=-1.5, entropy_hat=1.5, bias_correction=-0.25, "
         "asymptotic_se=0.125)", {}, {}, id="EstimateResult"),
-    pytest.param(
-        SeriesDomain, (0.5, math.inf), "SeriesDomain(zeta=0.5, t_max=inf)", {}, {},
-        id="SeriesDomain"),
     pytest.param(
         TailBoundResult, (5.5, 6.0, 0.25, 0.125, 1.0, 0.1),
         "TailBoundResult(g_right=5.5, g_left=6.0, t_star_right=0.25, t_star_left=0.125, "

@@ -9,27 +9,28 @@ import math
 import numpy as np
 import pytest
 
+from entrosketch import quadrature
 from entrosketch.quadrature import log_laplace
+from entrosketch.stable import sample_g0
 from entrosketch.tailbounds import (
-    SeriesDomain,
     exceedance_bound,
     golden_section_max,
-    m_series,
     required_sketch_size,
-    series_domain,
     tail_constants,
     tail_curve,
 )
-from paper import laplace_series, small_eps_limit
+from paper import laplace_series, m_series, small_eps_limit
 
 
 class TestSeries:
     def test_domain(self):
-        assert series_domain(1.0).t_max == pytest.approx(math.exp(-1.0))
-        assert series_domain(0.5).t_max == math.inf
+        # t < 1/e at zeta = 1, any t >= 0 at zeta < 1
+        assert math.isfinite(m_series(1.0, 0.366))
+        with pytest.raises(ValueError):
+            m_series(1.0, math.exp(-1.0))
         for zeta in (0.0, -1.0, 1.01):
             with pytest.raises(ValueError):
-                series_domain(zeta)
+                m_series(zeta, 0.1)
 
     def test_at_zero(self):
         assert m_series(1.0, 0.0) == 1.0
@@ -63,6 +64,43 @@ class TestSeries:
             assert abs(log_laplace(zeta, math.log(t)) - ref) <= 1e-9, t
 
 
+class TestMoment:
+    """``log_laplace(zeta, log t, -1.0)``: log M(t), M(t) = L(-t) = E exp(t W)."""
+
+    def test_closed_form_at_zeta_one(self):
+        # M(t) = 1/(1 + W0(-t)) up to the edge of the series' domain
+        for t in (0.01, 0.1, 0.2, 0.3, 0.35, 0.36, 0.366):
+            ref = math.log(m_series(1.0, t))
+            assert log_laplace(1.0, math.log(t), -1.0) == pytest.approx(ref, rel=1e-14), t
+        assert log_laplace(1.0, -1.0, -1.0) == math.inf  # M diverges from t = 1/e on
+
+    @pytest.mark.parametrize("zeta, t, ref", [
+        (0.9, 0.1, 0.11458136995), (0.5, 5.0, 34.3263610897),
+        (0.99, 0.2245, 0.357144861723), (0.9, 0.4874, 1.74588793936),
+    ])
+    def test_matches_the_series_below_one(self, zeta, t, ref):
+        # the w-integral over the rho table, where the series sums in doubles
+        value = log_laplace(zeta, math.log(t), -1.0)
+        assert value == pytest.approx(math.log(m_series(zeta, t)), rel=1e-10)
+        assert value == pytest.approx(ref, rel=1e-10)
+
+    def test_matches_monte_carlo(self):
+        zeta = 0.5
+        w = np.exp(zeta * sample_g0(np.random.default_rng(12), 1_000_000)) / zeta**zeta
+        for t in (0.1, 1.0):
+            v = np.exp(t * w)
+            se = float(v.std(ddof=1)) / math.sqrt(v.size)
+            assert abs(math.exp(log_laplace(zeta, math.log(t), -1.0)) - v.mean()) <= 5 * se, t
+
+    def test_no_exponential_moment_above_one(self):
+        assert log_laplace(1.5, math.log(0.01), -1.0) == math.inf
+
+    def test_inf_past_what_doubles_resolve(self):
+        # at t = 1 and zeta = 0.99 the w-integrand peaks near w = e^100
+        assert log_laplace(0.99, 0.0, -1.0) == math.inf
+        assert 1e10 < log_laplace(0.99, math.log(0.5), -1.0) < math.inf  # peak near w = e^30
+
+
 class TestGoldenSection:
     def test_parabola(self):
         x, fx = golden_section_max(lambda t: -((t - 0.3) ** 2), 0.0, 1.0)
@@ -82,6 +120,23 @@ class TestTailConstants:
         # frozen decimals from the first implementation pass
         assert r.g_right == pytest.approx(5.9778045, abs=1e-4)
         assert r.g_left == pytest.approx(6.0222490, abs=1e-4)
+        # 40-digit mpmath: the sup over log t of -log1p(W0(-t)) has no series to cut
+        assert r.g_right == pytest.approx(5.97780452314256418, rel=1e-13)
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0])
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_limit_at_tiny_epsilon(self, zeta, eps):
+        # t* is near eps/3: the search runs over log t, and log M is the
+        # log1p form at zeta = 1 and the moment series near t = 0 below it
+        limit = small_eps_limit(zeta)
+        r = tail_constants(zeta, eps)
+        assert abs(r.g_right / limit - 1.0) <= eps + 1e-6
+        assert abs(r.g_left / limit - 1.0) <= eps + 1e-6
+
+    @pytest.mark.parametrize("zeta, eps", [(1.0, 1e-9), (1.0, 1e-200), (0.5, 1e-9), (1e-10, 0.1)])
+    def test_refused_below_the_rounding_floor(self, zeta, eps):
+        with pytest.raises(ValueError, match=f"no tail constants at zeta={zeta!r}, epsilon={eps!r}: "):
+            tail_constants(zeta, eps)
 
     def test_small_eps_limit(self):
         # 2 (4^zeta - 1) / zeta^2
@@ -112,22 +167,45 @@ class TestTailConstants:
 
     @pytest.mark.parametrize("zeta", [0.05, 0.1, 0.3, 0.5, 0.9, 0.99, 1.0])
     def test_constants_or_a_value_error_on_the_grid(self, zeta):
+        # M(t) = L(-t) is finite for every t at zeta < 1, so every point has constants
         for eps in (0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0):
-            try:
-                r = tail_constants(zeta, eps)
-            except ValueError as exc:
-                # the right tail's series overflows near its optimum
-                assert f"no tail constants at zeta={zeta!r}, epsilon={eps!r}" in str(exc)
-                assert zeta < 1.0 and eps >= 0.5
-                continue
+            r = tail_constants(zeta, eps)
             for value in (r.g_right, r.g_left, r.t_star_right, r.t_star_left):
                 assert 0.0 < value < math.inf, (eps, r)
+
+    @pytest.mark.parametrize("zeta, eps, g_right, rel", [
+        (0.9, 1.0, 4.151197943, 1e-9),  # as the moment series gave it
+        (0.99, 1.0, 4.04797, 1e-5),  # where the series overflowed: a scipy prototype's
+        (0.9, 3.0, 1.63443, 1e-5),
+    ])
+    def test_right_tail_below_zeta_one(self, zeta, eps, g_right, rel):
+        assert tail_constants(zeta, eps).g_right == pytest.approx(g_right, rel=rel)
+
+    @pytest.mark.parametrize("zeta, eps", [(0.99, 30.0), (0.5, 700.0), (1.0, 50.0)])
+    def test_large_epsilon(self, zeta, eps):
+        # the right tail's sup over the t whose log M doubles resolve: a valid, larger G_R
+        r = tail_constants(zeta, eps)
+        assert 0.0 < r.g_right < math.inf and 0.0 < r.g_left < math.inf
+
+    def test_no_table_at_zeta_one(self, monkeypatch):
+        # both tails read W0's closed form: no logit or rho table, no s-panels
+        def refuse(*args):
+            raise AssertionError("a table or an integral ran at zeta = 1")
+
+        for name in ("_s_rule", "_logit_phi", "_log_moment", "_panels"):
+            monkeypatch.setattr(quadrature, name, refuse)
+        for eps in (0.001, 0.1, 1.0, 3.0):
+            tail_constants(1.0, eps)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
             tail_constants(1.15, 0.1)  # no exponential bound above zeta=1
-        with pytest.raises(ValueError):
-            tail_constants(1.0, 0.0)
+        for eps in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                tail_constants(1.0, eps)
+        for zeta in (1e-50, 1e-300):  # the rule ingest applies
+            with pytest.raises(ValueError, match="has no finite positive asymptotic standard error"):
+                tail_constants(zeta, 0.1)
 
     def test_optimizer_interior(self):
         r = tail_constants(1.0, 0.1)
