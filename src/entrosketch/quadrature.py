@@ -11,49 +11,49 @@ at zeta = 1, and for no t > 0 above.
 * At zeta = 1 the paper's E exp(jX) = j^j makes L's moment series
   sum_j (-t)^j j^j/j! the tree-function series of 1/(1 + W0(t)), W0
   Lambert's function, for either sign of t.
-* At zeta < 1 and |t| <= 1/32, L is that series to 20 terms: quadrature's
-  relative 1e-12 in 1 - L would leave a Chernoff sup at eps = 1e-8, 1e-17
-  from terms near 1e-8, no digits.
-* Elsewhere X = log w + log A(s) as the package's sampler draws it, with
-  w ~ Exp(1), s uniform on (0, pi) and log A(s) = log sin s - log(pi - s)
-  - (pi - s) cot s rising from -inf to 1.  So L(t) = E_s phi(t A(s)^zeta
-  / zeta^zeta), phi(c) = E_w exp(-c w^zeta), over q = pi/s in (1, inf)
-  with weight 1/q^2.  For large t, phi steps from 1 to 0 where log A =
-  -log(t)/zeta, a step 1/zeta wide in q: each t gets Gauss-Legendre
-  panels doubling away from it until phi's asymptotes put it e^-25 from
-  0 or 1, cut short of q = 1/2, where log A(pi/q) is singular; the rest
-  of (1, inf) is added exactly.  logit phi is tabulated once per zeta
-  (the last 16 are kept) on a grid in log c, by the trapezoid rule over
-  the log of an exponential variate, read by six-point Lagrange
-  interpolation, and follows its asymptotes outside, from
-  phi = 1 - Gamma(1+zeta) c and phi = Gamma(1+1/zeta) c^(-1/zeta).
-* M(t) at zeta < 1 takes the other order, E_w rho(t w^zeta/zeta^zeta)
-  with rho(b) = E_s exp(b A(s)^zeta): a growing t then only moves and
-  narrows the w-integrand's peak, where E_s of E_w exp(c w^zeta) would
-  meet a near-pole at c = 1 as zeta -> 1.  log log rho is tabulated the
-  same way for log b in [0, 10], with rho's Taylor series below and its
-  Laplace asymptote at s = pi above.  M - 1 is summed in log space by the
-  trapezoid rule over log w, out from the peak: within 5e-12 of the
-  moment series, in 4-9 ms per zeta for the table and 0.3 ms per t.
+* At zeta < 1 and |t| <= 1/32, L is that series to 20 terms: the rounding
+  of the line below, about 1e-16 t^(-1/2) relative in 1 - L, would leave
+  a Chernoff sup at eps = 1e-8, 1e-17 from terms near 1e-8, no digits.
+* Elsewhere, for t > 0, the moments E W^s = s^(zeta s), Re s > 0, give L as
+  a 1-D contour integral over Gamma(z) t^-z E W^-z.  Up to log t = 8 m,
+  m = max(1, zeta), it runs on the Mellin-Barnes line z = -1/(2m) + iy:
+  L(t) - e^-t = pi^-1 Re int_0^inf Gamma(z) t^-z (E W^-z - 1) dy, whose
+  integrand is analytic for -2 < Re z < 0 and O(zeta) as zeta -> 0.  The
+  trapezoid rule in y converges exponentially.  Its nodes, built per zeta
+  from Stirling's series, keep E W^-z whole at zeta >= 1, where they decay
+  twice as fast; each t is one Horner pass in t^-ih.  Above, the line is
+  wrapped round the cut of E W^-z on z > 0:  L(t) = pi^-1 int_0^inf
+  Gamma(x) sin(pi zeta x) x^(-zeta x) t^-x dx, over fixed Gauss-Legendre
+  panels in u = x log t.  Against 30-digit mpmath, for log t from -3.4 to
+  1e9 and zeta from 0.01 to 200, both are within 1e-13 relative in L and
+  in 1 - L down to 1e-6, and 1e-16 absolute in a smaller 1 - L (zeta = 50).
+* M(t) at zeta < 1 is E_w rho(t w^zeta/zeta^zeta), rho(b) = E_s exp(b
+  A(s)^zeta), from X = log w + log A(s) as the package's sampler draws it:
+  w ~ Exp(1), s uniform on (0, pi), log A(s) = log sin s - log(pi - s)
+  - (pi - s) cot s.  log log rho is tabulated once per zeta for log b in
+  [0, 10] over Gauss-Legendre panels in q = pi/s and read by six-point
+  Lagrange interpolation, with rho's Taylor series below and its Laplace
+  asymptote at s = pi above.  M - 1 is summed in log space by the
+  trapezoid rule over log w, out from the peak: within 5e-12 of the moment
+  series, in 4-9 ms per zeta for the table and 0.3 ms per t.
 
 BC(k, zeta) = zeta^-1 E log(mean of k W's) = zeta^-1 int (exp(-e^v)
 - L(e^v/k)^k) dv over all real v, from log m = int (e^-t - e^-tm) dt/t,
-t = e^v.  L^k is exp(k log L), with 1 - L summed as such: a large k needs
-it to a relative 1e-12.  The v-integral runs over Gauss-Legendre panels
-that double outward from 0.  Below 0 the integrand is O(4^zeta e^2v).
-Above it, it is -L^k, which decays only as (zeta/v)^k: X's left tail is
-heavy.  The panels stop once one adds less than 1e-10 zeta; past v = 2^14
-max(1, zeta) the rest comes from the tail's asymptote L = s/pi, with
-log A(s) = -(v - log k - zeta log zeta + gamma (1 - zeta))/zeta, over s.
+t = e^v.  At zeta != 1 and v < 6.5 the integrand is -exp(-e^v) expm1(k
+log1p((L - e^-t) e^t)): it keeps its digits as zeta -> 0, where BC scales
+rounding by 1/zeta.  The v-integral runs over Gauss-Legendre panels that
+double outward from 0.  Below 0 the integrand is O(4^zeta e^2v).  Above
+it, it is -L^k, which decays only as (zeta/v)^k: X's left tail is heavy.
+The panels stop once one adds less than 1e-10 zeta.
 
-At zeta = 1 and k from 2 to 2217 the result is within 1e-10 of the digamma
-identity BC(k, 1) = psi(k-1) - log k + int_0^inf [(1+w) e^(-k w e^w)
-- e^(-k w)] dw/w, in about 0.3 ms.  For 0.5 <= zeta <= 2.5 it is within
-1e-9 of a run with 12-node panels, a table step of 0.02 and the asymptote
-from v = 2^18, in 20-90 ms.  Every result tried, for zeta from 0.05 to
-200, was within 1.5 standard errors of Monte Carlo.  Below zeta = 1e-6
-its rounding errors, which BC scales by 1/zeta, grow.  BC(1, zeta) = -inf
-(E X = -inf), so k >= 2.  Results are cached per (k, zeta), logged at INFO.
+At zeta = 1 and k from 2 to 2217 the result is within 1.4e-10 of the
+digamma identity BC(k, 1) = psi(k-1) - log k + int_0^inf [(1+w)
+e^(-k w e^w) - e^(-k w)] dw/w, in about 0.3 ms.  At zeta != 1 it takes
+3-9 ms from k = 5 on, and 20 ms at k = 2, whose panels run to v near
+5e9 zeta.  Every result tried, for zeta from 0.05 to 200, was within 1.5
+standard errors of Monte Carlo; BC(2, zeta) levels off at -0.45158 below
+zeta = 1e-6.  BC(1, zeta) = -inf (E X = -inf), so k >= 2.  Results are
+cached per (k, zeta), logged at INFO.
 """
 
 from __future__ import annotations
@@ -63,11 +63,12 @@ import sys
 from functools import lru_cache
 
 _NODES = 8  # Gauss-Legendre nodes per panel
-_REACH = 25.0  # the s-panels reach where phi is within e^-25 of 0 or 1
 _TAIL_TOL = 1e-10  # the v-panels stop once one adds less than this, times zeta
-_ASYMPTOTE_V = 2.0**14  # past this v, times max(1, zeta), the tail's asymptote
-_LOGIT_STEP = 0.1  # grid step of the logit phi table, times max(1, zeta)
-_TRAPEZOID_STEP = 0.4  # trapezoid step over the log of an exponential variate
+_LINE_STEP = 0.07  # the Mellin-Barnes line's trapezoid step in Im z, over max(1, zeta)
+_LINE_TOP = 8.0  # the line's top in log t, times max(1, zeta); the Hankel contour above
+# B_2n/(2n (2n - 1)), n = 8 down to 1: Stirling's series for log Gamma
+_STIRLING = (-3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360,
+             1 / 12)
 _RHO_TOP = 10.0  # the log log rho table's top in log b, above which rho follows its asymptote
 
 
@@ -90,9 +91,9 @@ def _gauss_legendre(n: int) -> list[tuple[float, float]]:
     return rule
 
 
-def _panels(edges) -> list[tuple[float, float]]:
+def _panels(edges, n: int = _NODES) -> list[tuple[float, float]]:
     """Gauss-Legendre nodes and weights on consecutive panels between edges."""
-    rule = _gauss_legendre(_NODES)
+    rule = _gauss_legendre(n)
     return [
         ((lo + hi) / 2 + (hi - lo) / 2 * x, (hi - lo) / 2 * w)
         for lo, hi in zip(edges, edges[1:])
@@ -102,30 +103,6 @@ def _panels(edges) -> list[tuple[float, float]]:
 
 def _log_a(s: float) -> float:
     return math.log(math.sin(s)) - math.log(math.pi - s) - (math.pi - s) / math.tan(s)
-
-
-def _log_a_slope(s: float) -> float:
-    return 2.0 / math.tan(s) + 1.0 / (math.pi - s) + (math.pi - s) / math.sin(s) ** 2
-
-
-def _s_root(y: float) -> float:
-    """The s in (0, pi) with log A(s) = y < 1: Newton's method, kept in a
-    bisection bracket."""
-    lo, hi = 0.0, math.pi
-    s = math.pi / (1.0 - y + math.log(-y)) if y < -1.0 else math.pi / 2
-    for _ in range(100):
-        f = _log_a(s) - y
-        if f > 0.0:
-            hi = s
-        else:
-            lo = s
-        t = s - f / _log_a_slope(s)
-        if not lo < t < hi:
-            t = (lo + hi) / 2
-        if abs(t - s) <= 1e-12 * s:
-            return t
-        s = t
-    return s
 
 
 def _lagrange(table: list[float], x0: float, h: float, x: float) -> float:
@@ -138,53 +115,6 @@ def _lagrange(table: list[float], x0: float, h: float, x: float) -> float:
     fde, ab = f * d * e, a * b
     return ((a * m1 - 0.2 * b * m2) * fde * g / 24.0 + (p1 * f - p0 * d) * ab * e * g / 12.0
             + (0.2 * p3 * e - p2 * g) * ab * f * d / 24.0)
-
-
-def _logit_phi(zeta: float):
-    """x -> logit phi(e^x), phi(c) = E exp(-c w^zeta) with w ~ Exp(1).
-
-    phi(e^x) = P(R1 - zeta R2 > x) for independent log-exponential R1,
-    R2 (density exp(r - e^r)).  The table sums over R2 for zeta <= 1
-    and over R1 otherwise, so the other factor is a step at least one
-    unit wide, and sums phi and 1 - phi separately, so both keep their
-    relative precision.
-    """
-    left = -math.lgamma(1.0 + zeta)  # logit phi -> left - x as x -> -inf
-    right = math.lgamma(1.0 + 1.0 / zeta)  # logit phi -> right - x/zeta as x -> inf
-    # beyond lo and hi, the asymptotes are within about 1e-10
-    lo = -23.0 - max(0.0, math.lgamma(1.0 + 2.0 * zeta) + left)
-    hi = zeta * (24.0 + max(0.0, math.lgamma(2.0 / zeta) - math.lgamma(1.0 / zeta), right))
-    h = _LOGIT_STEP * max(1.0, zeta)
-    x0 = lo - 2.0 * h
-    n = int((hi - lo) / h) + 6
-    # the density exp(r - e^r) of the log of an exponential variate is below e^-40 off [-45, 3.8]
-    rs = [-45.0 + j * _TRAPEZOID_STEP for j in range(int(48.8 / _TRAPEZOID_STEP) + 1)]
-    gs = [math.exp(r - math.exp(r)) for r in rs]
-    table = []
-    for i in range(n):
-        x = x0 + i * h
-        us = [math.exp(min(x + zeta * r if zeta <= 1.0 else (r - x) / zeta, 700.0)) for r in rs]
-        # the means of P(R > arg) and P(R <= arg), R log-exponential
-        over = sum(g * math.exp(-u) for g, u in zip(gs, us))
-        under = sum(g * -math.expm1(-u) for g, u in zip(gs, us))
-        phi, rest = (over, under) if zeta <= 1.0 else (under, over)
-        # a sum that underflows is below 2^-1074: its asymptote may not hold yet
-        if rest == 0.0:
-            table.append(max(left - x, 745.0))
-        elif phi == 0.0:
-            table.append(min(right - x / zeta, -745.0))
-        else:
-            table.append(math.log(phi) - math.log(rest))
-    top = x0 + (n - 4) * h
-
-    def logit(x: float) -> float:
-        if x < lo:
-            return left - x
-        if x > top:
-            return right - x / zeta
-        return _lagrange(table, x0, h, x)
-
-    return logit
 
 
 def _doubling(unit: float, reach: float) -> list[float]:
@@ -215,16 +145,6 @@ def _lambert_w(log_t: float, sign: float = 1.0) -> float:
         if abs(step) <= 1e-14 * w:
             break
     return w
-
-
-@lru_cache(maxsize=16)
-def _s_rule(zeta: float):
-    """The per-zeta parts of the s-integral: logit phi, and the offsets in
-    q of the panels below and above phi's step."""
-    # out to where phi's asymptotes put it e^-25 from 0 or 1
-    below = _doubling(min(1.0, 1.0 / zeta), _REACH + math.lgamma(1.0 + 1.0 / zeta))
-    above = _doubling(1.0 / zeta, (_REACH + math.lgamma(1.0 + zeta)) / zeta)
-    return _logit_phi(zeta), below, above
 
 
 @lru_cache(maxsize=16)
@@ -288,6 +208,69 @@ def _log_moment(zeta: float):
     return log_m
 
 
+@lru_cache(maxsize=16)
+def _line(zeta: float):
+    """c, h and the trapezoid nodes of the Mellin-Barnes line Re z = c, highest
+    first: (h/pi) Gamma(z_j) (E W^-z_j - 1) with z_j = c + i j h, halved at j = 0;
+    at zeta >= 1 the nodes keep E W^-z_j whole, and their sum is L - 1."""
+    import cmath  # only zeta != 1 reaches here
+
+    c, h = -0.5 / max(1.0, zeta), _LINE_STEP / max(1.0, zeta)
+    nodes = []
+    while not nodes or abs(nodes[-1]) > 1e-16 * abs(nodes[0]):
+        z = complex(c, len(nodes) * h)
+        # Gamma(z) = Gamma(z + 10)/(z (z + 1) ... (z + 9)), Stirling's series at z + 10
+        w, p, series = z + 10.0, z, 0j
+        for i in range(1, 10):
+            p *= z + i
+        for b in _STIRLING:
+            series = series / (w * w) + b
+        node = cmath.exp((w - 0.5) * cmath.log(w) - w + series / w) * math.sqrt(2.0 * math.pi) / p
+        q = -zeta * z * cmath.log(-z)  # E W^-z = (-z)^(-zeta z), the paper's moments
+        if zeta < 1.0:  # expm1(q): O(zeta) as zeta -> 0, so L - e^-t keeps its digits
+            em = math.expm1(q.real)
+            node *= complex(em * math.cos(q.imag) - 2.0 * math.sin(q.imag / 2.0) ** 2,
+                            (em + 1.0) * math.sin(q.imag))
+        else:
+            node *= cmath.exp(q)
+        nodes.append(node * h / (math.pi if nodes else 2.0 * math.pi))
+    return c, h, nodes[::-1]
+
+
+def _excess(zeta: float, log_t: float, sign: float = 1.0) -> float:
+    """L(sign t) - exp(-sign t) from log t at zeta != 1: the moment series at
+    zeta < 1 and t <= 1/32, else (sign 1) the Mellin-Barnes line."""
+    x = -sign * math.exp(min(log_t, 700.0))  # from t = e^700, e^-t is 0 in doubles
+    if zeta < 1.0 and log_t <= -math.log(32.0):  # sum_j x^j (j^(zeta j) - 1)/j!
+        return math.fsum(x**j * math.expm1(zeta * j * math.log(j)) / math.factorial(j)
+                         for j in range(2, 21))
+    c, h, nodes = _line(zeta)
+    step, total = complex(math.cos(h * log_t), -math.sin(h * log_t)), 0j  # t^-ih
+    for a in nodes:
+        total = total * step + a
+    total = total.real * math.exp(-c * log_t)
+    return total if zeta < 1.0 else total - math.expm1(x)
+
+
+@lru_cache(maxsize=1)
+def _hankel_rule() -> list[tuple[float, float, float]]:
+    """u, log u and the weight times e^-u/u of ``_hankel``'s nodes: 10-point
+    panels, graded by 4 towards u = 0, where x log x is singular, to e^-64."""
+    edges = [0.0] + [4.0**j for j in range(-7, 0)] + [2.0**j for j in range(7)]
+    return [(u, math.log(u), w * math.exp(-u) / u) for u, w in _panels(edges, 10)]
+
+
+def _hankel(zeta: float, log_t: float) -> float:
+    """log L(t) for large t, from the Hankel contour around the cut of E W^-z:
+    L(t) = pi^-1 int_0^inf Gamma(x) sin(pi zeta x) x^(-zeta x) t^-x dx, at x = u/log t."""
+    log_log_t, total = math.log(log_t), 0.0
+    for u, log_u, w in _hankel_rule():
+        x = u / log_t
+        total += w * math.exp(math.lgamma(1.0 + x) - zeta * x * (log_u - log_log_t)) * math.sin(
+            math.pi * zeta * x)
+    return math.log(total / math.pi)
+
+
 def log_laplace(zeta: float, log_t: float, sign: float = 1.0) -> float:
     """log L(sign t), L(t) = E exp(-t W) with W = exp(zeta X)/zeta^zeta, from
     log t; sign -1 gives log M(t), M(t) = E exp(t W), inf where M diverges or,
@@ -296,33 +279,13 @@ def log_laplace(zeta: float, log_t: float, sign: float = 1.0) -> float:
         return math.inf
     if zeta == 1.0:
         return -math.log1p(_lambert_w(log_t, sign))
-    if zeta < 1.0 and log_t <= -math.log(32.0):  # L(-x) = sum_j x^j j^(zeta j)/j!
-        x = -sign * math.exp(log_t)
-        return math.log1p(math.fsum(
-            x**j * math.exp(zeta * j * math.log(j) - math.lgamma(j + 1.0)) for j in range(1, 21)))
-    if sign < 0.0:
+    if sign < 0.0 and log_t > -math.log(32.0):
         return _log_moment(zeta)(log_t)
-    logit, below, above = _s_rule(zeta)
-    # log c = vs + zeta log A(s)
-    vs = log_t - zeta * math.log(zeta)
-    q0 = 1.0 if vs <= -zeta else math.pi / _s_root(-vs / zeta)
-    edges = {max(1.0, q0 - d) for d in below} | {q0 + d for d in above}
-    # 1/q^2 and log A(pi/q) are singular at q = 0 and 1/2: each panel
-    # [lo, hi] is cut at 1 + 2^j/4 inside it, so hi - 1 <= 2 (lo - 1) + 1/4
-    lo, hi = min(edges), max(edges)
-    guard = 1.25
-    while guard < hi:
-        if guard > lo:
-            edges.add(guard)
-        guard += guard - 1.0
-    edges = sorted(edges)
-    l_sum, m_sum = 1.0 / edges[-1], 1.0 - 1.0 / edges[0]  # L and 1 - L off the panels
-    for q, w in _panels(edges):
-        e = math.exp(min(700.0, -logit(vs + zeta * _log_a(math.pi / q))))
-        p = w / (q * q * (1.0 + e))
-        l_sum += p
-        m_sum += p * e
-    return math.log(l_sum) if l_sum < 0.5 else math.log1p(-m_sum)
+    if sign > 0.0 and log_t > _LINE_TOP * max(1.0, zeta):
+        return _hankel(zeta, log_t)
+    x, d = -sign * math.exp(min(log_t, 700.0)), _excess(zeta, log_t, sign)
+    s = math.expm1(x) + d  # L - 1
+    return math.log1p(s) if s > -0.5 else math.log(math.exp(x) + d)
 
 
 @lru_cache(maxsize=64)
@@ -340,14 +303,16 @@ def bias_correction(k: int, zeta: float) -> float:
         )
     log_k = math.log(k)
 
+    def integrand(v: float) -> float:
+        log_t = v - log_k
+        if zeta != 1.0 and v < 6.5:  # -e^-kt expm1(k log(L e^t)), L e^t = 1 + (L - e^-t) e^t
+            excess = _excess(zeta, log_t) * math.exp(math.exp(log_t))
+            return -math.exp(-math.exp(v)) * math.expm1(k * math.log1p(excess))
+        l_k = math.exp(k * log_laplace(zeta, log_t))
+        return (math.exp(-math.exp(v)) if v < 700.0 else 0.0) - l_k
+
     def integral(lo: float, hi: float) -> float:
-        return math.fsum(
-            w * (
-                (math.exp(-math.exp(v)) if v < 700.0 else 0.0)
-                - math.exp(k * log_laplace(zeta, v - log_k))
-            )
-            for v, w in _panels([lo, hi])
-        )
+        return math.fsum(w * integrand(v) for v, w in _panels([lo, hi]))
 
     total = integral(-1.0, 0.0)
     a = 1.0
@@ -355,19 +320,11 @@ def bias_correction(k: int, zeta: float) -> float:
         total += integral(-2.0 * a, -a)
         a *= 2.0
     a = 0.0
-    while a < _ASYMPTOTE_V * max(1.0, zeta):
+    while True:
         part = integral(a, max(1.0, 2.0 * a))
         total += part
         a = max(1.0, 2.0 * a)
         # past 4, |integrand| = L^k falls at least as fast as (zeta/v)^k with
         # k >= 2, so the panels to come add at most this one's integral
-        if a > 4.0 and abs(part) < _TAIL_TOL * zeta:
-            break
-    else:
-        # v(s) = log k + zeta log zeta - zeta log A(s) - gamma (1 - zeta), L = s/pi
-        shift = log_k + zeta * math.log(zeta)
-        s1 = _s_root(-(a - shift + 0.5772156649015329 * (1.0 - zeta)) / zeta)
-        total -= math.fsum(
-            w * zeta * (s / math.pi) ** k * _log_a_slope(s) for s, w in _panels([0.0, s1])
-        )
-    return total / zeta
+        if a > 4.0 and abs(part) <= _TAIL_TOL * zeta:
+            return total / zeta

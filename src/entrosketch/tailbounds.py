@@ -43,11 +43,11 @@ def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-10):
     return x, f(x)
 
 
-def _expand_bracket(f, v: float, v_cap: float) -> float:
+def _expand_bracket(f, v: float) -> float:
     """Grow the upper end of a bracket in log t until f, unimodal, falls."""
     last, now = f(v - _LOG2), f(v)
-    while v < v_cap and now > last:
-        v = min(v + _LOG2, v_cap)
+    while now > last:
+        v += _LOG2
         last, now = now, f(v)
     return v
 
@@ -70,18 +70,21 @@ def tail_constants(zeta: float, epsilon: float) -> TailBoundResult:
     def q_left(v: float) -> float:
         return -log_laplace(zeta, v) - math.exp(v) * el
 
+    found = []
     # M(t) diverges at t = 1/e when zeta = 1; t* grows with eps, and is near
-    # eps zeta/(4^zeta - 1) >= eps/3 at small eps, so e^-10 eps is below it
-    hi_r = -1.0 if zeta == 1.0 else _expand_bracket(q_right, -2.0 * _LOG2, 60.0 * _LOG2)
-    hi_l = _expand_bracket(q_left, -2.0 * _LOG2, 60.0 * _LOG2)
-    # the sup is flat in log t: 1e-8 there leaves it within about 1e-15
-    v_r, q_r = golden_section_max(q_right, min(math.log(epsilon), hi_r) - 10.0, hi_r, 1e-8)
-    v_l, q_l = golden_section_max(q_left, min(math.log(epsilon), hi_l) - 10.0, hi_l, 1e-8)
-    t_r, t_l = math.exp(v_r), math.exp(v_l)
-    for t, q, e in ((t_r, q_r, er), (t_l, q_l, el)):
-        if not 1e-9 * t * e < q < math.inf:  # its terms are near t e
+    # eps zeta/(4^zeta - 1) >= eps/3 at small eps, so e^-10 eps is below it.
+    # The right tail goes first: an er of inf refuses eps before el, then 0,
+    # could leave the left bracket nothing to fall from
+    for q, e in ((q_right, er), (q_left, el)):
+        hi = -1.0 if q is q_right and zeta == 1.0 else _expand_bracket(q, -2.0 * _LOG2)
+        # the sup is flat in log t: 1e-8 there leaves it within about 1e-15
+        v, sup = golden_section_max(q, min(math.log(epsilon), hi) - 10.0, hi, 1e-8)
+        t = math.exp(v)
+        if not 1e-9 * t * e < sup < math.inf:  # its terms are near t e
             raise ValueError(f"no tail constants at zeta={zeta!r}, epsilon={epsilon!r}: the "
-                             f"sup {q!r} at t={t!r} is not above 1e-9 of its terms")
+                             f"sup {sup!r} at t={t!r} is not above 1e-9 of its terms")
+        found.append((t, sup))
+    (t_r, q_r), (t_l, q_l) = found
     return TailBoundResult(epsilon**2 / q_r, epsilon**2 / q_l, t_r, t_l, zeta, epsilon)
 
 

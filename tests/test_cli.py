@@ -711,6 +711,8 @@ class TestImportGraph:
             "entrosketch.quadrature"}
         assert not {"numpy", "threading", "logging", "json", "csv", "concurrent.futures",
                     "dataclasses", "inspect"} & modules
+        # only the Mellin-Barnes nodes need complex math; zeta = 1 builds none
+        assert ("cmath" in modules) == (zeta != 1.0)
 
     def test_quadrature_is_logged_where_logging_is_set_up(self, tmp_path):
         args = ["estimate", _sketch_file(tmp_path, "s.bin", 5)]

@@ -272,12 +272,20 @@ class TestQuadrature:
         tolerance = max(abs(terms[2]), 1e-8)
         assert abs(quadrature.bias_correction(k, zeta) - sum(terms)) <= tolerance
 
-    @pytest.mark.parametrize("zeta", [0.05, 1.0, 4.0, 50.0])
+    @pytest.mark.parametrize("zeta", [0.05, 1.0, 4.0, 50.0, 200.0])
     def test_finite_and_rising_to_zero_in_k(self, zeta):
         # E log(mean of k W's) rises with k towards log E W = 0
         values = [quadrature.bias_correction(k, zeta) for k in (2, 3, 7, 1000, 10**6)]
         assert all(math.isfinite(v) for v in values)
         assert values == sorted(values) and values[-1] < 0.0
+
+    def test_tiny_zeta(self):
+        # BC/zeta scales rounding by 1/zeta: L - e^-t is summed as such, and BC(k, zeta)
+        # tends to -log(4)/(2k) with k zeta, Var W = 4^zeta - 1 = zeta log 4 + ...
+        values = [quadrature.bias_correction(2, zeta) for zeta in (1e-4, 1e-6, 1e-8, 1e-10)]
+        assert max(values) < 0.0  # E log(mean) < log E = 0 by Jensen
+        assert max(values) - min(values) <= 5e-4
+        assert quadrature.bias_correction(10**6, 1e-8) == pytest.approx(-6.9314718e-7, rel=0.01)
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 10, 20, 100, 2217])
     def test_matches_the_digamma_identity_at_zeta_one(self, k):
@@ -302,18 +310,34 @@ class TestLaplace:
             assert abs(math.exp(quadrature.log_laplace(zeta, math.log(t))) - v.mean()) <= 5 * se, t
 
     def test_closed_form_at_zeta_one(self, monkeypatch):
-        # no logit table and no s-panels, and log t beyond exp's range is fine
+        # no Mellin-Barnes nodes and no Hankel contour, and log t beyond exp's range is fine
         def refuse(*args):
-            raise AssertionError("the s-integral ran at zeta = 1")
+            raise AssertionError("a contour integral ran at zeta = 1")
 
-        monkeypatch.setattr(quadrature, "_s_rule", refuse)
-        monkeypatch.setattr(quadrature, "_logit_phi", refuse)
+        monkeypatch.setattr(quadrature, "_line", refuse)
+        monkeypatch.setattr(quadrature, "_hankel", refuse)
         for log_t in (-30.0, -1.0, 0.0, 1.0, 5.0, 1e4):
             w = math.expm1(-quadrature.log_laplace(1.0, log_t))  # W(t) = 1/L(t) - 1
             assert math.log(w) + w == pytest.approx(log_t, rel=1e-14, abs=1e-14)  # w e^w = t
         assert quadrature.log_laplace(1.0, -800.0) == 0.0  # t = e^-800 is 0 in doubles
         bc = quadrature.bias_correction.__wrapped__(3, 1.0)  # uncached
         assert abs(bc - bias_correction_digamma(3)) <= 2e-10
+
+    @pytest.mark.parametrize("zeta, log_t, ref", [
+        (0.01, 1.5, 0.018019247366328748), (0.05, 1.0, 0.1002904690824943),
+        (0.3, 0.0, 0.4625858894432916), (0.9, -3.0, 0.9541636605762496),
+        (0.9, 0.0, 0.6175971029102074), (1.15, 2.0, 0.433191639674069037),
+        (1.5, 0.0, 0.722733465778322035), (2.5, 5.0, 0.5106369601171053),
+        (0.9, 60.0, 0.01570050791485373), (1.15, 300.0, 0.003904505979146607),
+        (0.3, 5000.0, 6.002222355546404e-5),
+    ])
+    def test_matches_mpmath(self, zeta, log_t, ref):
+        # 30-digit mpmath values of 1 + pi^-1 Re int_0^inf Gamma(z) t^-z (-z)^(-zeta z) dy,
+        # z = -1/2 + iy: the Mellin-Barnes line at log t <= 8 max(1, zeta), the Hankel contour above
+        value = math.exp(quadrature.log_laplace(zeta, log_t))
+        assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        if ref > 0.5:
+            assert 1.0 - value == pytest.approx(1.0 - ref, rel=1e-12, abs=0.0)
 
 
 class TestEstimate:

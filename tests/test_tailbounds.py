@@ -187,12 +187,29 @@ class TestTailConstants:
         r = tail_constants(zeta, eps)
         assert 0.0 < r.g_right < math.inf and 0.0 < r.g_left < math.inf
 
+    @pytest.mark.parametrize("zeta", [0.99, 1.0])
+    @pytest.mark.parametrize("eps", [30.0, 50.0])
+    def test_left_tail_sup_has_no_cap(self, zeta, eps):
+        # the search once stopped at t = 2^60, below the sup from about eps = 50; the
+        # bound was valid but loose: G_L 682.66459935371381 at zeta = 1 and 680.67875031406640 at 0.99
+        r = tail_constants(zeta, eps)
+        el = math.exp(-zeta * eps)
+
+        def objective(t):
+            return -log_laplace(zeta, math.log(t)) - t * el
+
+        t = r.t_star_left
+        assert objective(t) >= max(objective(2.0 * t), objective(t / 2.0))
+        if eps == 50.0:
+            assert t > 2.0**60
+            assert r.g_left < {0.99: 680.6787503140664, 1.0: 682.6645993537138}[zeta]
+
     def test_no_table_at_zeta_one(self, monkeypatch):
-        # both tails read W0's closed form: no logit or rho table, no s-panels
+        # both tails read W0's closed form: no rho table, no contour integral, no panels
         def refuse(*args):
             raise AssertionError("a table or an integral ran at zeta = 1")
 
-        for name in ("_s_rule", "_logit_phi", "_log_moment", "_panels"):
+        for name in ("_line", "_hankel", "_log_moment", "_panels"):
             monkeypatch.setattr(quadrature, name, refuse)
         for eps in (0.001, 0.1, 1.0, 3.0):
             tail_constants(1.0, eps)
