@@ -87,6 +87,7 @@ def resolve_bias(k: int, zeta: float, mode: str = "auto") -> float:
         raise ValueError(f"unknown bias mode {mode!r}")
     if k < 1 or not zeta > 0.0:
         raise ValueError("k must be >= 1 and zeta positive")
+    asymptotic_std_error(k, zeta)  # the rule and message ingest applies
     if mode == "none":
         return 0.0
     if k == 1:

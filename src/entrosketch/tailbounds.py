@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .quadrature import log_laplace
+from .quadrature import log_laplace, moment_top
 from .sketchfile import Record, asymptotic_std_error
 
 _LOG2 = math.log(2.0)
@@ -44,10 +44,12 @@ def golden_section_max(f, a: float, b: float, rel_tol: float = 1e-10):
 
 
 def _expand_bracket(f, v: float) -> float:
-    """Grow the upper end of a bracket in log t until f, unimodal, falls."""
+    """Grow the upper end of a bracket in log t until f, unimodal, falls: by
+    log 2 up to log t = log 8, then by half of log t, so that a sup near
+    log t = 350 takes 20 evaluations of f."""
     last, now = f(v - _LOG2), f(v)
     while now > last:
-        v += _LOG2
+        v += max(_LOG2, v / 2.0)
         last, now = now, f(v)
     return v
 
@@ -71,12 +73,16 @@ def tail_constants(zeta: float, epsilon: float) -> TailBoundResult:
         return -log_laplace(zeta, v) - math.exp(v) * el
 
     found = []
-    # M(t) diverges at t = 1/e when zeta = 1; t* grows with eps, and is near
-    # eps zeta/(4^zeta - 1) >= eps/3 at small eps, so e^-10 eps is below it.
+    # log M is inf from log t = top on (t = 1/e at zeta = 1), so the right tail's
+    # bracket ends there, and a large eps's sup is at it.  t* grows with eps, and
+    # is near eps zeta/(4^zeta - 1) >= eps/3 at small eps, so e^-10 eps is below it.
     # The right tail goes first: an er of inf refuses eps before el, then 0,
     # could leave the left bracket nothing to fall from
+    top = moment_top(zeta)
     for q, e in ((q_right, er), (q_left, el)):
-        hi = -1.0 if q is q_right and zeta == 1.0 else _expand_bracket(q, -2.0 * _LOG2)
+        hi = top if q is q_right and zeta == 1.0 else _expand_bracket(q, -2.0 * _LOG2)
+        if q is q_right:
+            hi = min(hi, top)
         # the sup is flat in log t: 1e-8 there leaves it within about 1e-15
         v, sup = golden_section_max(q, min(math.log(epsilon), hi) - 10.0, hi, 1e-8)
         t = math.exp(v)

@@ -296,6 +296,17 @@ class TestQuadrature:
             with pytest.raises(ValueError, match="needs k >= 2 and a finite zeta > 0"):
                 quadrature.bias_correction(k, zeta)
 
+    @pytest.mark.parametrize("zeta", [1e-300, 1e-320])
+    def test_zeta_without_an_asymptotic_se_raises(self, zeta):
+        # the rule and message ingest and estimate apply: a subnormal zeta once gave
+        # BC(2, 1e-320) = -0.45257, its line's O(zeta) nodes rounded away
+        message = f"zeta={zeta!r} has no finite positive asymptotic standard error at k=2"
+        with pytest.raises(ValueError, match=message):
+            quadrature.bias_correction(2, zeta)
+        for mode in ("auto", "none"):
+            with pytest.raises(ValueError, match=message):
+                resolve_bias(2, zeta, mode=mode)
+
 
 class TestLaplace:
     """``quadrature.log_laplace``, the one L(t) = E exp(-t W)."""
@@ -308,6 +319,13 @@ class TestLaplace:
             v = np.exp(-t * w)
             se = float(v.std(ddof=1)) / math.sqrt(v.size)
             assert abs(math.exp(quadrature.log_laplace(zeta, math.log(t))) - v.mean()) <= 5 * se, t
+
+    @pytest.mark.parametrize("zeta", [1.15, 2.5, 50.0])
+    def test_never_above_one(self, zeta):
+        # at zeta = 50 and small t, 1 - L is near the line's rounding and L once came out
+        # above 1, log L up to +1.5e-17
+        for log_t in range(-60, -3):
+            assert quadrature.log_laplace(zeta, float(log_t)) <= 0.0, log_t
 
     def test_closed_form_at_zeta_one(self, monkeypatch):
         # no Mellin-Barnes nodes and no Hankel contour, and log t beyond exp's range is fine

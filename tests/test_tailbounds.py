@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from entrosketch import quadrature
-from entrosketch.quadrature import log_laplace
+from entrosketch import quadrature, tailbounds
+from entrosketch.quadrature import log_laplace, moment_top
 from entrosketch.stable import sample_g0
 from entrosketch.tailbounds import (
     exceedance_bound,
@@ -79,7 +79,7 @@ class TestMoment:
         (0.99, 0.2245, 0.357144861723), (0.9, 0.4874, 1.74588793936),
     ])
     def test_matches_the_series_below_one(self, zeta, t, ref):
-        # the w-integral over the rho table, where the series sums in doubles
+        # the Abel-Plana integrals, where the series sums in doubles
         value = log_laplace(zeta, math.log(t), -1.0)
         assert value == pytest.approx(math.log(m_series(zeta, t)), rel=1e-10)
         assert value == pytest.approx(ref, rel=1e-10)
@@ -95,10 +95,53 @@ class TestMoment:
     def test_no_exponential_moment_above_one(self):
         assert log_laplace(1.5, math.log(0.01), -1.0) == math.inf
 
+    @pytest.mark.parametrize("zeta, t, ref", [
+        (0.9, 1.0, 811.459777975898005), (0.5, 20.0, 544.003016065125183),
+        (0.3, 50.0, 287.470901115772521),
+    ])
+    def test_matches_mpmath(self, zeta, t, ref):
+        # the series summed in 30-digit mpmath, past where doubles sum it
+        assert log_laplace(zeta, math.log(t), -1.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("zeta, refs", [
+        (0.05, (0.0500889679371788, 0.1003529137312333, 0.3030730767694621, 1.0305785840793866,
+                3.2106659707337328, 11.329551887157896, 61.539250873223570)),
+        (0.3, (0.0506475308337209, 0.1026012820157862, 0.3237768031112033, 1.2727693357956044,
+               5.3470751483979259, 29.005986631477636, 287.47090111577252)),
+        (0.5, (0.0512752359636410, 0.1052044061351685, 0.3507841149535812, 1.7380850555477561,
+               12.582588810268430, 136.26097386831660, 3398.1988714303455)),
+        (0.7, (0.0521383092871150, 0.1089418750507636, 0.3979238232528039, 3.7242324434892431,
+               121.07256288236186, 6665.7282295052185, 1424651.2947741733)),
+        (0.9, (0.0533508217070720, 0.1145813699509220, 0.5062188347018142, 811.45977797589800,
+               47847901.435232645, 8103083927576.5929, None)),
+        (0.99, (0.0540591560886815, 0.1181432503446878, 0.6431447210044474, None, None, None,
+                None)),
+    ])
+    def test_matches_mpmath_on_the_grid(self, zeta, refs):
+        # 30-digit mpmath: the series where it is short, else the two Abel-Plana integrals
+        # by mp.quad (they agree to 40 digits where both run); None where f's peak x* =
+        # (e^zeta t)^(1/(1 - zeta)) is past e^33, and M is taken as inf
+        for t, ref in zip((0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 50.0), refs):
+            value = log_laplace(zeta, math.log(t), -1.0)
+            if ref is None:
+                assert value == math.inf and math.log(t) >= moment_top(zeta), t
+            else:
+                assert value == pytest.approx(ref, rel=1e-12, abs=0.0), t
+
     def test_inf_past_what_doubles_resolve(self):
-        # at t = 1 and zeta = 0.99 the w-integrand peaks near w = e^100
+        # at zeta = 0.99 f's peak is near x* = e^99 at t = 1, e^29.7 at t = 0.5
         assert log_laplace(0.99, 0.0, -1.0) == math.inf
-        assert 1e10 < log_laplace(0.99, math.log(0.5), -1.0) < math.inf  # peak near w = e^30
+        assert 1e10 < log_laplace(0.99, math.log(0.5), -1.0) < math.inf
+
+    @pytest.mark.parametrize("zeta", [0.05, 0.5, 0.9, 0.99])
+    def test_inf_from_moment_top_on(self, zeta):
+        # log f's terms at its peak are near x* log x*: from x* = e^33 on, their rounding
+        # is about 1, and M is taken as inf
+        top = moment_top(zeta)
+        assert (top + zeta) / (1.0 - zeta) == pytest.approx(33.0, rel=1e-12)
+        assert log_laplace(zeta, top, -1.0) == math.inf
+        assert 0.0 < log_laplace(zeta, top - 1e-6, -1.0) < math.inf
+        assert moment_top(1.0) == -1.0 and moment_top(1.5) == -math.inf
 
 
 class TestGoldenSection:
@@ -175,8 +218,10 @@ class TestTailConstants:
 
     @pytest.mark.parametrize("zeta, eps, g_right, rel", [
         (0.9, 1.0, 4.151197943, 1e-9),  # as the moment series gave it
-        (0.99, 1.0, 4.04797, 1e-5),  # where the series overflowed: a scipy prototype's
-        (0.9, 3.0, 1.63443, 1e-5),
+        # where the series overflows doubles: 40-digit mpmath, the sup of -log M(t) + t e^(zeta
+        # eps) at M'/M = e^(zeta eps), with M the series in mpmath
+        (0.99, 1.0, 4.0479719774700447, 1e-9),
+        (0.9, 3.0, 1.6344339763638726, 1e-9),
     ])
     def test_right_tail_below_zeta_one(self, zeta, eps, g_right, rel):
         assert tail_constants(zeta, eps).g_right == pytest.approx(g_right, rel=rel)
@@ -204,12 +249,27 @@ class TestTailConstants:
             assert t > 2.0**60
             assert r.g_left < {0.99: 680.6787503140664, 1.0: 682.6645993537138}[zeta]
 
+    def test_bracket_grows_geometrically(self, monkeypatch):
+        # at (0.5, 700) the left sup is near t = e^345: steps of log 2 took 501 evaluations
+        counts, expand = [], tailbounds._expand_bracket
+
+        def counted(f, v):
+            calls = []
+            hi = expand(lambda x: calls.append(x) or f(x), v)
+            counts.append(len(calls))
+            return hi
+
+        monkeypatch.setattr(tailbounds, "_expand_bracket", counted)
+        r = tail_constants(0.5, 700.0)
+        assert len(counts) == 2 and max(counts) < 30
+        assert r.g_left == pytest.approx(75094.26776399191, rel=1e-12)
+
     def test_no_table_at_zeta_one(self, monkeypatch):
         # both tails read W0's closed form: no rho table, no contour integral, no panels
         def refuse(*args):
             raise AssertionError("a table or an integral ran at zeta = 1")
 
-        for name in ("_line", "_hankel", "_log_moment", "_panels"):
+        for name in ("_line", "_hankel", "_abel_plana", "_panels"):
             monkeypatch.setattr(quadrature, name, refuse)
         for eps in (0.001, 0.1, 1.0, 3.0):
             tail_constants(1.0, eps)
