@@ -143,9 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--bc-mode",
         default="auto",
         choices=["auto", "none"],
-        help="auto: closed-form bias correction for zeta <= 1.5 and k large enough "
-        "(k >= 8 at zeta=1), else by quadrature; k=1 has none and fails; "
-        "none: no correction",
+        help="auto: the exact bias correction, by quadrature, at every k >= 2; "
+        "k=1 has none and fails; none: no correction",
     )
     p.set_defaults(fn=cmd_estimate)
 

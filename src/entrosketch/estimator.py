@@ -3,18 +3,14 @@
 The raw estimator is
     delta_raw = zeta^-1 * log( zeta^-zeta * k^-1 * sum_j exp(zeta*y_j) )
 with y_j = projections[j]/total, evaluated through a max-shifted
-log-sum-exp.  A small-sample additive bias BC is subtracted.  The
-paper's identity E exp(m X) = m^m gives every moment of
-W = exp(zeta X)/zeta^zeta in closed form, so BC has a delta-method
-expansion in 1/k through 1/k^3.  That expansion is used for zeta <= 1.5
-wherever its 1/k^3 term is at most 2e-3; everywhere else BC is computed
-by quadrature (``quadrature.bias_correction``).  At k = 1, BC = -inf,
-so a k = 1 sketch estimates only without a correction.  The Shannon
-entropy is -delta.
+log-sum-exp.  A small-sample additive bias BC = zeta^-1 E log(mean of
+k W's), W = exp(zeta X)/zeta^zeta, is subtracted; it is computed from
+the paper's moments E W^s = s^(zeta s) by ``quadrature.bias_correction``
+at every k >= 2.  At k = 1, BC = -inf, so a k = 1 sketch estimates only
+without a correction.  The Shannon entropy is -delta.
 
-This module is pure Python, and so is the quadrature, which it imports
-only outside the closed form's region: an estimate loads no numpy.
-``estimate`` reads a sketch value, ``sketchfile.SketchFile``; an
+This module is pure Python, and so is the quadrature: an estimate loads
+no numpy.  ``estimate`` reads a sketch value, ``sketchfile.SketchFile``; an
 ``EntropySketch`` accumulator is read through the same value, which its
 ``normalized()`` builds.
 """
@@ -23,15 +19,10 @@ from __future__ import annotations
 
 import math
 
+from .quadrature import bias_correction
 from .sketchfile import Record, asymptotic_std_error
 
 FISHER_INFO = 0.3445  # Fisher information for delta per sketch coordinate
-
-# Region of the closed-form BC.  Against Monte Carlo, the residual was
-# within noise wherever the 1/k^3 term is at most _CLOSED_FORM_T3_MAX for
-# zeta <= 1.5, but negative at every k tried for zeta 2 and 2.5.
-_CLOSED_FORM_T3_MAX = 2e-3
-_CLOSED_FORM_ZETA_MAX = 1.5
 
 
 class EstimateResult(Record):
@@ -59,28 +50,11 @@ def log_mean(y, zeta: float) -> float:
     return (m + math.log(mean)) / zeta - math.log(zeta)
 
 
-def _bias_terms(k: int, zeta: float) -> tuple[float, float, float]:
-    """The 1/k, 1/k^2 and 1/k^3 terms of BC = zeta^-1 E log(mean of k W's).
-
-    W = exp(zeta X)/zeta^zeta has E W^m = m^(m zeta), from the paper's
-    E exp(m X) = m^m; c2, c3, c4 are its central moments (E W = 1).
-    """
-    c2 = 4.0**zeta - 1.0
-    c3 = 27.0**zeta - 3.0 * 4.0**zeta + 2.0
-    c4 = 256.0**zeta - 4.0 * 27.0**zeta + 6.0 * 4.0**zeta - 3.0
-    t1 = -c2 / (2.0 * k)
-    t2 = (c3 / 3.0 - 0.75 * c2**2) / k**2
-    t3 = (2.0 * c2 * c3 - (c4 - 3.0 * c2**2) / 4.0 - 2.5 * c2**3) / k**3
-    return t1 / zeta, t2 / zeta, t3 / zeta
-
-
 def resolve_bias(k: int, zeta: float, mode: str = "auto") -> float:
     """BC for (k, zeta) per the configured policy.
 
-    auto: the closed-form expansion of ``_bias_terms`` where it holds
-    (zeta <= 1.5 and a 1/k^3 term of at most 2e-3; k >= 8 at zeta = 1,
-    k >= 28 at zeta = 1.5), else ``quadrature.bias_correction``, cached
-    per (k, zeta) and logged at INFO.  k = 1 has no finite BC and raises.
+    auto: ``quadrature.bias_correction``, cached per (k, zeta) and
+    logged at INFO.  k = 1 has no finite BC and raises.
     none: BC = 0 (the raw estimator), at any k.
     """
     if mode not in ("auto", "none"):
@@ -94,12 +68,6 @@ def resolve_bias(k: int, zeta: float, mode: str = "auto") -> float:
         raise ValueError(
             "k=1 has no finite bias correction (it is -inf); use k >= 2 or no correction"
         )
-    if zeta <= _CLOSED_FORM_ZETA_MAX:
-        terms = _bias_terms(k, zeta)
-        if abs(terms[2]) <= _CLOSED_FORM_T3_MAX:
-            return sum(terms)
-    from .quadrature import bias_correction  # imported here: only this path needs it
-
     return bias_correction(k, zeta)
 
 

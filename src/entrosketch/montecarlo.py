@@ -3,8 +3,8 @@
 BC(k, zeta) is the mean log-mean of k pure G(z;0) samples.
 ``log_mean_replicates`` draws those replicates from counter-based
 Philox streams in blocks, on threads, and ``bias_correction`` averages
-them.  ``bench`` uses both, and the tests check the estimator's closed
-form and quadrature against them; ``estimate`` never runs this module.
+them.  ``bench`` uses both, and the tests check the quadrature against
+them; ``estimate`` never runs this module.
 """
 
 from __future__ import annotations

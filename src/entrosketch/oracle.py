@@ -56,13 +56,28 @@ def exact_entropies(acc: AccumulationVector, alpha: float) -> tuple[float, float
     """(Shannon, order-alpha collision, Tsallis) entropies, exactly.
 
     H_alpha = log(sum p^alpha)/(1-alpha), S_alpha = (sum p^alpha - 1)/(1-alpha).
+    sum p^alpha - 1 is summed as sum p expm1((alpha-1) log p), so both keep
+    their digits as alpha -> 1; where it is below -0.5, log(sum p^alpha) is
+    a max-shifted log-sum-exp of alpha log p, finite where sum p^alpha
+    underflows.
     """
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError("alpha must be positive and != 1")
-    probs = acc.probabilities()
-    h = -math.fsum(p * math.log(p) for p in probs if p > 0.0)
-    ps = _power_sum(probs, alpha)
-    h_alpha = math.log(ps) / (1.0 - alpha)
-    s_alpha = (ps - 1.0) / (1.0 - alpha)
-    return h, h_alpha, s_alpha
+    if not (0.0 < alpha < math.inf and alpha != 1.0):
+        raise ValueError("alpha must be positive, finite and != 1")
+    probs = [p for p in acc.probabilities() if p > 0.0]
+    logs = [math.log(p) for p in probs]
+    h = -math.fsum(p * lp for p, lp in zip(probs, logs))
+    s = math.fsum(_excess(p, lp, alpha) for p, lp in zip(probs, logs))
+    if s > -0.5:
+        log_ps = math.log1p(s)
+    else:
+        v = [alpha * lp for lp in logs]
+        m = max(v)
+        log_ps = m + math.log(math.fsum(math.exp(x - m) for x in v))
+    return h, log_ps / (1.0 - alpha), s / (1.0 - alpha)
 
+
+def _excess(p: float, log_p: float, alpha: float) -> float:
+    # p^alpha - p.  From (alpha-1) log p = 1 on the difference has no digits
+    # to lose, and for a subnormal p expm1 would overflow: exp(alpha log p)
+    x = (alpha - 1.0) * log_p
+    return p * math.expm1(x) if x < 1.0 else math.exp(alpha * log_p) - p

@@ -122,8 +122,3 @@ def _size_and_bounds(epsilon: float, gamma: float, zeta: float) -> tuple[int, Ta
         else:
             lo = mid
     return hi, bounds
-
-
-def tail_curve(zeta: float, epsilons) -> list[TailBoundResult]:
-    """Tail constants over an epsilon grid (plot/CSV feed)."""
-    return [tail_constants(zeta, eps) for eps in epsilons]

@@ -5,7 +5,9 @@ Chambers-Mallows-Stuck transform and its cos-form G(x;0) special case,
 the characteristic function of G(x;0), the positive stable law and the
 Y_alpha variable that converges to G(x;0), the scalar (libm) reference
 of a sketch variate, the alpha -> 1 limit relations of the exact
-entropies, and the eps -> 0 limit of the tail constants.
+entropies, the eps -> 0 limit of the tail constants, and two checks of
+the bias correction: the digamma identity at zeta = 1 and the
+delta-method expansion through 1/k^3 at large k.
 
 G(x;0) is the alpha=1 stable law with characteristic function
 exp(-pi*|theta|/2 + i*theta*log|theta|); the moments of exp(X) are k^k.
@@ -295,3 +297,18 @@ def bias_correction_digamma(k: int) -> float:
             total.append((hi - lo) / 2 * wt * f)
     psi = -0.57721566490153286 + math.fsum(1.0 / j for j in range(1, k - 1))
     return psi - math.log(k) + math.fsum(total)
+
+
+def _bias_terms(k: int, zeta: float) -> tuple[float, float, float]:
+    """The 1/k, 1/k^2 and 1/k^3 terms of BC = zeta^-1 E log(mean of k W's).
+
+    W = exp(zeta X)/zeta^zeta has E W^m = m^(m zeta), from the paper's
+    E exp(m X) = m^m; c2, c3, c4 are its central moments (E W = 1).
+    """
+    c2 = 4.0**zeta - 1.0
+    c3 = 27.0**zeta - 3.0 * 4.0**zeta + 2.0
+    c4 = 256.0**zeta - 4.0 * 27.0**zeta + 6.0 * 4.0**zeta - 3.0
+    t1 = -c2 / (2.0 * k)
+    t2 = (c3 / 3.0 - 0.75 * c2**2) / k**2
+    t3 = (2.0 * c2 * c3 - (c4 - 3.0 * c2**2) / 4.0 - 2.5 * c2**3) / k**3
+    return t1 / zeta, t2 / zeta, t3 / zeta

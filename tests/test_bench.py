@@ -138,6 +138,14 @@ class TestRunners:
         assert len(rows) == 2
         assert rows[0][1] == 0.1
 
+    def test_tail_curve_shape(self):
+        spec = ExperimentSpec(kind="tail_curve", epsilons=[0.05, 0.1, 0.2])
+        header, rows = run_tail_curve(spec)
+        curve = [dict(zip(header, row)) for row in rows]
+        assert [r["epsilon"] for r in curve] == [0.05, 0.1, 0.2]
+        # constants drift away from the limit as epsilon grows
+        assert curve[0]["g_left"] < curve[1]["g_left"] < curve[2]["g_left"]
+
     def test_end_to_end_uniform(self):
         spec = ExperimentSpec(
             kind="end_to_end", k_values=[100], reps=3, seed=0,

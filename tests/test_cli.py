@@ -106,8 +106,7 @@ class TestIngestEstimate:
         assert float(kv["bias_correction"]) == 0.0
 
     def test_quadrature_estimate_prints_no_log(self, tmp_path, capsys):
-        # the quadrature logs at INFO, which the CLI does not show;
-        # k=5 is below the closed form's region
+        # the quadrature logs at INFO, which the CLI does not show
         src = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
         out = str(tmp_path / "s.bin")
         main(["ingest", "--input", src, "--output", out, "--k", "5", "--zeta", "0.9"])
@@ -207,7 +206,7 @@ class TestIngestEstimate:
         assert captured.out == ""
         assert message in captured.err
 
-    @pytest.mark.parametrize("k", [64, 4])  # inside and outside the closed form's region
+    @pytest.mark.parametrize("k", [64, 4])
     def test_reps_below_one_fails_at_any_k(self, tmp_path, capsys, k):
         # --reps is gone, so a bad replicate count is refused before any bias work
         with pytest.raises(SystemExit) as exc:
@@ -322,8 +321,8 @@ class TestFileContracts:
     )
     @settings(max_examples=40, deadline=None)
     def test_estimate_prints_the_library_estimate(self, xs, k, zeta, seed):
-        # k=2 takes the quadrature, k=16 and k=200 the closed form, and k=1,
-        # which has no bias correction, the library's error
+        # k=2, k=16 and k=200 take the quadrature, and k=1, which has no
+        # bias correction, the library's error
         data = sketch_stream(xs, k=k, zeta=zeta, master_seed=seed).to_bytes()
         code, out, err, _ = run_cli(["estimate", "s.bin"], {"s.bin": data})
         if k == 1:
@@ -508,6 +507,17 @@ class TestOracle:
         assert captured.out == ""
         assert captured.err.startswith("error: line 2: ")
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_fails(self, capsys, uniform4_file, alpha):
+        # nan once printed renyi=nan with exit 0, and inf a math domain error
+        assert main(["oracle", "--input", uniform4_file, "--alpha", alpha]) == 1
+        assert capsys.readouterr() == ("", "error: alpha must be positive, finite and != 1\n")
+
+    def test_large_alpha_is_finite(self, capsys, uniform4_file):
+        # sum p^alpha = 4^-1999 underflows; its log is a log-sum-exp
+        assert main(["oracle", "--input", uniform4_file, "--alpha", "2000"]) == 0
+        assert float(parse_kv(capsys.readouterr().out)["renyi"]) == pytest.approx(math.log(4), rel=1e-12)
+
 
 class TestBench:
     def test_flags(self, tmp_path, capsys):
@@ -679,29 +689,11 @@ class TestImportGraph:
         unused = {"concurrent.futures", "logging"}
         assert not unused & modules
 
-    def test_estimate_loads_only_its_modules(self, tmp_path):
-        # k=64 at zeta=1 is inside the closed form's region: no numpy
-        modules = modules_after(
-            "from entrosketch.cli import main\n"
-            f"assert main(['estimate', {_sketch_file(tmp_path, 's.bin', 64)!r}]) == 0")
-        assert {m for m in modules if m.startswith("entrosketch")} == {
-            "entrosketch", "entrosketch.cli", "entrosketch.sketchfile", "entrosketch.estimator"}
-        assert not {"numpy", "json", "csv", "logging", "concurrent.futures",
-                    "dataclasses", "inspect"} & modules
-
-    def test_merge_loads_no_numpy(self, tmp_path):
-        a = _sketch_file(tmp_path, "a.bin", 64)
-        modules = modules_after(
-            "from entrosketch.cli import main\n"
-            f"assert main(['merge', {a!r}, {a!r}, '--output', {str(tmp_path / 'm.bin')!r}]) == 0")
-        assert {m for m in modules if m.startswith("entrosketch")} == {
-            "entrosketch", "entrosketch.cli", "entrosketch.sketchfile"}
-        assert not {"numpy", "json", "dataclasses", "inspect"} & modules
-
-    @pytest.mark.parametrize("k, zeta", [(5, 1.0), (20, 2.0)], ids=["k5-zeta1", "k20-zeta2"])
-    def test_out_of_region_estimate_loads_only_its_modules(self, tmp_path, k, zeta):
-        # outside the closed form's region the bias correction is the
-        # stdlib-only quadrature: no numpy, Monte Carlo, sampler or threads
+    @pytest.mark.parametrize("k, zeta", [(64, 1.0), (5, 1.0), (20, 2.0)],
+                             ids=["k64-zeta1", "k5-zeta1", "k20-zeta2"])
+    def test_estimate_loads_only_its_modules(self, tmp_path, k, zeta):
+        # every bias correction is the stdlib-only quadrature: no numpy,
+        # Monte Carlo, sampler or threads
         # -S: a site-packages .pth file may import threading at start-up
         modules = modules_after(
             "from entrosketch.cli import main\n"
@@ -713,6 +705,15 @@ class TestImportGraph:
                     "dataclasses", "inspect"} & modules
         # only the Mellin-Barnes nodes need complex math; zeta = 1 builds none
         assert ("cmath" in modules) == (zeta != 1.0)
+
+    def test_merge_loads_no_numpy(self, tmp_path):
+        a = _sketch_file(tmp_path, "a.bin", 64)
+        modules = modules_after(
+            "from entrosketch.cli import main\n"
+            f"assert main(['merge', {a!r}, {a!r}, '--output', {str(tmp_path / 'm.bin')!r}]) == 0")
+        assert {m for m in modules if m.startswith("entrosketch")} == {
+            "entrosketch", "entrosketch.cli", "entrosketch.sketchfile"}
+        assert not {"numpy", "json", "dataclasses", "inspect"} & modules
 
     def test_quadrature_is_logged_where_logging_is_set_up(self, tmp_path):
         args = ["estimate", _sketch_file(tmp_path, "s.bin", 5)]

@@ -13,7 +13,6 @@ import pytest
 from entrosketch import montecarlo, quadrature
 from entrosketch.estimator import (
     FISHER_INFO,
-    _bias_terms,
     are,
     asymptotic_std_error,
     estimate,
@@ -23,7 +22,7 @@ from entrosketch.estimator import (
 from entrosketch.montecarlo import bias_correction
 from entrosketch.sketch import new_sketch, sketch_stream
 from entrosketch.stable import sample_g0
-from paper import bias_correction_digamma
+from paper import _bias_terms, bias_correction_digamma
 
 
 class TestLogMean:
@@ -79,11 +78,11 @@ class TestBiasTable:
 
     def test_closed_form_matches_every_shipped_row(self, shipped_bias_rows):
         # the shipped rows are Monte Carlo values (5e5 replicates) at
-        # k=10..150, zeta in {1, 1.15}, all inside the closed form's region
+        # k=10..150, zeta in {1, 1.15}, where the 1/k^3 expansion holds
         assert len(shipped_bias_rows) == 30
         for (k, zeta), (bc, se) in shipped_bias_rows.items():
             closed_form = sum(_bias_terms(k, zeta))
-            assert resolve_bias(k, zeta) == closed_form
+            assert resolve_bias(k, zeta) == quadrature.bias_correction(k, zeta)
             assert abs(closed_form - bc) <= 3 * se, (k, zeta)
 
 
@@ -195,8 +194,8 @@ def _assert_same_bits(est, reference):
 class TestResolveBias:
     def test_modes(self):
         assert resolve_bias(10, 1.0, mode="none") == 0.0
-        assert resolve_bias(10, 1.0, mode="auto") == sum(_bias_terms(10, 1.0))
-        # outside the closed form's region, auto takes the quadrature
+        # auto is the quadrature at every k >= 2
+        assert resolve_bias(10, 1.0, mode="auto") == quadrature.bias_correction(10, 1.0)
         assert resolve_bias(5, 1.0, mode="auto") == quadrature.bias_correction(5, 1.0)
 
     def test_unknown_mode_raises(self):
@@ -221,19 +220,23 @@ class TestResolveBias:
 
     @pytest.mark.parametrize("k, zeta", [(10, 1.0), (20, 0.9), (15, 1.3), (28, 1.5), (100, 1.15)])
     def test_closed_form_matches_monte_carlo(self, k, zeta):
-        # inside the region, near its edge (k=15 at 1.3, k=28 at 1.5) and
-        # at the benchmark's Monte Carlo class (20, 0.9)
-        calls = quadrature.bias_correction.cache_info()
-        closed_form = resolve_bias(k, zeta)
-        assert quadrature.bias_correction.cache_info() == calls  # no quadrature ran
+        # where the 1/k^3 expansion holds, near the smallest such k (k=15 at
+        # 1.3, k=28 at 1.5) and at the benchmark's class (20, 0.9)
+        assert resolve_bias(k, zeta) == quadrature.bias_correction(k, zeta)
+        closed_form = sum(_bias_terms(k, zeta))
         est = bias_correction(k, zeta, seed=0)
         assert abs(closed_form - est.value) <= 3 * est.std_error
 
+    @pytest.mark.parametrize("zeta", [0.5, 0.9, 1.0, 1.15, 1.5, 2.5])
+    @pytest.mark.parametrize("k", [2, 8, 20, 100, 2217])
+    def test_auto_is_the_quadrature(self, k, zeta):
+        # one bias rule: no (k, zeta) takes another formula
+        assert resolve_bias(k, zeta).hex() == quadrature.bias_correction(k, zeta).hex()
+
     def test_quadrature_fallback_is_logged(self, caplog):
-        # outside the closed form's region: (20, 1.5) and (5, 1) have a
-        # 1/k^3 term above 2e-3; (100, 2) has a small one, but zeta > 1.5
+        # every bias correction is a quadrature, at small k and large
         quadrature.bias_correction.cache_clear()
-        for k, zeta in ((20, 1.5), (5, 1.0), (100, 2.0)):
+        for k, zeta in ((20, 1.5), (5, 1.0), (100, 2.0), (2217, 1.0)):
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="entrosketch.quadrature"):
                 bc = resolve_bias(k, zeta)
@@ -243,9 +246,9 @@ class TestResolveBias:
             assert record.getMessage() == f"bias correction by quadrature: k={k}, zeta={zeta!r}"
 
     def test_no_cutoff_at_large_k(self):
-        # the closed form replaces the old table's "BC = 0 above k=1000"
+        # the quadrature replaces the old table's "BC = 0 above k=1000"
         bc = resolve_bias(5000, 1.0)
-        assert bc == sum(_bias_terms(5000, 1.0))
+        assert bc == quadrature.bias_correction(5000, 1.0)
         assert bc == pytest.approx(-3.0 / 10_000, rel=1e-3)
 
 
@@ -264,11 +267,13 @@ class TestQuadrature:
             assert abs(quadrature.bias_correction(k, zeta) - bc) <= 3 * se, (k, zeta)
 
     @pytest.mark.parametrize("k, zeta", [(8, 1.0), (10, 1.0), (20, 1.0), (100, 1.0), (2217, 1.0),
-                                         (10, 1.15), (20, 1.15), (100, 1.15), (2217, 1.15)])
+                                         (5000, 1.0), (10, 1.15), (20, 1.15), (100, 1.15),
+                                         (2217, 1.15)])
     def test_matches_closed_form_inside_its_region(self, k, zeta):
-        # the expansion drops terms of order 1/k^4: they are below its last term
+        # the 1/k^3 expansion of the moments, an independent large-k check: it
+        # drops terms of order 1/k^4, which are below its last term
         terms = _bias_terms(k, zeta)
-        assert abs(terms[2]) <= 2e-3  # inside the region
+        assert abs(terms[2]) <= 2e-3  # the expansion's last term is small
         tolerance = max(abs(terms[2]), 1e-8)
         assert abs(quadrature.bias_correction(k, zeta) - sum(terms)) <= tolerance
 
@@ -382,12 +387,13 @@ class TestEstimate:
         raw = estimate(s, bc_mode="none")
         corrected = estimate(s, bc_mode="auto")
         assert raw.bias_correction == 0.0
-        assert corrected.bias_correction == sum(_bias_terms(10, 1.0))
+        assert corrected.bias_correction == quadrature.bias_correction(10, 1.0)
         assert corrected.delta_hat == pytest.approx(raw.delta_hat - corrected.bias_correction)
 
     def test_recommended_width_is_corrected_without_warning(self):
         # k=2217 is what `entrosketch size --epsilon 0.1 --gamma 0.05` gives;
-        # BC there is t1 + t2 + t3 from the moments of W, about -6.77e-4
+        # BC there is the quadrature's, about -6.77e-4, and the hand-written
+        # t1 + t2 + t3 from the moments of W agrees within its last term
         c2, c3, c4 = 3.0, 27.0 - 12.0 + 2.0, 256.0 - 108.0 + 24.0 - 3.0
         k = 2217
         t1 = -c2 / (2 * k)
@@ -397,7 +403,9 @@ class TestEstimate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = estimate(s)
-        assert result.bias_correction == pytest.approx(t1 + t2 + t3, rel=1e-12)
+        assert result.bias_correction.hex() == quadrature.bias_correction(k, 1.0).hex()
+        assert abs(result.bias_correction - bias_correction_digamma(k)) <= 2e-10
+        assert abs(result.bias_correction - (t1 + t2 + t3)) <= max(abs(t3), 1e-8)
         assert result.bias_correction == pytest.approx(-6.77e-4, abs=5e-7)
 
 

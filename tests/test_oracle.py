@@ -78,9 +78,25 @@ class TestAlphaEntropies:
             assert s_alpha == pytest.approx(expected, rel=1e-12)
 
     def test_alpha_validation(self):
-        for alpha in (0.0, -1.0, 1.0):
+        for alpha in (0.0, -1.0, 1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 exact_entropies(uniform4(), alpha)
+
+    @pytest.mark.parametrize("weights, alpha, h_ref, s_ref", [
+        ([1, 2], 1 - 1e-12, 0.63651416829486620094, 0.6365141682950687716),
+        ([1, 2], 2000.0, 0.40566794207920398397, 0.00050025012506253126563),
+        ([1 / j for j in range(1, 30)], 1 - 1e-12, 2.8039309108178665773, 2.8039309108217975046),
+        ([1 / j for j in range(1, 30)], 2000.0, 1.3773502388577942537, 0.00050025012506253126563),
+        ([1e-320, 1], 0.01, 0.00063712960038933233814, 0.00063733058003684600783),
+    ], ids=["third-near-1", "third-2000", "zipf-near-1", "zipf-2000", "subnormal-0.01"])
+    def test_matches_mpmath(self, weights, alpha, h_ref, s_ref):
+        # 50-digit mpmath on the exact distribution weights/sum(weights): near
+        # alpha = 1, sum p^alpha - 1 once cancelled to 1.9e-4 relative, and at
+        # alpha = 2000, sum p^alpha underflowed to 0 and its log failed; a
+        # subnormal p has (alpha - 1) log p past expm1's range
+        _, h_alpha, s_alpha = exact_entropies(from_probabilities(weights), alpha)
+        assert h_alpha == pytest.approx(h_ref, rel=1e-15, abs=0.0)
+        assert s_alpha == pytest.approx(s_ref, rel=1e-15, abs=0.0)
 
     def test_returns_shannon_too(self):
         h, _, _ = exact_entropies(uniform4(), 0.9)

@@ -17,7 +17,6 @@ from entrosketch.tailbounds import (
     golden_section_max,
     required_sketch_size,
     tail_constants,
-    tail_curve,
 )
 from paper import laplace_series, m_series, small_eps_limit
 
@@ -327,9 +326,3 @@ class TestSketchSize:
             -k * 0.01 / bounds.g_left
         )
         assert exceedance_bound(k, 0.1, bounds) == pytest.approx(expected, rel=1e-12)
-
-    def test_tail_curve_shape(self):
-        curve = tail_curve(1.0, [0.05, 0.1, 0.2])
-        assert [r.epsilon for r in curve] == [0.05, 0.1, 0.2]
-        # constants drift away from the limit as epsilon grows
-        assert curve[0].g_left < curve[1].g_left < curve[2].g_left
