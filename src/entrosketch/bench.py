@@ -1,11 +1,14 @@
-"""Monte Carlo experiment runner emitting deterministic CSV.
+"""Experiment runner emitting deterministic CSV.
 
-Experiments: the small-sample bias table, the relative-MSE curve
-against the Cramer-Rao floor, the tail-constant grid, and end-to-end
-sketch-vs-oracle runs on synthetic streams.  Identical spec + seed
-reproduce identical CSV bytes: replicates use the counter-based Philox
-generator keyed by (seed, replicate block) and rows are emitted in
-sorted spec order.
+Experiments: the small-sample bias table, the MSE curve against the
+Cramer-Rao floor, the tail-constant grid, and end-to-end sketch-vs-oracle
+runs on synthetic streams.  The first three are exact: the bias table is
+``estimator.resolve_bias``, the MSE curve ``quadrature.log_mean_variance``
+and the tail grid ``tailbounds.tail_constants``, so nothing is sampled
+and ``reps`` and ``seed`` apply to ``end_to_end`` alone, the one kind
+that loads numpy.  Identical spec + seed reproduce identical CSV bytes:
+its replicate streams use the counter-based Philox generator keyed by
+(seed, replicate), and rows are emitted in sorted spec order.
 """
 
 from __future__ import annotations
@@ -14,13 +17,9 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .estimator import FISHER_INFO, estimate, resolve_bias
-from .montecarlo import bias_correction, log_mean_replicates
 from .oracle import AccumulationVector, shannon_entropy
-from .sketch import sketch_stream
-from .streams import counts_to_stream, uniform_stream, zipf_counts
+from .quadrature import log_mean_variance
 from .tailbounds import tail_constants
 
 KINDS = ("bias_table", "mse_curve", "tail_curve", "end_to_end")
@@ -57,8 +56,8 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must not be empty")
         if min(self.k_values) < 1:
             raise ValueError("k_values must be >= 1")
-        if self.kind in ("mse_curve", "end_to_end") and min(self.k_values) < 2:
-            # these apply the estimator's bias correction, which is -inf at k=1
+        if self.kind != "tail_curve" and min(self.k_values) < 2:
+            # k=1 has no finite bias correction, so no corrected estimator
             raise ValueError(f"k_values must be >= 2 for {self.kind}")
         for name in ("zeta_values", "epsilons"):
             if not all(0.0 < x < math.inf for x in getattr(self, name)):
@@ -84,23 +83,17 @@ def write_csv(path, header, rows):
 
 
 def run_bias_table(spec: ExperimentSpec):
-    """Rows (k, zeta, bc, std_error); std_error is nan for reps=1."""
-    rows = []
-    for k in sorted(spec.k_values):
-        for zeta in sorted(spec.zeta_values):
-            est = bias_correction(k, zeta, reps=spec.reps, seed=spec.seed)
-            rows.append((k, zeta, est.value, est.std_error))
-    return ["k", "zeta", "bc", "std_error"], rows
-
-
-def _delta_hat_replicates(k: int, zeta: float, reps: int, seed: int, delta: float) -> np.ndarray:
-    """Replicated raw log-mean estimates at a known location delta."""
-    return log_mean_replicates(k, zeta, reps, seed, shift=delta)
+    """Rows (k, zeta, bc): the estimator's bias correction."""
+    rows = [(k, zeta, resolve_bias(k, zeta))
+            for k in sorted(spec.k_values) for zeta in sorted(spec.zeta_values)]
+    return ["k", "zeta", "bc"], rows
 
 
 def run_mse_curve(spec: ExperimentSpec, delta: float = DEFAULT_DELTA):
-    """Empirical MSE of the bias-corrected estimator vs the CR floor.
+    """MSE of the bias-corrected estimator vs the CR floor.
 
+    The corrected estimator is unbiased, so its MSE is its variance,
+    Var(log Ybar)/zeta^2, inf at k = 2.
     Rows: (k, zeta, mse_abs, mse_rel, var, cr_bound, cr_bound_rel).
     """
     if delta == 0.0:
@@ -108,13 +101,9 @@ def run_mse_curve(spec: ExperimentSpec, delta: float = DEFAULT_DELTA):
     rows = []
     for k in sorted(spec.k_values):
         for zeta in sorted(spec.zeta_values):
-            raw = _delta_hat_replicates(k, zeta, spec.reps, spec.seed, delta)
-            bc = resolve_bias(k, zeta, mode="auto")
-            err = raw - bc - delta
-            mse = float(np.mean(err**2))
-            var = float(np.var(err, ddof=1)) if spec.reps > 1 else float("nan")
+            mse = log_mean_variance(k, zeta) / zeta**2
             cr = 1.0 / (FISHER_INFO * k)
-            rows.append((k, zeta, mse, mse / delta**2, var, cr, cr / delta**2))
+            rows.append((k, zeta, mse, mse / delta**2, mse, cr, cr / delta**2))
     return ["k", "zeta", "mse_abs", "mse_rel", "var", "cr_bound", "cr_bound_rel"], rows
 
 
@@ -129,7 +118,9 @@ def run_tail_curve(spec: ExperimentSpec):
     return ["zeta", "epsilon", "g_right", "g_left", "t_star_right", "t_star_left"], rows
 
 
-def _replicate_stream(spec: ExperimentSpec, rng: np.random.Generator):
+def _replicate_stream(spec: ExperimentSpec, rng):
+    from .streams import counts_to_stream, uniform_stream, zipf_counts
+
     if spec.distribution == "uniform":
         return list(uniform_stream(spec.n_items, spec.n_updates, rng))
     if spec.distribution == "zipf":
@@ -145,6 +136,10 @@ def run_end_to_end(spec: ExperimentSpec):
 
     Rows: (replicate, k, zeta, entropy_hat, entropy_oracle, error).
     """
+    import numpy as np
+
+    from .sketch import sketch_stream
+
     rows = []
     for k in sorted(spec.k_values):
         for zeta in sorted(spec.zeta_values):

@@ -10,7 +10,8 @@ Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
 ``estimate`` and ``merge`` read sketch files through the stdlib-only
 ``sketchfile``, and ``estimate``'s bias correction is pure Python at
-every (k, zeta); only ``ingest`` and ``bench`` load numpy.
+every (k, zeta); only ``ingest`` and ``bench --kind end_to_end`` load
+numpy.
 Before that, ``main`` sets
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where the caller
 left them unset.  A bad value, an overflow, a file error or
@@ -167,14 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle)
 
     # an unset flag leaves its field out, so ExperimentSpec's default applies
-    p = sub.add_parser(
-        "bench", help="Monte Carlo experiments, CSV output", argument_default=argparse.SUPPRESS
-    )
+    p = sub.add_parser("bench", help="experiments, CSV output", argument_default=argparse.SUPPRESS)
     p.add_argument("--kind", help="bias_table, mse_curve, tail_curve or end_to_end")
     p.add_argument("--k", dest="k_values", type=int, nargs="+")
     p.add_argument("--zeta", dest="zeta_values", type=float, nargs="+")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--reps", type=int, help="end_to_end replicates; the other kinds are exact")
+    p.add_argument("--seed", type=int, default=seed, help="end_to_end master seed")
     p.add_argument("--epsilon", dest="epsilons", type=float, nargs="+")
     p.add_argument("--distribution", choices=["uniform", "zipf"])
     p.add_argument("--items", dest="n_items", type=int)

@@ -36,10 +36,10 @@ def log_mean(y, zeta: float) -> float:
     """zeta^-1 log(zeta^-zeta k^-1 sum_j exp(zeta y_j)) of a sequence of k
     floats, through a max-shifted log-sum-exp summed by ``math.fsum``.
 
-    Pure Python, so an estimate needs no numpy.  The Monte Carlo
-    engine's row-wise ``montecarlo._log_means`` computes the same
-    expression with numpy's SIMD ``exp`` and pairwise sum, which round
-    differently: the two agree within 2 ulp of max(1, |m| + |log s|)/zeta,
+    Pure Python, so an estimate needs no numpy.  The test suite's Monte
+    Carlo engine (``_log_means`` in ``tests/paper.py``) computes the same
+    expression row-wise with numpy's SIMD ``exp`` and pairwise sum, which
+    round differently: the two agree within 2 ulp of max(1, |m| + |log s|)/zeta,
     m the largest zeta*y_j and s the mean of exp(zeta*y_j - m).
     """
     v = [zeta * float(x) for x in y]

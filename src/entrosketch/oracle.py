@@ -43,13 +43,9 @@ class AccumulationVector:
 
 
 def shannon_entropy(acc: AccumulationVector) -> float:
-    """H = -sum p_j log p_j, with 0 log 0 := 0."""
-    return -math.fsum(p * math.log(p) for p in acc.probabilities() if p > 0.0)
-
-
-def _power_sum(probs, alpha: float) -> float:
-    # p^alpha as exp(alpha*log p), skipping p = 0 terms
-    return math.fsum(math.exp(alpha * math.log(p)) for p in probs if p > 0.0)
+    """H = -sum p_j log p_j, with 0 log 0 := 0; 0.0 - x, not -x, so that a
+    one-item stream gives 0.0, not -0.0."""
+    return 0.0 - math.fsum(p * math.log(p) for p in acc.probabilities() if p > 0.0)
 
 
 def exact_entropies(acc: AccumulationVector, alpha: float) -> tuple[float, float, float]:
@@ -65,7 +61,7 @@ def exact_entropies(acc: AccumulationVector, alpha: float) -> tuple[float, float
         raise ValueError("alpha must be positive, finite and != 1")
     probs = [p for p in acc.probabilities() if p > 0.0]
     logs = [math.log(p) for p in probs]
-    h = -math.fsum(p * lp for p, lp in zip(probs, logs))
+    h = 0.0 - math.fsum(p * lp for p, lp in zip(probs, logs))
     s = math.fsum(_excess(p, lp, alpha) for p, lp in zip(probs, logs))
     if s > -0.5:
         log_ps = math.log1p(s)
@@ -73,7 +69,8 @@ def exact_entropies(acc: AccumulationVector, alpha: float) -> tuple[float, float
         v = [alpha * lp for lp in logs]
         m = max(v)
         log_ps = m + math.log(math.fsum(math.exp(x - m) for x in v))
-    return h, log_ps / (1.0 - alpha), s / (1.0 - alpha)
+    # + 0.0 turns the -0.0 of a zero over 1 - alpha < 0 into 0.0
+    return h, log_ps / (1.0 - alpha) + 0.0, s / (1.0 - alpha) + 0.0
 
 
 def _excess(p: float, log_p: float, alpha: float) -> float:

@@ -60,6 +60,13 @@ e^(-k w e^w) - e^(-k w)] dw/w, in about 0.3 ms.  At zeta != 1 it takes
 standard errors of Monte Carlo; BC(2, zeta) levels off at -0.45158 below
 zeta = 1e-6.  BC(1, zeta) = -inf (E X = -inf), so k >= 2.  Results are
 cached per (k, zeta), logged at INFO.
+
+``log_mean_variance`` takes Var(log of the mean of k W's) from the same
+integrand, D(v) = L(e^v/k)^k - exp(-e^v), as 2 int v D dv + 2 gamma int
+D dv - (int D dv)^2; ``bench``'s MSE curve is it over zeta^2.  It is inf
+at k <= 2 and, at zeta = 1, within 5e-11 relative of 30-digit mpmath at
+k = 3 and 20, in under 1 ms; at zeta != 1 it takes 1.5-7 ms from k = 5 on
+and about 17 ms at k = 3.  The estimate path never runs it.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ from functools import lru_cache
 from .sketchfile import asymptotic_std_error
 
 _NODES = 8  # Gauss-Legendre nodes per panel
+_EULER_GAMMA = 0.5772156649015329
 _TAIL_TOL = 1e-10  # the v-panels stop once one adds less than this, times zeta
 _LINE_STEP = 0.07  # the Mellin-Barnes line's trapezoid step in Im z, over max(1, zeta)
 _LINE_TOP = 8.0  # the line's top in log t, times max(1, zeta); the Hankel contour above
@@ -279,6 +287,27 @@ def log_laplace(zeta: float, log_t: float, sign: float = 1.0) -> float:
     return math.log1p(s) if sign < 0.0 else min(math.log1p(s), 0.0)
 
 
+def _log_mean_gap(v: float, k: int, zeta: float) -> float:
+    """D(v) = L(e^v/k)^k - exp(-e^v), the v-integrand of E log and E log^2 of
+    the mean of k W's.  At zeta != 1 and v < 6.5 it is exp(-e^v) expm1(k
+    log1p((L - e^-t) e^t)), t = e^v/k, which keeps its digits as zeta -> 0."""
+    log_t = v - math.log(k)
+    if zeta != 1.0 and v < 6.5:
+        excess = _excess(zeta, log_t) * math.exp(math.exp(log_t))
+        return math.exp(-math.exp(v)) * math.expm1(k * math.log1p(excess))
+    l_k = math.exp(k * log_laplace(zeta, log_t))
+    return l_k - (math.exp(-math.exp(v)) if v < 700.0 else 0.0)
+
+
+def _lower_edges(zeta: float) -> list[float]:
+    """The v-panel edges below 0, from 0 down, doubling to where D is O(4^zeta e^2v)."""
+    edges, a = [0.0, -1.0], 1.0
+    while -a > -40.0 - zeta * math.log(4.0):
+        a *= 2.0
+        edges.append(-a)
+    return edges
+
+
 @lru_cache(maxsize=64)
 def bias_correction(k: int, zeta: float) -> float:
     """BC(k, zeta) by quadrature; k >= 2 and zeta positive and finite."""
@@ -293,24 +322,14 @@ def bias_correction(k: int, zeta: float) -> float:
         sys.modules["logging"].getLogger(__name__).info(
             "bias correction by quadrature: k=%d, zeta=%r", k, zeta
         )
-    log_k = math.log(k)
-
-    def integrand(v: float) -> float:
-        log_t = v - log_k
-        if zeta != 1.0 and v < 6.5:  # -e^-kt expm1(k log(L e^t)), L e^t = 1 + (L - e^-t) e^t
-            excess = _excess(zeta, log_t) * math.exp(math.exp(log_t))
-            return -math.exp(-math.exp(v)) * math.expm1(k * math.log1p(excess))
-        l_k = math.exp(k * log_laplace(zeta, log_t))
-        return (math.exp(-math.exp(v)) if v < 700.0 else 0.0) - l_k
 
     def integral(lo: float, hi: float) -> float:
-        return math.fsum(w * integrand(v) for v, w in _panels([lo, hi]))
+        return math.fsum(w * _log_mean_gap(v, k, zeta) for v, w in _panels([lo, hi]))
 
-    total = integral(-1.0, 0.0)
-    a = 1.0
-    while -a > -40.0 - zeta * math.log(4.0):  # below, the integrand is O(4^zeta e^2v)
-        total += integral(-2.0 * a, -a)
-        a *= 2.0
+    edges = _lower_edges(zeta)
+    total = 0.0
+    for hi, lo in zip(edges, edges[1:]):
+        total += integral(lo, hi)
     a = 0.0
     while True:
         part = integral(a, max(1.0, 2.0 * a))
@@ -319,4 +338,40 @@ def bias_correction(k: int, zeta: float) -> float:
         # past 4, |integrand| = L^k falls at least as fast as (zeta/v)^k with
         # k >= 2, so the panels to come add at most this one's integral
         if a > 4.0 and abs(part) <= _TAIL_TOL * zeta:
-            return total / zeta
+            return -total / zeta
+
+
+@lru_cache(maxsize=64)
+def log_mean_variance(k: int, zeta: float) -> float:
+    """Var(log Ybar), Ybar the mean of k W's, by quadrature: inf at k <= 2.
+
+    E log Ybar = -int D dv and E log^2 Ybar = 2 int v D dv + 2 gamma int D dv,
+    gamma Euler's constant, on BC's panel edges with 16 nodes each: at 8,
+    v D lost up to 8e-9 relative (k = 20, zeta = 1).  D falls as
+    (zeta/v)^k, so int v D dv diverges at k <= 2, and the panels stop
+    only once both parts of one add less than 1e-10 zeta: at k = 3 that is
+    near v = 2e10, where BC stops near 1e5.
+    """
+    if k < 1 or not 0.0 < zeta < math.inf:
+        raise ValueError(
+            f"the variance needs k >= 1 and a finite zeta > 0, not k={k}, zeta={zeta!r}"
+        )
+    asymptotic_std_error(k, zeta)  # the rule and message ingest applies
+    if k <= 2:
+        return math.inf
+    first, second = [], []  # the panels' parts of int D dv and int v D dv
+
+    def add(lo: float, hi: float) -> None:
+        nodes = [(v, w * _log_mean_gap(v, k, zeta)) for v, w in _panels([lo, hi], 16)]
+        first.append(math.fsum(d for _, d in nodes))
+        second.append(math.fsum(v * d for v, d in nodes))
+
+    edges = _lower_edges(zeta)
+    for hi, lo in zip(edges, edges[1:]):
+        add(lo, hi)
+    a = 0.0
+    while a <= 4.0 or max(abs(first[-1]), abs(second[-1])) > _TAIL_TOL * zeta:
+        add(a, max(1.0, 2.0 * a))
+        a = max(1.0, 2.0 * a)
+    d, vd = math.fsum(first), math.fsum(second)
+    return 2.0 * vd + 2.0 * _EULER_GAMMA * d - d * d

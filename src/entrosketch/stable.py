@@ -1,5 +1,5 @@
 """Monte Carlo samples of the maximally skewed 1-stable law G(x;0), and
-the pinned threads that the ingest and the Monte Carlo engine share.
+the pinned threads of the parallel ingest.
 
 G(x;0) is the alpha=1 stable law with characteristic function
 exp(-pi*|theta|/2 + i*theta*log|theta|); the moments of exp(X) are k^k.
@@ -98,24 +98,3 @@ def sample_g0(rng: np.random.Generator, size: int | None = None):
     y = _g0_of_words(_words(rng, n), _words(rng, n))
     return float(y[0]) if size is None else y
 
-
-def sample_g0_slices(key, size: int, start: int, stop: int, step: int):
-    """Samples [start, stop) of ``sample_g0(Generator(Philox(key=key)), size)``,
-    yielded at most ``step`` at a time, without drawing the ones before
-    ``start``.  Sample i reads only words i and size + i, clamped into
-    (0, 1) as in ``sample_g0``, so every slice equals the whole draw's.
-    """
-    u_rng = _philox_at(key, start)
-    w_rng = _philox_at(key, size + start)
-    for lo in range(start, stop, step):
-        m = min(step, stop - lo)
-        yield _g0_of_words(_words(u_rng, m), _words(w_rng, m))
-
-
-def _philox_at(key, offset: int) -> np.random.Generator:
-    """A Philox generator that has already drawn ``offset`` words."""
-    bitgen = np.random.Philox(key=key)
-    bitgen.advance(offset // 4)  # one counter step makes four words
-    rng = np.random.Generator(bitgen)
-    _words(rng, offset % 4)
-    return rng

@@ -7,7 +7,11 @@ Y_alpha variable that converges to G(x;0), the scalar (libm) reference
 of a sketch variate, the alpha -> 1 limit relations of the exact
 entropies, the eps -> 0 limit of the tail constants, and two checks of
 the bias correction: the digamma identity at zeta = 1 and the
-delta-method expansion through 1/k^3 at large k.
+delta-method expansion through 1/k^3 at large k.  Last, the Monte Carlo
+engine that the quadrature is checked against: ``log_mean_replicates``
+draws replicates of the log-mean of k G(x;0) samples from counter-based
+Philox streams, in blocks on pinned threads, and ``bias_correction``
+averages them.
 
 G(x;0) is the alpha=1 stable law with characteristic function
 exp(-pi*|theta|/2 + i*theta*log|theta|); the moments of exp(X) are k^k.
@@ -23,13 +27,15 @@ moves them together with the package's map.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from entrosketch import hashing
 from entrosketch.hashing import GOLDEN, HALF_PI, MASK64, mix64
-from entrosketch.oracle import AccumulationVector, _power_sum, exact_entropies
+from entrosketch.oracle import AccumulationVector, exact_entropies
 from entrosketch.sketchfile import Record
+from entrosketch.stable import _g0_of_words, _map_pinned, _worker_count, _words
 
 # the smallest positive u + pi/2 of any word, from word 512 on; words 0-511
 # give u = -pi/2 exactly, so sample_positive_stable clamps their U up to it
@@ -202,6 +208,11 @@ def from_probabilities(probs) -> AccumulationVector:
     return acc
 
 
+def _power_sum(probs, alpha: float) -> float:
+    # p^alpha as exp(alpha*log p), skipping p = 0 terms
+    return math.fsum(math.exp(alpha * math.log(p)) for p in probs if p > 0.0)
+
+
 def limit_check(acc: AccumulationVector, alpha_grid) -> list[tuple[float, float, float]]:
     """Residuals of the alpha -> 1 limit relations on a grid.
 
@@ -312,3 +323,96 @@ def _bias_terms(k: int, zeta: float) -> tuple[float, float, float]:
     t2 = (c3 / 3.0 - 0.75 * c2**2) / k**2
     t3 = (2.0 * c2 * c3 - (c4 - 3.0 * c2**2) / 4.0 - 2.5 * c2**3) / k**3
     return t1 / zeta, t2 / zeta, t3 / zeta
+
+
+def sample_g0_slices(key, size: int, start: int, stop: int, step: int):
+    """Samples [start, stop) of ``sample_g0(Generator(Philox(key=key)), size)``,
+    yielded at most ``step`` at a time, without drawing the ones before
+    ``start``.  Sample i reads only words i and size + i, clamped into
+    (0, 1) as in ``sample_g0``, so every slice equals the whole draw's.
+    """
+    u_rng = _philox_at(key, start)
+    w_rng = _philox_at(key, size + start)
+    for lo in range(start, stop, step):
+        m = min(step, stop - lo)
+        yield _g0_of_words(_words(u_rng, m), _words(w_rng, m))
+
+
+def _philox_at(key, offset: int) -> np.random.Generator:
+    """A Philox generator that has already drawn ``offset`` words."""
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(offset // 4)  # one counter step makes four words
+    rng = np.random.Generator(bitgen)
+    _words(rng, offset % 4)
+    return rng
+
+
+# Monte Carlo chunks hold max(1, min(reps, _CHUNK_SAMPLES // k)) replicates
+# and chunk i is drawn from Philox(key=[seed, i]): this defines every MC value
+_CHUNK_SAMPLES = 8_000_000
+# samples per Monte Carlo block, so that a block's temporaries stay in cache;
+# 2^14 was the fastest of 2^12..2^18 in a fresh estimate process
+_BLOCK_SAMPLES = 1 << 14
+
+
+class BiasEstimate(Record):
+    __slots__ = ("value", "std_error", "reps")
+
+
+def _log_means(z: np.ndarray, zeta: float) -> np.ndarray:
+    """Row-wise zeta^-1 log(zeta^-zeta k^-1 sum exp(zeta z)) of a (rows, k)
+    array, each row through a max-shifted log-sum-exp."""
+    v = zeta * z
+    m = v.max(axis=1)
+    return (m + np.log(np.mean(np.exp(v - m[:, None]), axis=1))) / zeta - math.log(zeta)
+
+
+def _fill_rows(out, key, n: int, k: int, zeta: float, shift: float, rows: int, a: int, b: int):
+    """out[a:b] = log-means of rows [a, b) of the chunk's n x k samples
+    plus ``shift``, ``rows`` rows at a time."""
+    for r0, z in zip(range(a, b, rows), sample_g0_slices(key, n * k, a * k, b * k, rows * k)):
+        out[r0 : r0 + len(z) // k] = _log_means(z.reshape(-1, k) + shift, zeta)
+
+
+def log_mean_replicates(
+    k: int, zeta: float, reps: int, seed: int, shift: float = 0.0
+) -> np.ndarray:
+    """``reps`` replicates of the log-mean of k G(z;0) samples plus ``shift``.
+
+    The chunk partition defines the stream: replicates come in chunks of
+    ``max(1, min(reps, _CHUNK_SAMPLES // k))``, and chunk i is the
+    ``sample_g0`` draw of its n*k samples from the counter-based
+    ``Philox(key=[seed, i])`` (the key as two uint64 words, so every
+    seed in [0, 2^64) has its own streams), one replicate per k
+    consecutive samples.  Each chunk is computed in blocks of about
+    ``_BLOCK_SAMPLES`` samples, split across the CPUs this process may run
+    on, one thread pinned to each (``stable._map_pinned``).  ``sample_g0``
+    clamps a word that would map to 1.0 to 1 - 2^-53 instead of drawing
+    more, so each sample depends only on its own two words, and block size
+    and worker count do not change the result, bit for bit.
+    """
+    if k < 1 or reps < 1:
+        raise ValueError("k and reps must be >= 1")
+    chunk = max(1, min(reps, _CHUNK_SAMPLES // k))
+    rows = max(1, _BLOCK_SAMPLES // k)
+    workers = min(_worker_count(), -(-chunk // rows))
+    values = np.empty(reps, dtype=np.float64)
+    for chunk_idx, start in enumerate(range(0, reps, chunk)):
+        n = min(chunk, reps - start)
+        key = np.array([seed, chunk_idx], dtype=np.uint64)
+        out = values[start : start + n]
+        blocks = -(-n // rows)
+        parts = min(workers, blocks)
+        cuts = [min(n, blocks * i // parts * rows) for i in range(parts + 1)]
+        _map_pinned(partial(_fill_rows, out, key, n, k, zeta, shift, rows), cuts[:-1], cuts[1:])
+    return values
+
+
+def bias_correction(k: int, zeta: float, reps: int = 500_000, seed: int = 0) -> BiasEstimate:
+    """Monte Carlo BC: mean over replicates of the log-mean of k pure
+    G(z;0) samples, with its standard error (sample sd / sqrt(reps)).
+    The replicates are ``log_mean_replicates(k, zeta, reps, seed)``."""
+    values = log_mean_replicates(k, zeta, reps, seed)
+    value = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else float("nan")
+    return BiasEstimate(value=value, std_error=se, reps=reps)

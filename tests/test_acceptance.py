@@ -13,19 +13,20 @@ import time
 import numpy as np
 import pytest
 
-from entrosketch.bench import (
-    DEFAULT_DELTA,
-    ExperimentSpec,
-    _delta_hat_replicates,
-    run_end_to_end,
-)
+from entrosketch.bench import DEFAULT_DELTA, ExperimentSpec, run_end_to_end
 from entrosketch.estimator import FISHER_INFO, are, estimate
-from entrosketch.montecarlo import bias_correction
 from entrosketch.oracle import AccumulationVector, shannon_entropy
 from entrosketch.sketch import EntropySketch, new_sketch, sketch_stream
 from entrosketch.stable import sample_g0
 from entrosketch.tailbounds import required_sketch_size, tail_constants
-from paper import char_fn, limit_check, m_series, small_eps_limit
+from paper import (
+    bias_correction,
+    char_fn,
+    limit_check,
+    log_mean_replicates,
+    m_series,
+    small_eps_limit,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -99,7 +100,7 @@ def test_criterion_05_variance_matches_asymptotics():
     zeta = 1.0
     checks = []
     for k in (20, 50, 100):
-        raw = _delta_hat_replicates(k, zeta, 100_000, 3, DEFAULT_DELTA)
+        raw = log_mean_replicates(k, zeta, 100_000, 3, shift=DEFAULT_DELTA)
         var = float(np.var(raw, ddof=1))
         ratio_asym = var / ((4.0**zeta - 1.0) / (zeta**2 * k))
         ratio_cr = var / (1.0 / (FISHER_INFO * k))
@@ -136,7 +137,7 @@ def test_criterion_06_tail_constants():
 def test_criterion_07_chernoff_validity():
     eps, gamma = 0.3, 0.1
     k = required_sketch_size(eps, gamma, 1.0)
-    raw = _delta_hat_replicates(k, 1.0, 10_000, 107, DEFAULT_DELTA)
+    raw = log_mean_replicates(k, 1.0, 10_000, 107, shift=DEFAULT_DELTA)
     freq = float(np.mean(np.abs(raw - DEFAULT_DELTA) >= eps))
     ok = freq <= gamma
     report(7, "sizing bound holds", ok, f"k={k}, exceedance {freq:.4f} <= {gamma}")

@@ -1,4 +1,5 @@
-"""Monte Carlo experiment harness: shapes, determinism, CSV output."""
+"""Experiment harness: shapes, determinism, CSV output; and the test
+suite's Monte Carlo replicates, which the acceptance criteria read."""
 
 import csv
 import math
@@ -6,18 +7,20 @@ import math
 import numpy as np
 import pytest
 
-from entrosketch import montecarlo
+import paper
+from entrosketch import quadrature
 from entrosketch.bench import (
     DEFAULT_DELTA,
     ExperimentSpec,
-    _delta_hat_replicates,
     run,
     run_bias_table,
     run_end_to_end,
     run_mse_curve,
     run_tail_curve,
 )
+from entrosketch.estimator import FISHER_INFO, resolve_bias
 from entrosketch.stable import sample_g0
+from paper import log_mean_replicates
 
 
 class TestSpec:
@@ -30,9 +33,8 @@ class TestSpec:
             ExperimentSpec(kind="bias_table", reps=0)
 
     def test_k1_only_for_the_bias_table(self):
-        # mse_curve and end_to_end subtract the bias correction, which is -inf at k=1
-        assert ExperimentSpec(kind="bias_table", k_values=[1]).k_values == [1]
-        for kind in ("mse_curve", "end_to_end"):
+        # the bias correction is -inf at k=1: no kind that reads it takes k=1
+        for kind in ("bias_table", "mse_curve", "end_to_end"):
             with pytest.raises(ValueError, match=f"^k_values must be >= 2 for {kind}$"):
                 ExperimentSpec(kind=kind, k_values=[10, 1])
 
@@ -47,8 +49,8 @@ class TestReplicates:
     def test_chunking_invariant(self):
         # the Philox key is (seed, block): splitting work into blocks must
         # not change the replicate stream
-        a = _delta_hat_replicates(30, 1.0, 5000, 2, DEFAULT_DELTA)
-        b = _delta_hat_replicates(30, 1.0, 5000, 2, DEFAULT_DELTA)
+        a = log_mean_replicates(30, 1.0, 5000, 2, shift=DEFAULT_DELTA)
+        b = log_mean_replicates(30, 1.0, 5000, 2, shift=DEFAULT_DELTA)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -63,32 +65,32 @@ class TestReplicates:
         ],
     )
     def test_matches_whole_chunk_draw(self, monkeypatch, k, zeta, reps, seed, chunk_samples):
-        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk_samples)
-        new = _delta_hat_replicates(k, zeta, reps, seed, DEFAULT_DELTA)
+        monkeypatch.setattr(paper, "_CHUNK_SAMPLES", chunk_samples)
+        new = log_mean_replicates(k, zeta, reps, seed, shift=DEFAULT_DELTA)
         old = _whole_chunk_replicates(k, zeta, reps, seed, DEFAULT_DELTA, chunk_samples)
         assert new.tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 5, 2**62 + 3, 2**63 - 1])
     def test_uint64_key_keeps_the_list_key_streams(self, seed):
         # below 2^63 the uint64 key words equal numpy's int64 reading of [seed, i]
-        new = _delta_hat_replicates(3, 1.0, 50, seed, DEFAULT_DELTA)
+        new = log_mean_replicates(3, 1.0, 50, seed, shift=DEFAULT_DELTA)
         assert new.tobytes() == _whole_chunk_replicates(3, 1.0, 50, seed, DEFAULT_DELTA).tobytes()
 
     def test_seeds_from_2_63_on_are_distinct(self):
-        draws = {_delta_hat_replicates(3, 1.0, 50, seed, DEFAULT_DELTA).tobytes()
+        draws = {log_mean_replicates(3, 1.0, 50, seed, shift=DEFAULT_DELTA).tobytes()
                  for seed in (2**63, 2**63 + 1, 2**64 - 1)}
         assert len(draws) == 3
 
     def test_endpoint_words_match_whole_chunk_draw(self, monkeypatch, coarse_open_unit):
         # clamped words, shift included, as in the whole-chunk draw
-        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 400)
-        new = _delta_hat_replicates(10, 1.0, 2000, 3, DEFAULT_DELTA)
+        monkeypatch.setattr(paper, "_CHUNK_SAMPLES", 400)
+        new = log_mean_replicates(10, 1.0, 2000, 3, shift=DEFAULT_DELTA)
         assert sum(coarse_open_unit) > 0
         old = _whole_chunk_replicates(10, 1.0, 2000, 3, DEFAULT_DELTA, chunk_samples=400)
         assert new.tobytes() == old.tobytes()
 
     def test_centering(self):
-        raw = _delta_hat_replicates(50, 1.0, 20_000, 0, DEFAULT_DELTA)
+        raw = log_mean_replicates(50, 1.0, 20_000, 0, shift=DEFAULT_DELTA)
         se = math.sqrt(3.0 / 50 / 20_000)
         # raw estimates sit at delta + BC(k); BC(50) is about -0.031
         assert abs(float(raw.mean()) - DEFAULT_DELTA - (-0.031)) < 0.01
@@ -116,21 +118,36 @@ def _whole_chunk_replicates(k, zeta, reps, seed, delta, chunk_samples=8_000_000)
 
 
 class TestRunners:
-    def test_bias_table_rows(self):
-        spec = ExperimentSpec(kind="bias_table", k_values=[10], reps=20_000, seed=0)
+    def test_bias_table_rows(self, shipped_bias_rows):
+        spec = ExperimentSpec(kind="bias_table", k_values=[10])
         header, rows = run_bias_table(spec)
-        assert header == ["k", "zeta", "bc", "std_error"]
-        (k, zeta, bc, se), = rows
+        assert header == ["k", "zeta", "bc"]
+        (k, zeta, bc), = rows
         assert (k, zeta) == (10, 1.0)
-        assert abs(bc - (-0.1617)) <= 5 * se + 1e-3
+        assert bc.hex() == resolve_bias(10, 1.0).hex()
+        ref, se = shipped_bias_rows[(10, 1.0)]
+        assert (ref, se) == (-0.1617, 8.8584e-4)
+        assert abs(bc - ref) <= 5 * se
 
     def test_mse_curve_near_cr_floor(self):
-        spec = ExperimentSpec(kind="mse_curve", k_values=[50], reps=20_000, seed=1)
+        spec = ExperimentSpec(kind="mse_curve", k_values=[50])
         header, rows = run_mse_curve(spec)
         row = dict(zip(header, rows[0]))
-        assert row["mse_abs"] == pytest.approx(row["var"], rel=0.05)
-        # efficiency ~0.97: MSE within ~15% of the Cramer-Rao floor
+        assert row["mse_abs"] == row["var"]
+        # efficiency ~0.97: MSE within ~15% of the Cramer-Rao floor (1.0729 at k=50)
         assert 1.0 <= row["mse_abs"] / row["cr_bound"] < 1.2
+
+    def test_mse_curve_is_the_quadrature_variance(self):
+        spec = ExperimentSpec(kind="mse_curve", k_values=[2, 5], zeta_values=[0.9, 1.0])
+        header, rows = run_mse_curve(spec)
+        for row in map(dict, (zip(header, r) for r in rows)):
+            k, zeta = row["k"], row["zeta"]
+            assert row["mse_abs"] == quadrature.log_mean_variance(k, zeta) / zeta**2
+            assert row["mse_rel"] == row["mse_abs"] / DEFAULT_DELTA**2
+            assert row["cr_bound"] == 1.0 / (FISHER_INFO * k)
+        # the corrected estimator's variance is infinite at k=2
+        assert [math.isinf(r[2]) for r in rows] == [True, True, False, False]
+        assert rows[3][2] == pytest.approx(0.950490, abs=1e-6)
 
     def test_tail_curve_rows(self):
         spec = ExperimentSpec(kind="tail_curve", epsilons=[0.1, 0.2])

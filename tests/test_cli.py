@@ -513,6 +513,13 @@ class TestOracle:
         assert main(["oracle", "--input", uniform4_file, "--alpha", alpha]) == 1
         assert capsys.readouterr() == ("", "error: alpha must be positive, finite and != 1\n")
 
+    @pytest.mark.parametrize("flags", [[], ["--alpha", "2000"]])
+    def test_one_item_prints_no_negative_zero(self, tmp_path, capsys, flags):
+        # only b survives: every entropy is 0, once printed -0
+        src = write_stream(tmp_path, "s.csv", ["a,1", "b,2", "a,-1"])
+        assert main(["oracle", "--input", src, *flags]) == 0
+        assert capsys.readouterr().out == "shannon=0\nrenyi=0\ntsallis=0\n"
+
     def test_large_alpha_is_finite(self, capsys, uniform4_file):
         # sum p^alpha = 4^-1999 underflows; its log is a log-sum-exp
         assert main(["oracle", "--input", uniform4_file, "--alpha", "2000"]) == 0
@@ -575,6 +582,7 @@ class TestBench:
         (["--seed", "-1"], "seed"),
         (["--seed", str(2**64)], "seed"),
         (["--k", "1"], "k_values"),  # end_to_end's bias correction is -inf at k=1
+        (["--kind", "bias_table", "--k", "1"], "k_values"),  # and so is the bias table's
     ])
     def test_out_of_range_flag_fails_naming_its_field(self, tmp_path, capsys, flags, name):
         out = tmp_path / "res.csv"
@@ -592,8 +600,8 @@ class TestBench:
         csvs = []
         for seed in (2**63, 2**63 + 1):
             out = tmp_path / f"{seed}.csv"
-            assert main(["bench", "--k", "4", "--reps", "200", "--seed", str(seed),
-                         "--output", str(out)]) == 0
+            assert main(["bench", "--kind", "end_to_end", "--k", "4", "--reps", "2",
+                         "--updates", "10", "--seed", str(seed), "--output", str(out)]) == 0
             csvs.append(out.read_bytes())
         assert csvs[0] != csvs[1]
         # the master seed of replicate 1 wraps to 0
@@ -601,6 +609,19 @@ class TestBench:
         assert main(["bench", "--kind", "end_to_end", "--reps", "2", "--updates", "10",
                      "--seed", str(2**64 - 1), "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_exact_kinds_ignore_reps_and_seed(self, tmp_path, capsys):
+        # nothing is sampled: the bias table is the estimator's BC, the MSE the
+        # quadrature's variance, inf at k=2
+        csvs = []
+        for flags in ([], ["--reps", "7", "--seed", "9"]):
+            out = tmp_path / f"bias{len(flags)}.csv"
+            assert main(["bench", "--k", "4", *flags, "--output", str(out)]) == 0
+            csvs.append(out.read_text())
+        assert csvs[0] == csvs[1] == "k,zeta,bc\n4,1.0,-0.46351002593696444\n"
+        out = tmp_path / "mse.csv"
+        assert main(["bench", "--kind", "mse_curve", "--k", "2", "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("2,1.0,inf,inf,inf,")
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 745. GiB for an array"),
@@ -614,7 +635,8 @@ class TestBench:
 
         monkeypatch.setattr(bench, "run", run)
         out = tmp_path / "res.csv"
-        assert main(["bench", "--k", "100000000000", "--reps", "1", "--output", str(out)]) == 1
+        assert main(["bench", "--kind", "end_to_end", "--k", "100000000000", "--reps", "1",
+                     "--output", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
         assert captured.out == ""
@@ -705,6 +727,17 @@ class TestImportGraph:
                     "dataclasses", "inspect"} & modules
         # only the Mellin-Barnes nodes need complex math; zeta = 1 builds none
         assert ("cmath" in modules) == (zeta != 1.0)
+
+    @pytest.mark.parametrize("kind", ["bias_table", "mse_curve", "tail_curve"])
+    def test_exact_bench_kinds_load_no_numpy(self, tmp_path, kind):
+        # only end_to_end samples; -S: a site-packages .pth file may import numpy
+        out = str(tmp_path / "res.csv")
+        modules = modules_after(
+            "from entrosketch.cli import main\n"
+            f"assert main(['bench', '--kind', {kind!r}, '--k', '5', '--epsilon', '0.1', "
+            f"'--output', {out!r}]) == 0", "-S")
+        assert "entrosketch.bench" in modules
+        assert not {"numpy", "entrosketch.sketch", "entrosketch.stable"} & modules
 
     def test_merge_loads_no_numpy(self, tmp_path):
         a = _sketch_file(tmp_path, "a.bin", 64)

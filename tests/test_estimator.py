@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from entrosketch import montecarlo, quadrature
+import paper
+from entrosketch import quadrature
 from entrosketch.estimator import (
     FISHER_INFO,
     are,
@@ -19,10 +20,9 @@ from entrosketch.estimator import (
     log_mean,
     resolve_bias,
 )
-from entrosketch.montecarlo import bias_correction
 from entrosketch.sketch import new_sketch, sketch_stream
 from entrosketch.stable import sample_g0
-from paper import _bias_terms, bias_correction_digamma
+from paper import _bias_terms, bias_correction, bias_correction_digamma
 
 
 class TestLogMean:
@@ -64,7 +64,7 @@ class TestLogMean:
             m = max(v)
             log_mean_exp = math.log(math.fsum(math.exp(x - m) for x in v) / k)
             scale = max(1.0, abs(m) + abs(log_mean_exp)) / zeta
-            expected = float(montecarlo._log_means(y[None], zeta)[0])
+            expected = float(paper._log_means(y[None], zeta)[0])
             assert abs(log_mean(y, zeta) - expected) <= 2 * math.ulp(scale), seed
 
 
@@ -113,7 +113,7 @@ class TestBiasCorrection:
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 3, 8):
-                monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+                monkeypatch.setattr(paper, "_worker_count", lambda: workers)
                 _assert_same_bits(bias_correction(25, 1.0, reps=30_000, seed=4), reference)
         finally:
             sys.setswitchinterval(interval)
@@ -126,10 +126,10 @@ class TestBiasCorrection:
     ):
         # the chunk partition defines the stream; block size and worker
         # count must not change a single bit
-        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", chunk_samples)
+        monkeypatch.setattr(paper, "_CHUNK_SAMPLES", chunk_samples)
         if block is not None:
-            monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+            monkeypatch.setattr(paper, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(paper, "_worker_count", lambda: workers)
         _assert_same_bits(
             bias_correction(k, zeta, reps=reps, seed=seed), _whole_chunks(k, zeta, reps, seed, chunk_samples)
         )
@@ -137,9 +137,9 @@ class TestBiasCorrection:
     def test_endpoint_words_redraw_the_whole_chunk(self, monkeypatch, coarse_open_unit):
         # words that would map to 1.0 are clamped, in blocks as in the
         # whole-chunk sample_g0 draw, so the two still agree bit for bit
-        monkeypatch.setattr(montecarlo, "_CHUNK_SAMPLES", 400)
-        monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 64)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        monkeypatch.setattr(paper, "_CHUNK_SAMPLES", 400)
+        monkeypatch.setattr(paper, "_BLOCK_SAMPLES", 64)
+        monkeypatch.setattr(paper, "_worker_count", lambda: 2)
         est = bias_correction(10, 1.0, reps=2000, seed=3)
         assert sum(coarse_open_unit) > 0
         _assert_same_bits(est, _whole_chunks(10, 1.0, 2000, 3, chunk_samples=400))
@@ -149,7 +149,7 @@ class TestBiasCorrection:
         pins = []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {4, 6})
         monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: pins.append(set(mask)))
-        monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 64)
+        monkeypatch.setattr(paper, "_BLOCK_SAMPLES", 64)
         est = bias_correction(10, 1.0, reps=2000, seed=3)
         assert sorted(pins, key=min) == [{4}, {6}]  # one chunk, in two parts
         _assert_same_bits(est, _whole_chunks(10, 1.0, 2000, 3))
@@ -253,7 +253,8 @@ class TestResolveBias:
 
 
 class TestQuadrature:
-    """``quadrature.bias_correction`` against the package's two other rules."""
+    """``quadrature.bias_correction`` against the references in ``tests/paper.py``: Monte
+    Carlo, the 1/k^3 expansion and the digamma identity."""
 
     @pytest.mark.parametrize("zeta", [0.5, 0.8, 1.0, 1.5, 2.0, 2.5])
     @pytest.mark.parametrize("k", [2, 3, 5, 10, 64])
@@ -311,6 +312,56 @@ class TestQuadrature:
         for mode in ("auto", "none"):
             with pytest.raises(ValueError, match=message):
                 resolve_bias(2, zeta, mode=mode)
+
+
+class TestLogMeanVariance:
+    """``quadrature.log_mean_variance``, Var(log Ybar) of the mean of k W's."""
+
+    @pytest.mark.parametrize("zeta", [0.9, 1.0, 1.15])
+    @pytest.mark.parametrize("k", [5, 20, 200])
+    def test_matches_monte_carlo(self, k, zeta):
+        # the sample variance's SE needs E log^4 Ybar, finite only from k = 5
+        x = paper.log_mean_replicates(k, zeta, 100_000, 15) * zeta
+        dev = x - x.mean()
+        var = float(np.var(x, ddof=1))
+        se = math.sqrt((float(np.mean(dev**4)) - var**2) / x.size)
+        assert abs(quadrature.log_mean_variance(k, zeta) - var) <= 5 * se
+
+    @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
+    def test_infinite_below_three(self, zeta):
+        # D falls as (zeta/v)^k, so int v D dv diverges at k <= 2
+        assert quadrature.log_mean_variance(2, zeta) == math.inf
+        assert quadrature.log_mean_variance(1, zeta) == math.inf
+        for k, z in ((0, zeta), (3, 0.0), (3, math.nan), (3, math.inf)):
+            with pytest.raises(ValueError, match="needs k >= 1 and a finite zeta > 0"):
+                quadrature.log_mean_variance(k, z)
+
+    @pytest.mark.parametrize("zeta", [0.9, 1.0, 1.15])
+    def test_falls_to_the_asymptote_like_one_over_k(self, zeta):
+        # k Var(delta_hat) -> (4^zeta - 1)/zeta^2 from above, the gap shrinking like 1/k
+        limit = (4.0**zeta - 1.0) / zeta**2
+        gaps = [k * quadrature.log_mean_variance(k, zeta) / zeta**2 - limit
+                for k in (20, 200, 2000)]
+        assert gaps[0] > gaps[1] > gaps[2] > 0.0
+        assert 200 * gaps[1] == pytest.approx(2000 * gaps[2], rel=0.1)
+
+    @pytest.mark.parametrize("k, ref", [(3, 2.644934066848226436), (20, 0.1651520171488073057)])
+    def test_matches_mpmath_at_zeta_one(self, k, ref):
+        # 30-digit mpmath of 2 int v D dv + 2 gamma int D dv - (int D dv)^2 at
+        # zeta = 1, where L(t) = 1/(1 + W0(t)): in v with mp.lambertw, and in
+        # w = W0(e^v/k), which agree to 25 digits; at k = 3 both are 1 + pi^2/6
+        # to all 25
+        assert quadrature.log_mean_variance(k, 1.0) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("k, zeta, bits", [
+        (2, 0.5, "-0x1.e0a4ba0a2f1a8p-1"), (3, 0.9, "-0x1.459448d52c832p-1"),
+        (5, 1.0, "-0x1.69ccc83296dc1p-2"), (20, 1.15, "-0x1.679ae23fda3eap-4"),
+        (100, 1.5, "-0x1.7be51469dec58p-6"), (2217, 0.9, "-0x1.463a536b145e1p-11"),
+        (2, 1.0, "-0x1.45367fdab78bfp+0"), (2217, 1.0, "-0x1.62d7f7b123a46p-11"),
+    ])
+    def test_bias_correction_keeps_its_bits(self, k, zeta, bits):
+        # BC shares the variance's integrand but keeps its own panels and stopping rule
+        assert quadrature.bias_correction.__wrapped__(k, zeta).hex() == bits
 
 
 class TestLaplace:

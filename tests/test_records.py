@@ -8,10 +8,9 @@ import re
 import pytest
 
 from entrosketch.estimator import EstimateResult
-from entrosketch.montecarlo import BiasEstimate
 from entrosketch.sketchfile import SketchConfig, SketchFile
 from entrosketch.tailbounds import TailBoundResult
-from paper import HALF_PI, StableParams, UniformExpPair
+from paper import HALF_PI, BiasEstimate, StableParams, UniformExpPair
 
 # (class, field values, repr, defaults, {field: (bad value, ValueError message)})
 RECORDS = [

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from entrosketch import hashing, stable
-from entrosketch.stable import sample_g0, sample_g0_slices
+from entrosketch.stable import sample_g0
 from paper import (
     G0_PARAMS,
     HALF_PI,
@@ -22,6 +22,7 @@ from paper import (
     cms_transform,
     g0_from_uniform_exp,
     open_unit_np,
+    sample_g0_slices,
     sample_positive_stable,
     y_alpha_mgf,
     y_alpha_transform,
