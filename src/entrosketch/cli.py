@@ -44,9 +44,14 @@ def _g(x: float) -> str:
 def _iter_input(args):
     from .streams import iter_stream_file, iter_stream_lines
 
-    if args.input == "-":
-        return iter_stream_lines(sys.stdin, args.delimiter)
-    return iter_stream_file(args.input, args.delimiter)
+    if not args.delimiter:
+        raise ValueError("--delimiter must not be empty")
+    if args.input != "-":
+        return iter_stream_file(args.input, args.delimiter)
+    # read as a stream file is, whatever the locale; a str stream has no bytes
+    if reconfigure := getattr(sys.stdin, "reconfigure", None):
+        reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
+    return iter_stream_lines(sys.stdin, args.delimiter)
 
 
 def cmd_ingest(args) -> int:

@@ -37,12 +37,10 @@ a block once, all in one ``hashing.item_keys`` call, and adds
 ``count * increment`` per pair, so its cost scales with the distinct
 items per block, not with the number of updates.  The variates are
 computed in a reused ``hashing.VariateWorkspace``, ``_BATCH_VARIATES``
-at a time, and a block of at least 2 * ``_THREAD_VARIATES`` variates is
-summed by several threads, one per CPU that ``os.sched_getaffinity``
-allows, each pinned to its own CPU (``stable._map_pinned``), since two
-unpinned threads were often scheduled on one CPU for a whole ingest.
-Each thread takes the next batch from one shared queue until none is
-left.  Integer sums are exact, so the bytes do not depend on the split:
+at a time.  A block of b >= 2 such batches is summed by min(b, CPUs)
+threads, each pinned to a CPU of its own (``_map_pinned``), that take the
+batches from one shared queue; a block of one batch, on the calling thread.
+Integer sums are exact, so the bytes do not depend on the split:
 ``taskset -c 0`` gives serial ingest with the same bytes.
 
 The batch sums are exact at any magnitude.  ``_part_sum`` adds
@@ -68,6 +66,8 @@ checks the finished sketch once, so the order of the pairs cannot matter.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 from functools import partial
 from itertools import islice
@@ -85,22 +85,14 @@ from .sketchfile import (
     SketchFile,
     check_exact,
 )
-from .stable import _map_pinned, _worker_count
 
 CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
-# variates per VariateWorkspace.variates call in update_many: at most
-# max(1, _BATCH_VARIATES // k) keys, 512 KiB per work array.  The arrays
-# are allocated once per thread and block, so no call pays for fresh pages.
-# Of 2^14, 2^15 and 2^16, 2^16 was fastest at k=2217 on the 2-vCPU Xeon
-# (55 / 51 / 46 ns per variate on one thread, 42 / 33 / 30 on two).
+# variates per VariateWorkspace.variates call in update_many, one batch of
+# the thread split: at most max(1, _BATCH_VARIATES // k) keys, 512 KiB per
+# work array.  The arrays are allocated once per thread and block, so no call
+# pays for fresh pages.  At k=2217 on the 2-vCPU Xeon, 2^14 / 2^15 / 2^16 took
+# 23 / 14.5 / 13.4 ns per variate on two threads and 23 / 21 / 22 on one.
 _BATCH_VARIATES = 1 << 16
-# a block is split over threads only with at least this many variates per
-# thread.  In fresh processes at k=200 on the same machine, two threads lost
-# at 0.8M variates per block (64 vs 60 ms) and won at 1.6M (113 vs 134 ms).
-# Those break-even figures were measured before the threads were pinned to
-# CPUs, when they also paid the concurrent.futures import (about 8 ms) and
-# often shared one CPU.
-_THREAD_VARIATES = 1 << 19
 _STREAM_BLOCK = 1 << 16  # elements grouped together by update_many
 # float64 sums of integers whose magnitudes sum below this are exact
 _EXACT_FLOAT_SUM = float(LIMIT // 2)
@@ -198,9 +190,9 @@ class EntropySketch:
         """The exact sums of ``count * increment`` over a block's distinct
         ``(item, delta)`` pairs: the projections (Python ints in an object
         array) and the total.  The str and bytes forms of an item are two
-        groups with one key.  With at least ``_THREAD_VARIATES`` variates
-        per thread, up to ``_worker_count()`` pinned threads take the
-        key-sorted groups' batches from one shared queue (``_part_sum``).
+        groups with one key.  The key-sorted groups' batches go into one
+        shared queue, from which ``min(batches, _worker_count())`` pinned
+        threads take them (``_part_sum``); one batch runs on this thread.
         """
         k, seed = self.config.k, self.config.master_seed
         index: dict[bytes | str, int] = {}
@@ -218,9 +210,9 @@ class EntropySketch:
             total = int(_ints(c) @ _ints(inc))
         distinct, where = np.unique(keys[order], return_inverse=True)
         per = max(1, _BATCH_VARIATES // k)
-        batches = iter(range(0, len(counts), per))  # the shared queue
-        parts = max(1, min(_worker_count(), len(counts), len(counts) * k // _THREAD_VARIATES))
-        sums = _map_pinned(partial(_part_sum, k, distinct, where, d, c, per), [batches] * parts)
+        starts = range(0, len(counts), per)
+        queues = [iter(starts)] * min(_worker_count(), len(starts))  # one iterator, shared
+        sums = _map_pinned(partial(_part_sum, k, distinct, where, d, c, per), queues)
         return sum(sums), total
 
     def __repr__(self) -> str:
@@ -309,6 +301,54 @@ def _part_sum(k, distinct, where, d, c, per, batches):
             else:  # a batch past 2^52 on its own
                 exact += _ints(c[lo:hi]) @ _ints(scaled)
     return exact + _ints(acc)
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on: the thread count of the parallel paths."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_pinned(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``, with call i on a thread of its own
+    pinned to allowed CPU i mod n, where n is the number of CPUs this
+    process may run on.
+
+    A lone call runs on the calling thread.  Left to the scheduler, two
+    threads started together often shared one CPU for a whole ingest.
+    Each thread pins only itself (``os.sched_setaffinity(0, ...)`` acts
+    on the calling thread), so the caller's affinity is unchanged; where
+    pinning is missing or refused, the thread runs unpinned.  Every
+    thread is joined before the exception of a call, if any, is raised.
+    """
+    calls = list(zip(*iterables))
+    if len(calls) == 1:
+        return [fn(*calls[0])]
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    results: list = [None] * len(calls)
+    errors: list = [None] * len(calls)
+
+    def call(i):
+        if cpus:
+            try:
+                os.sched_setaffinity(0, {cpus[i % len(cpus)]})
+            except OSError:
+                pass
+        try:
+            results[i] = fn(*calls[i])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def new_sketch(k: int, zeta: float = 1.0, master_seed: int = 0) -> EntropySketch:

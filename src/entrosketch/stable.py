@@ -1,70 +1,18 @@
-"""Monte Carlo samples of the maximally skewed 1-stable law G(x;0), and
-the pinned threads of the parallel ingest.
+"""Monte Carlo samples of the maximally skewed 1-stable law G(x;0).
 
 G(x;0) is the alpha=1 stable law with characteristic function
 exp(-pi*|theta|/2 + i*theta*log|theta|); the moments of exp(X) are k^k.
 A sample takes two Philox words, maps each into (0, 1) with
 ``hashing._open_unit_into`` and runs ``hashing._g0_from_units``, the
 float tail of every sketch variate: one formula serves the sketch and
-Monte Carlo.
+Monte Carlo.  Only the benchmark's probes and the tests draw samples.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
 from .hashing import _g0_from_units, _open_unit_into
-
-
-def _worker_count() -> int:
-    """The CPUs this process may run on: the thread count of the parallel paths."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_pinned(fn, *iterables) -> list:
-    """``list(map(fn, *iterables))``, with call i on a thread of its own
-    pinned to allowed CPU i mod n, where n is the number of CPUs this
-    process may run on.
-
-    A lone call runs on the calling thread.  Left to the scheduler, two
-    threads started together often shared one CPU for a whole ingest.
-    Each thread pins only itself (``os.sched_setaffinity(0, ...)`` acts
-    on the calling thread), so the caller's affinity is unchanged; where
-    pinning is missing or refused, the thread runs unpinned.  Every
-    thread is joined before the exception of a call, if any, is raised.
-    """
-    calls = list(zip(*iterables))
-    if len(calls) == 1:
-        return [fn(*calls[0])]
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
-    results: list = [None] * len(calls)
-    errors: list = [None] * len(calls)
-
-    def call(i):
-        if cpus:
-            try:
-                os.sched_setaffinity(0, {cpus[i % len(cpus)]})
-            except OSError:
-                pass
-        try:
-            results[i] = fn(*calls[i])
-        except BaseException as exc:  # raised again on the calling thread
-            errors[i] = exc
-
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def _words(rng: np.random.Generator, n: int) -> np.ndarray:

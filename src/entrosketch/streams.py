@@ -1,9 +1,10 @@
 """Stream file parsing and synthetic stream generators.
 
-File format: one record per line, "item<delim>quantity"; the quantity
-field is optional and defaults to +1 (plain item lists).  Blank lines
-and lines starting with '#' are skipped.  An empty item or a quantity
-that is not a finite number raises ``StreamParseError``.
+File format: UTF-8 text, one record per line, "item<delim>quantity"; the
+quantity field is optional and defaults to +1 (plain item lists).  Blank
+lines and lines starting with '#' are skipped.  A line that is not valid
+UTF-8, an empty item or a quantity that is not a finite number raises
+``StreamParseError``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ class StreamParseError(ValueError):
 
 def iter_stream_lines(lines, delimiter: str = ","):
     for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # a byte that surrogateescape decoding kept
+                raise StreamParseError(lineno, "not valid UTF-8") from None
         line = line.rstrip("\n")
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -43,7 +49,7 @@ def iter_stream_lines(lines, delimiter: str = ","):
 
 
 def iter_stream_file(path, delimiter: str = ","):
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
         yield from iter_stream_lines(fp, delimiter)
 
 

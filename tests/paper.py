@@ -34,8 +34,9 @@ import numpy as np
 from entrosketch import hashing
 from entrosketch.hashing import GOLDEN, HALF_PI, MASK64, mix64
 from entrosketch.oracle import AccumulationVector, exact_entropies
+from entrosketch.sketch import _map_pinned, _worker_count
 from entrosketch.sketchfile import Record
-from entrosketch.stable import _g0_of_words, _map_pinned, _worker_count, _words
+from entrosketch.stable import _g0_of_words, _words
 
 # the smallest positive u + pi/2 of any word, from word 512 on; words 0-511
 # give u = -pi/2 exactly, so sample_positive_stable clamps their U up to it
@@ -386,7 +387,7 @@ def log_mean_replicates(
     seed in [0, 2^64) has its own streams), one replicate per k
     consecutive samples.  Each chunk is computed in blocks of about
     ``_BLOCK_SAMPLES`` samples, split across the CPUs this process may run
-    on, one thread pinned to each (``stable._map_pinned``).  ``sample_g0``
+    on, one thread pinned to each (``sketch._map_pinned``).  ``sample_g0``
     clamps a word that would map to 1.0 to 1 - 2^-53 instead of drawing
     more, so each sample depends only on its own two words, and block size
     and worker count do not change the result, bit for bit.

@@ -526,6 +526,48 @@ class TestOracle:
         assert float(parse_kv(capsys.readouterr().out)["renyi"]) == pytest.approx(math.log(4), rel=1e-12)
 
 
+class TestStreamInput:
+    """``ingest`` and ``oracle`` read ``--input`` files and stdin alike:
+    UTF-8 with universal newlines, whatever the locale."""
+
+    @staticmethod
+    def _run(monkeypatch, tmp_path, command, source, data, *flags):
+        """``main`` of ``command`` reading ``data`` from a file or from a
+        byte stdin that decodes ASCII strictly until the CLI reconfigures it."""
+        out = str(tmp_path / "out.bin")
+        argv = {"ingest": ["ingest", "--output", out, "--k", "8"], "oracle": ["oracle"]}[command]
+        if source == "file":
+            (tmp_path / "s.csv").write_bytes(data)
+            argv += ["--input", str(tmp_path / "s.csv")]
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        return main(argv + list(flags))
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["ingest", "oracle"])
+    def test_invalid_utf8_names_its_line(self, monkeypatch, tmp_path, capsys, command, source):
+        # a file once failed with the codec's message, and stdin in UTF-8
+        # mode with "can't encode character '\udcff'" after parsing
+        assert self._run(monkeypatch, tmp_path, command, source, b"a,1\nb\xff,2\nc\n") == 1
+        assert capsys.readouterr() == ("", "error: line 2: not valid UTF-8\n")
+        assert not (tmp_path / "out.bin").exists()
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_newlines_and_utf8_items(self, monkeypatch, tmp_path, capsys, source):
+        # \r\n and a lone \r end lines; stdin once kept "a\r" as an item
+        data = "# x\r\na\r\nb\u00e9,2\rc,1\r\n\r\n".encode()
+        assert self._run(monkeypatch, tmp_path, "ingest", source, data) == 0
+        ref = sketch_stream([("a", 1.0), ("b\u00e9", 2.0), ("c", 1.0)], k=8)
+        assert (tmp_path / "out.bin").read_bytes() == ref.to_bytes()
+
+    @pytest.mark.parametrize("command", ["ingest", "oracle"])
+    def test_empty_delimiter_is_refused(self, monkeypatch, tmp_path, capsys, command):
+        # once "error: empty separator", from str.rpartition
+        assert self._run(monkeypatch, tmp_path, command, "file", b"a,1\n", "--delimiter", "") == 1
+        assert capsys.readouterr() == ("", "error: --delimiter must not be empty\n")
+        assert not (tmp_path / "out.bin").exists()
+
+
 class TestBench:
     def test_flags(self, tmp_path, capsys):
         out = str(tmp_path / "res.csv")
@@ -698,7 +740,7 @@ class TestImportGraph:
         assert "numpy" not in modules
 
     def test_ingest_loads_only_its_modules(self, tmp_path):
-        # 3 distinct items at k=64 are far below the threading threshold
+        # 3 (item, delta) groups at k=64 are one batch, summed on the calling thread
         stream = tmp_path / "s.csv"
         stream.write_text("a,1\nb,2\na,-1\n")
         modules = modules_after(
@@ -707,7 +749,7 @@ class TestImportGraph:
             f"'--output', {str(tmp_path / 's.bin')!r}, '--k', '64']) == 0")
         assert {m for m in modules if m.startswith("entrosketch")} == {
             "entrosketch", "entrosketch.cli", "entrosketch.streams", "entrosketch.sketch",
-            "entrosketch.sketchfile", "entrosketch.hashing", "entrosketch.stable"}
+            "entrosketch.sketchfile", "entrosketch.hashing"}
         unused = {"concurrent.futures", "logging"}
         assert not unused & modules
 

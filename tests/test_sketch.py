@@ -295,9 +295,9 @@ class TestSketchStream:
 
 def _split_blocks(monkeypatch, workers):
     """Split every block of more than one (key, delta) group over ``workers``
-    threads.  The tests that take both 1 and 2 loop over them in their body,
-    which keeps their test ids."""
-    monkeypatch.setattr(sketch_mod, "_THREAD_VARIATES", 1)
+    threads: each group is a batch of its own.  The tests that take both 1
+    and 2 loop over them in their body, which keeps their test ids."""
+    monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", 1)
     monkeypatch.setattr(sketch_mod, "_worker_count", lambda: workers)
 
 
@@ -415,7 +415,6 @@ class TestUpdateMany:
         # and repeated items give one key several (key, delta) groups.
         monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 50)
         monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", 3 * 16)
-        monkeypatch.setattr(sketch_mod, "_THREAD_VARIATES", 16)
         parts = []
         real_part_sum = sketch_mod._part_sum
 
@@ -440,6 +439,33 @@ class TestUpdateMany:
                 assert len(set(map(id, parts))) == 4
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("batches", [1, 2, 3, 8])
+    def test_parts_follow_the_batches(self, monkeypatch, batches):
+        # a block of b batches runs min(workers, b) parts, each on a thread
+        # of its own; a one-batch block runs on the calling thread.  3b - 1
+        # groups, 3 per batch: the last batch is short.
+        monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", 3 * 16)
+        threads = []
+        real_part_sum = sketch_mod._part_sum
+
+        def recording_part_sum(*args):
+            threads.append(threading.current_thread())
+            return real_part_sum(*args)
+
+        monkeypatch.setattr(sketch_mod, "_part_sum", recording_part_sum)
+        updates = [(f"d{i}", 1.0 + i % 3) for i in range(3 * batches - 1)]
+        ref = _loop(updates, 16).to_bytes()
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(sketch_mod, "_worker_count", lambda: workers)
+            threads.clear()
+            assert new_sketch(k=16).update_many(updates).to_bytes() == ref
+            parts = min(workers, batches)
+            assert len(threads) == parts
+            if parts == 1:
+                assert threads == [threading.current_thread()]
+            else:
+                assert len(set(threads)) == parts and threading.current_thread() not in threads
 
     def test_a_part_that_raises_leaves_the_sketch_unchanged(self, monkeypatch):
         _split_blocks(monkeypatch, 2)
@@ -532,8 +558,9 @@ class TestPartSum:
         """Seven groups at k=16 whose summed worst case is ``share`` of
         ``_EXACT_FLOAT_SUM``, the headroom of exact float sums, the sketch
         that ``sketch_stream`` makes of them, and the shapes that
-        ``_ints`` converted to Python ints on the way."""
+        ``_ints`` converted to Python ints on the way, all in one part."""
         monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", batch_variates)
+        monkeypatch.setattr(sketch_mod, "_worker_count", lambda: 1)
         k, seed = 16, 3
         groups = [(f"i{j}", (-1) ** j * (1 + j / 7), 1 + j % 3) for j in range(7)]
         vmax = {item: float(np.abs(variates_np(item_key(item, seed), k)).max())
@@ -632,7 +659,8 @@ class TestPinnedParts:
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
         monkeypatch.setattr(os, "sched_setaffinity", set_affinity)
-        monkeypatch.setattr(sketch_mod, "_THREAD_VARIATES", 1)
+        # 18 groups at k=16 in batches of 3: six batches
+        monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", 3 * 16)
         return pins
 
     @pytest.mark.parametrize("refuse", [False, True], ids=["pinned", "refused"])

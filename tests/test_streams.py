@@ -56,6 +56,24 @@ class TestParsing:
         path.write_text("a,1\nb,2\n")
         assert list(iter_stream_file(path)) == [("a", 1.0), ("b", 2.0)]
 
+    def test_file_newlines(self, tmp_path):
+        # \r\n and a lone \r end lines, also around blank and comment lines
+        path = tmp_path / "stream.txt"
+        path.write_bytes(b"# x\r\na\r\nb,2\rc,1\r\n\r\n\n# y\rd")
+        assert list(iter_stream_file(path)) == [("a", 1.0), ("b", 2.0), ("c", 1.0), ("d", 1.0)]
+
+    @pytest.mark.parametrize("data", [b"a,1\nb\xff,2\nc\n", b"a,1\n\xc3,2\n", b"a\n# \xff\n"])
+    def test_file_not_utf8_reports_line_number(self, tmp_path, data):
+        path = tmp_path / "stream.txt"
+        path.write_bytes(data)
+        with pytest.raises(StreamParseError, match="^line 2: not valid UTF-8$"):
+            list(iter_stream_file(path))
+
+    def test_surrogate_escaped_line_reports_line_number(self):
+        # the line a byte stream decoded with surrogateescape gives for b"b\xff,2"
+        with pytest.raises(StreamParseError, match="^line 2: not valid UTF-8$"):
+            list(iter_stream_lines(["\u00e9,1\n", "b\udcff,2\n"]))
+
 
 class TestGenerators:
     def test_uniform_stream_shape(self):
