@@ -43,30 +43,27 @@ Everything here rests on the paper's moments, E W^s = s^(zeta s).
   log f's terms at the peak, near x* log x*, round by about 1 and doubles
   no longer place the peak, M is taken as inf.
 
-BC(k, zeta) = zeta^-1 E log(mean of k W's) = zeta^-1 int (exp(-e^v)
-- L(e^v/k)^k) dv over all real v, from log m = int (e^-t - e^-tm) dt/t,
-t = e^v.  At zeta != 1 and v < 6.5 the integrand is -exp(-e^v) expm1(k
-log1p((L - e^-t) e^t)): it keeps its digits as zeta -> 0, where BC scales
-rounding by 1/zeta.  The v-integral runs over Gauss-Legendre panels that
-double outward from 0.  Below 0 the integrand is O(4^zeta e^2v).  Above
-it, it is -L^k, which decays only as (zeta/v)^k: X's left tail is heavy.
-The panels stop once one adds less than 1e-10 zeta.
+BC(k, zeta) = zeta^-1 E log(mean of k W's) = -zeta^-1 int D dv over all
+real v, D(v) = L(e^v/k)^k - exp(-e^v), from log m = int (e^-t - e^-tm) dt/t,
+t = e^v; and Var(log of the mean) = 2 int v D dv + 2 gamma int D dv - (int D
+dv)^2, gamma Euler's constant (``bench``'s MSE curve is it over zeta^2).
+At zeta != 1 and v < 6.5, D is exp(-e^v) expm1(k log1p((L - e^-t) e^t)): it
+keeps its digits as zeta -> 0, where BC scales rounding by 1/zeta.  Both
+come from one walk, ``_moment_parts``, over Gauss-Legendre panels that double
+outward from 0; its docstring says where it stops.  BC takes 8 nodes a panel
+and the variance 16.
 
-At zeta = 1 and k from 2 to 2217 the result is within 1.4e-10 of the
-digamma identity BC(k, 1) = psi(k-1) - log k + int_0^inf [(1+w)
-e^(-k w e^w) - e^(-k w)] dw/w, in about 0.3 ms.  At zeta != 1 it takes
-3-9 ms from k = 5 on, and 20 ms at k = 2, whose panels run to v near
-5e9 zeta.  Every result tried, for zeta from 0.05 to 200, was within 1.5
-standard errors of Monte Carlo; BC(2, zeta) levels off at -0.45158 below
-zeta = 1e-6.  BC(1, zeta) = -inf (E X = -inf), so k >= 2.  Results are
-cached per (k, zeta), logged at INFO.
-
-``log_mean_variance`` takes Var(log of the mean of k W's) from the same
-integrand, D(v) = L(e^v/k)^k - exp(-e^v), as 2 int v D dv + 2 gamma int
-D dv - (int D dv)^2; ``bench``'s MSE curve is it over zeta^2.  It is inf
-at k <= 2 and, at zeta = 1, within 5e-11 relative of 30-digit mpmath at
-k = 3 and 20, in under 1 ms; at zeta != 1 it takes 1.5-7 ms from k = 5 on
-and about 17 ms at k = 3.  The estimate path never runs it.
+At zeta = 1 and k from 2 to 2217, BC is within 1.4e-10 of the digamma
+identity BC(k, 1) = psi(k-1) - log k + int_0^inf [(1+w) e^(-k w e^w) -
+e^(-k w)] dw/w, in about 0.3 ms.  At zeta != 1 it takes 3-9 ms from k = 5
+on, and 20 ms at k = 2, whose panels run to v near 5e9 zeta.  Every result
+tried, for zeta from 0.05 to 200, was within 1.5 standard errors of Monte
+Carlo; BC(2, zeta) levels off at -0.45158 below zeta = 1e-6.  BC(1, zeta) =
+-inf (E X = -inf), so k >= 2.  Results are cached per (k, zeta), logged at
+INFO.  The variance is inf at k <= 2 and, at zeta = 1, within 5e-11
+relative of 30-digit mpmath at k = 3 and 20, in under 1 ms; at zeta != 1 it
+takes 1.5-7 ms from k = 5 on and about 17 ms at k = 3.  The estimate path
+never runs it.
 """
 
 from __future__ import annotations
@@ -79,7 +76,7 @@ from .sketchfile import asymptotic_std_error
 
 _NODES = 8  # Gauss-Legendre nodes per panel
 _EULER_GAMMA = 0.5772156649015329
-_TAIL_TOL = 1e-10  # the v-panels stop once one adds less than this, times zeta
+_TAIL_TOL = 1e-10  # where ``_moment_parts`` stops, times zeta
 _LINE_STEP = 0.07  # the Mellin-Barnes line's trapezoid step in Im z, over max(1, zeta)
 _LINE_TOP = 8.0  # the line's top in log t, times max(1, zeta); the Hankel contour above
 _PEAK_STEP = 3.0  # the width of M's x-panels, over the width of f's peak
@@ -299,18 +296,30 @@ def _log_mean_gap(v: float, k: int, zeta: float) -> float:
     return l_k - (math.exp(-math.exp(v)) if v < 700.0 else 0.0)
 
 
-def _lower_edges(zeta: float) -> list[float]:
-    """The v-panel edges below 0, from 0 down, doubling to where D is O(4^zeta e^2v)."""
-    edges, a = [0.0, -1.0], 1.0
-    while -a > -40.0 - zeta * math.log(4.0):
-        a *= 2.0
-        edges.append(-a)
-    return edges
+def _moment_parts(k: int, zeta: float, nodes: int, powers: tuple[int, ...]):
+    """For each v-panel in turn, int v^j D(v) dv for each j in ``powers``, by
+    ``nodes``-point Gauss-Legendre.  The panels double from 0 down to
+    -40 - zeta log 4, where D is O(4^zeta e^2v), then from 0 up.  Above 0, D
+    tends to L^k, which falls only as (zeta/v)^k (X's left tail is heavy): past
+    v = 4 a part shrinks by at least 2^(j + 1 - k) a panel, so at j <= k - 2 the
+    panels to come add at most the last one's part.  The walk stops once a
+    panel ends past 4 with every part below 1e-10 zeta."""
+    parts, lo, hi = [], -1.0, 0.0
+    while True:
+        weighted = [(v, w * _log_mean_gap(v, k, zeta)) for v, w in _panels([lo, hi], nodes)]
+        parts.append(tuple(math.fsum(v**j * d for v, d in weighted) for j in powers))
+        if lo < 0.0:
+            lo, hi = (2.0 * lo, lo) if lo > -40.0 - zeta * math.log(4.0) else (0.0, 1.0)
+        elif hi > 4.0 and all(abs(p) <= _TAIL_TOL * zeta for p in parts[-1]):
+            return parts
+        else:
+            lo, hi = hi, 2.0 * hi
 
 
 @lru_cache(maxsize=64)
 def bias_correction(k: int, zeta: float) -> float:
-    """BC(k, zeta) by quadrature; k >= 2 and zeta positive and finite."""
+    """BC(k, zeta) = -zeta^-1 int D dv by quadrature; k >= 2 and zeta positive
+    and finite."""
     if k < 2 or not 0.0 < zeta < math.inf:
         raise ValueError(
             f"the bias correction needs k >= 2 and a finite zeta > 0, not k={k}, zeta={zeta!r}"
@@ -322,23 +331,10 @@ def bias_correction(k: int, zeta: float) -> float:
         sys.modules["logging"].getLogger(__name__).info(
             "bias correction by quadrature: k=%d, zeta=%r", k, zeta
         )
-
-    def integral(lo: float, hi: float) -> float:
-        return math.fsum(w * _log_mean_gap(v, k, zeta) for v, w in _panels([lo, hi]))
-
-    edges = _lower_edges(zeta)
     total = 0.0
-    for hi, lo in zip(edges, edges[1:]):
-        total += integral(lo, hi)
-    a = 0.0
-    while True:
-        part = integral(a, max(1.0, 2.0 * a))
-        total += part
-        a = max(1.0, 2.0 * a)
-        # past 4, |integrand| = L^k falls at least as fast as (zeta/v)^k with
-        # k >= 2, so the panels to come add at most this one's integral
-        if a > 4.0 and abs(part) <= _TAIL_TOL * zeta:
-            return -total / zeta
+    for (part,) in _moment_parts(k, zeta, _NODES, (0,)):
+        total += part  # in panel order: builtin sum() compensates from Python 3.12
+    return -total / zeta
 
 
 @lru_cache(maxsize=64)
@@ -346,11 +342,9 @@ def log_mean_variance(k: int, zeta: float) -> float:
     """Var(log Ybar), Ybar the mean of k W's, by quadrature: inf at k <= 2.
 
     E log Ybar = -int D dv and E log^2 Ybar = 2 int v D dv + 2 gamma int D dv,
-    gamma Euler's constant, on BC's panel edges with 16 nodes each: at 8,
-    v D lost up to 8e-9 relative (k = 20, zeta = 1).  D falls as
-    (zeta/v)^k, so int v D dv diverges at k <= 2, and the panels stop
-    only once both parts of one add less than 1e-10 zeta: at k = 3 that is
-    near v = 2e10, where BC stops near 1e5.
+    gamma Euler's constant, on 16-node panels: at 8, v D lost up to 8e-9
+    relative (k = 20, zeta = 1).  int v D dv diverges at k <= 2, and at k = 3
+    its panels run to near v = 2e10, where BC's stop near 1e5.
     """
     if k < 1 or not 0.0 < zeta < math.inf:
         raise ValueError(
@@ -359,19 +353,5 @@ def log_mean_variance(k: int, zeta: float) -> float:
     asymptotic_std_error(k, zeta)  # the rule and message ingest applies
     if k <= 2:
         return math.inf
-    first, second = [], []  # the panels' parts of int D dv and int v D dv
-
-    def add(lo: float, hi: float) -> None:
-        nodes = [(v, w * _log_mean_gap(v, k, zeta)) for v, w in _panels([lo, hi], 16)]
-        first.append(math.fsum(d for _, d in nodes))
-        second.append(math.fsum(v * d for v, d in nodes))
-
-    edges = _lower_edges(zeta)
-    for hi, lo in zip(edges, edges[1:]):
-        add(lo, hi)
-    a = 0.0
-    while a <= 4.0 or max(abs(first[-1]), abs(second[-1])) > _TAIL_TOL * zeta:
-        add(a, max(1.0, 2.0 * a))
-        a = max(1.0, 2.0 * a)
-    d, vd = math.fsum(first), math.fsum(second)
+    d, vd = map(math.fsum, zip(*_moment_parts(k, zeta, 16, (0, 1))))
     return 2.0 * vd + 2.0 * _EULER_GAMMA * d - d * d

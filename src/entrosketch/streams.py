@@ -1,9 +1,10 @@
 """Stream file parsing and synthetic stream generators.
 
 File format: UTF-8 text, one record per line, "item<delim>quantity"; the
-quantity field is optional and defaults to +1 (plain item lists).  Blank
-lines and lines starting with '#' are skipped.  A line that is not valid
-UTF-8, an empty item or a quantity that is not a finite number raises
+quantity field is optional and defaults to +1 (plain item lists).  A
+quantity is a finite ASCII decimal number, with no '_' ("+3", "1e3", ".5"
+and " 5 " are fine).  Blank lines and lines starting with '#' are skipped.
+A line that is not valid UTF-8, an empty item or any other quantity raises
 ``StreamParseError``.
 """
 
@@ -40,6 +41,8 @@ def iter_stream_lines(lines, delimiter: str = ","):
             # the line starts with its only delimiter
             raise StreamParseError(lineno, "empty item")
         try:
+            if "_" in qty or not qty.isascii():  # float() takes "1_000" and non-ASCII digits
+                raise ValueError
             delta = float(qty)
         except ValueError:
             raise StreamParseError(lineno, f"bad quantity {qty!r}") from None

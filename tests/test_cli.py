@@ -560,6 +560,17 @@ class TestStreamInput:
         ref = sketch_stream([("a", 1.0), ("b\u00e9", 2.0), ("c", 1.0)], k=8)
         assert (tmp_path / "out.bin").read_bytes() == ref.to_bytes()
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("command", ["ingest", "oracle"])
+    @pytest.mark.parametrize("qty", ["1_000", "\u0661\u0662"])
+    def test_coerced_quantity_names_its_line(self, monkeypatch, tmp_path, capsys, command,
+                                             source, qty):
+        # float() once read these as 1000 and 12
+        data = f"a,1\nb,{qty}\n".encode()
+        assert self._run(monkeypatch, tmp_path, command, source, data) == 1
+        assert capsys.readouterr() == ("", f"error: line 2: bad quantity {qty!r}\n")
+        assert not (tmp_path / "out.bin").exists()
+
     @pytest.mark.parametrize("command", ["ingest", "oracle"])
     def test_empty_delimiter_is_refused(self, monkeypatch, tmp_path, capsys, command):
         # once "error: empty separator", from str.rpartition

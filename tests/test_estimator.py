@@ -360,8 +360,18 @@ class TestLogMeanVariance:
         (2, 1.0, "-0x1.45367fdab78bfp+0"), (2217, 1.0, "-0x1.62d7f7b123a46p-11"),
     ])
     def test_bias_correction_keeps_its_bits(self, k, zeta, bits):
-        # BC shares the variance's integrand but keeps its own panels and stopping rule
+        # BC keeps its own 8-node panels, summed in panel order, but shares the
+        # variance's walk: its integrand, edges and stopping rule
         assert quadrature.bias_correction.__wrapped__(k, zeta).hex() == bits
+
+    @pytest.mark.parametrize("k, zeta, bits", [
+        (3, 1.0, "0x1.528d3312583e5p+1"), (20, 0.9, "0x1.1733c7a58fc62p-3"),
+        (100, 1.15, "0x1.475ea9eb8165fp-5"), (20, 1.5, "0x1.7d6c728541f1bp-2"),
+        (3, 0.05, "0x1.0623a9e7f9d60p-5"), (2217, 1.0, "0x1.630587498ad47p-10"),
+    ])
+    def test_log_mean_variance_keeps_its_bits(self, k, zeta, bits):
+        # the walk's 16-node parts of int D dv and int v D dv, each column fsum'd
+        assert quadrature.log_mean_variance.__wrapped__(k, zeta).hex() == bits
 
 
 class TestLaplace:

@@ -1,6 +1,7 @@
 """Stream parsing and synthetic stream generators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestParsing:
     def test_empty_item_rejected(self, line):
         with pytest.raises(StreamParseError, match="line 2: empty item"):
             list(iter_stream_lines(["a,1", line], delimiter=line[0]))
+
+    @pytest.mark.parametrize("qty", ["1_000", "1_0.5", "\u0661\u0662", "\uff15", "5\u00a0"])
+    def test_quantity_float_would_coerce_is_rejected(self, qty):
+        # float() reads these as 1000, 10.5, 12, 5 and 5
+        with pytest.raises(StreamParseError, match=f"^line 2: bad quantity {re.escape(repr(qty))}$"):
+            list(iter_stream_lines(["a,1", f"b,{qty}"]))
+
+    @pytest.mark.parametrize("qty, delta", [("+3", 3.0), ("1e3", 1000.0), (".5", 0.5), (" 5 ", 5.0)])
+    def test_plain_ascii_quantities_accepted(self, qty, delta):
+        assert list(iter_stream_lines([f"\u00e9,{qty}"])) == [("\u00e9", delta)]
 
     def test_non_finite_quantity_rejected(self):
         with pytest.raises(StreamParseError):
