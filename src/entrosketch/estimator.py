@@ -7,7 +7,10 @@ log-sum-exp.  A small-sample additive bias BC = zeta^-1 E log(mean of
 k W's), W = exp(zeta X)/zeta^zeta, is subtracted; it is computed from
 the paper's moments E W^s = s^(zeta s) by ``quadrature.bias_correction``
 at every k >= 2.  At k = 1, BC = -inf, so a k = 1 sketch estimates only
-without a correction.  The Shannon entropy is -delta.
+without a correction.  The Shannon entropy is -delta.  Each function
+here that takes zeta first asks the one rule, ``sketchfile.asymptotic_std_error``:
+"zeta=<repr> has no finite positive asymptotic standard error at k=<k>"
+(k = len(y) in ``log_mean``, 1 in ``are``).
 
 This module is pure Python, and so is the quadrature: an estimate loads
 no numpy.  ``estimate`` reads a sketch value, ``sketchfile.SketchFile``; an
@@ -42,9 +45,10 @@ def log_mean(y, zeta: float) -> float:
     round differently: the two agree within 2 ulp of max(1, |m| + |log s|)/zeta,
     m the largest zeta*y_j and s the mean of exp(zeta*y_j - m).
     """
-    v = [zeta * float(x) for x in y]
-    if not v:
+    if len(y) == 0:
         raise ValueError("log_mean needs at least one value")
+    asymptotic_std_error(len(y), zeta)
+    v = [zeta * float(x) for x in y]
     m = max(v)
     mean = math.fsum([math.exp(x - m) for x in v]) / len(v)
     return (m + math.log(mean)) / zeta - math.log(zeta)
@@ -59,27 +63,18 @@ def resolve_bias(k: int, zeta: float, mode: str = "auto") -> float:
     """
     if mode not in ("auto", "none"):
         raise ValueError(f"unknown bias mode {mode!r}")
-    if k < 1 or not zeta > 0.0:
-        raise ValueError("k must be >= 1 and zeta positive")
-    asymptotic_std_error(k, zeta)  # the rule and message ingest applies
-    if mode == "none":
-        return 0.0
-    if k == 1:
-        raise ValueError(
-            "k=1 has no finite bias correction (it is -inf); use k >= 2 or no correction"
-        )
-    return bias_correction(k, zeta)
+    asymptotic_std_error(k, zeta)
+    return 0.0 if mode == "none" else bias_correction(k, zeta)
 
 
 def estimate(sketch, bc_mode: str = "auto") -> EstimateResult:
     """Entropy estimate from a sketch: H = -(log-mean - BC).
 
-    ``sketch`` is anything with ``config.k``, ``config.zeta``, ``total``
-    and ``normalized()``: a ``SketchFile``, or an ``EntropySketch`` through its own.
-    Its ``SketchConfig`` holds no zeta without a finite positive asymptotic SE.
+    ``sketch`` is anything with ``config`` and ``normalized()``: a
+    ``SketchFile``, or an ``EntropySketch`` through its own.  Its
+    ``SketchConfig`` holds no zeta without a finite positive asymptotic SE,
+    and ``normalized()`` refuses a total that is not positive.
     """
-    if not sketch.total > 0.0:
-        raise ValueError("sketch total must be positive (frequencies undefined)")
     zeta = sketch.config.zeta
     k = sketch.config.k
     se = asymptotic_std_error(k, zeta)
@@ -96,6 +91,5 @@ def estimate(sketch, bc_mode: str = "auto") -> EstimateResult:
 
 def are(zeta: float) -> float:
     """Asymptotic relative efficiency vs the MLE: z^2/(0.3445*(4^z-1))."""
-    if not zeta > 0.0:
-        raise ValueError("zeta must be positive")
+    asymptotic_std_error(1, zeta)
     return zeta**2 / (FISHER_INFO * (4.0**zeta - 1.0))

@@ -74,6 +74,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .sketchfile import SCALE
+
 HALF_PI = math.pi / 2
 _INV_2_64 = 2.0**-64
 # the largest double below 1, where the open-unit map (word + 0.5) * 2^-64
@@ -308,5 +310,5 @@ def variates_np(key: int, k: int) -> np.ndarray:
 
 def accumulate_np(scaled: np.ndarray, key: int, delta: float) -> None:
     """Add ``rint(v * delta * 2^16)`` of the key's variates to ``scaled`` in place."""
-    v = variates_np(key, scaled.shape[0]) * delta * 65536.0
+    v = variates_np(key, scaled.shape[0]) * delta * SCALE
     scaled += np.rint(v).astype(np.int64)

@@ -59,11 +59,13 @@ e^(-k w)] dw/w, in about 0.3 ms.  At zeta != 1 it takes 3-9 ms from k = 5
 on, and 20 ms at k = 2, whose panels run to v near 5e9 zeta.  Every result
 tried, for zeta from 0.05 to 200, was within 1.5 standard errors of Monte
 Carlo; BC(2, zeta) levels off at -0.45158 below zeta = 1e-6.  BC(1, zeta) =
--inf (E X = -inf), so k >= 2.  Results are cached per (k, zeta), logged at
-INFO.  The variance is inf at k <= 2 and, at zeta = 1, within 5e-11
-relative of 30-digit mpmath at k = 3 and 20, in under 1 ms; at zeta != 1 it
-takes 1.5-7 ms from k = 5 on and about 17 ms at k = 3.  The estimate path
-never runs it.
+-inf (E X = -inf), so BC refuses k = 1; both first ask the one rule,
+``sketchfile.asymptotic_std_error`` ("zeta=<repr> has no finite positive
+asymptotic standard error at k=<k>").  Results are cached per (k, zeta),
+logged at INFO.  The variance is inf at k <= 2 and, at zeta = 1, within
+5e-11 relative of 30-digit mpmath at k = 3 and 20, in under 1 ms; at
+zeta != 1 it takes 1.5-7 ms from k = 5 on and about 17 ms at k = 3.  The
+estimate path never runs it.
 """
 
 from __future__ import annotations
@@ -318,13 +320,12 @@ def _moment_parts(k: int, zeta: float, nodes: int, powers: tuple[int, ...]):
 
 @lru_cache(maxsize=64)
 def bias_correction(k: int, zeta: float) -> float:
-    """BC(k, zeta) = -zeta^-1 int D dv by quadrature; k >= 2 and zeta positive
-    and finite."""
-    if k < 2 or not 0.0 < zeta < math.inf:
-        raise ValueError(
-            f"the bias correction needs k >= 2 and a finite zeta > 0, not k={k}, zeta={zeta!r}"
-        )
-    asymptotic_std_error(k, zeta)  # the rule and message ingest applies
+    """BC(k, zeta) = -zeta^-1 int D dv by quadrature, at k >= 2 and a zeta
+    that ``asymptotic_std_error`` accepts."""
+    asymptotic_std_error(k, zeta)
+    if k < 2:
+        raise ValueError("k=1 has no finite bias correction (it is -inf); "
+                         "use k >= 2 or no correction")
     # a process that never imported logging has no handler that could show
     # this, and importing it would start threading
     if "logging" in sys.modules:
@@ -346,11 +347,7 @@ def log_mean_variance(k: int, zeta: float) -> float:
     relative (k = 20, zeta = 1).  int v D dv diverges at k <= 2, and at k = 3
     its panels run to near v = 2e10, where BC's stop near 1e5.
     """
-    if k < 1 or not 0.0 < zeta < math.inf:
-        raise ValueError(
-            f"the variance needs k >= 1 and a finite zeta > 0, not k={k}, zeta={zeta!r}"
-        )
-    asymptotic_std_error(k, zeta)  # the rule and message ingest applies
+    asymptotic_std_error(k, zeta)
     if k <= 2:
         return math.inf
     d, vd = map(math.fsum, zip(*_moment_parts(k, zeta, 16, (0, 1))))

@@ -320,7 +320,8 @@ def _map_pinned(fn, *iterables) -> list:
     Each thread pins only itself (``os.sched_setaffinity(0, ...)`` acts
     on the calling thread), so the caller's affinity is unchanged; where
     pinning is missing or refused, the thread runs unpinned.  Every
-    thread is joined before the exception of a call, if any, is raised.
+    started thread is joined before the exception of a call, or of a
+    ``Thread.start`` that failed, if any, is raised.
     """
     calls = list(zip(*iterables))
     if len(calls) == 1:
@@ -340,11 +341,15 @@ def _map_pinned(fn, *iterables) -> list:
         except BaseException as exc:  # raised again on the calling thread
             errors[i] = exc
 
-    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    started = []
+    try:
+        for i in range(len(calls)):
+            thread = threading.Thread(target=call, args=(i,))
+            thread.start()
+            started.append(thread)
+    finally:  # a failed start (no thread left) raises once those started are done
+        for thread in started:
+            thread.join()
     for exc in errors:
         if exc is not None:
             raise exc

@@ -21,8 +21,8 @@ that grid to the nearest multiple.  ``from_json`` coerces no type: a
 version, k or master_seed that is not a JSON integer, or a zeta, total
 or projection that is not a JSON number, raises ValueError, as does a
 bool anywhere.  ``SketchConfig`` refuses a zeta without a finite
-positive asymptotic standard error (``asymptotic_std_error``), so no
-sketch holds a zeta that no estimate can use.
+positive asymptotic standard error (``asymptotic_std_error``, the one
+rule), so no sketch holds a zeta that no estimate can use.
 
 Merge adds the integers.  Integer addition is exact, associative and
 invertible, so a merge equals the single-pass sketch bit for bit; a sum
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 
 MAGIC = b"ESKV"
 FORMAT_VERSION = 1
@@ -113,10 +112,9 @@ class SketchConfig(Record):
     def _validate(self):
         if not _is_int(self.k) or self.k < 1:
             raise ValueError("k must be a positive integer")
-        # an int zeta must also convert to a finite double
-        if not _is_number(self.zeta) or not 0.0 < self.zeta <= sys.float_info.max:
-            raise ValueError("zeta must be a positive finite number")
-        asymptotic_std_error(self.k, self.zeta)  # a zeta no estimate can use is refused here
+        if not _is_number(self.zeta):
+            raise ValueError("zeta must be a number")
+        asymptotic_std_error(self.k, self.zeta)
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 1 << 64:
             raise ValueError("master_seed must be an integer that fits in 64 bits")
 
@@ -124,20 +122,21 @@ class SketchConfig(Record):
 def asymptotic_std_error(k: int, zeta: float) -> float:
     """Large-k standard deviation of the estimator: sqrt((4^z-1)/(z^2 k)).
 
-    Raises ValueError naming zeta where that is not a finite positive
-    double: 4^z overflows, or z^2 underflows, or 4^z - 1 rounds to 0.
+    The one rule for a usable (k, zeta), asked by every entry point that
+    takes zeta.  k < 1 raises "k must be >= 1", and a zeta whose variance
+    is not a finite positive double (nan, zeta <= 0, 4^z overflows, z^2 or
+    4^z - 1 rounds to 0) raises "zeta=<repr> has no finite positive
+    asymptotic standard error at k=<k>".
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not zeta > 0.0:
-        raise ValueError("zeta must be positive")
     try:
-        se = math.sqrt((4.0**zeta - 1.0) / (zeta**2 * k))
+        variance = (4.0**zeta - 1.0) / (zeta**2 * k)
     except (OverflowError, ZeroDivisionError):
-        se = math.inf
-    if not 0.0 < se < math.inf:
+        variance = math.inf
+    if not 0.0 < variance < math.inf:
         raise ValueError(f"zeta={zeta!r} has no finite positive asymptotic standard error at k={k}")
-    return se
+    return math.sqrt(variance)
 
 
 def _is_int(value) -> bool:
@@ -185,7 +184,7 @@ class SketchFile(Record):
         """y_l = projections[l]/total, the estimator's input."""
         total = self.total
         if not total > 0.0:
-            raise ValueError("total must be positive to normalize")
+            raise ValueError("sketch total must be positive (frequencies undefined)")
         return [s * QUANTUM / total for s in self.scaled]
 
     def merge(self, other: SketchFile) -> SketchFile:

@@ -8,7 +8,9 @@ and the error probability is bounded by exp(-k eps^2 / G).  L(-t) is
 finite for every t when zeta < 1, for t < 1/e when zeta = 1, and for no
 t > 0 above.  Each sup is found by golden section over log t.  Both tend
 to 2(4^zeta - 1)/zeta^2 as eps -> 0.  The bound is for the estimator
-*without* the small-sample bias correction.
+*without* the small-sample bias correction.  A zeta is checked by
+``sketchfile.asymptotic_std_error``, the one rule ("zeta=<repr> has no finite
+positive asymptotic standard error at k=1"), and then refused above 1.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ def tail_constants(zeta: float, epsilon: float) -> TailBoundResult:
     """G_R, G_L and the optimizing t of each tail.  Raises ValueError naming
     zeta and epsilon where a sup is not above 1e-9 of its terms, near
     t* exp(+-zeta eps), whose rounding could then move it by 1e-7."""
-    if not 0.0 < zeta <= 1.0:
-        raise ValueError("zeta must be in (0, 1]")
-    asymptotic_std_error(1, zeta)  # the rule and message ingest applies
+    asymptotic_std_error(1, zeta)
+    if zeta > 1.0:
+        raise ValueError("zeta must be <= 1")
     if not 0.0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     er = math.exp(zeta * epsilon) if zeta * epsilon < 709.0 else math.inf

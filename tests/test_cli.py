@@ -192,6 +192,8 @@ class TestIngestEstimate:
         main(["ingest", "--input", src, "--output", out, "--k", "8"])
         capsys.readouterr()
         assert main(["estimate", out]) == 1
+        assert capsys.readouterr() == (
+            "", "error: sketch total must be positive (frequencies undefined)\n")
 
     @pytest.mark.parametrize("flags, message", [
         (["--reps", "10"], "unrecognized arguments: --reps 10"),

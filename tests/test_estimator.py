@@ -21,7 +21,9 @@ from entrosketch.estimator import (
     resolve_bias,
 )
 from entrosketch.sketch import new_sketch, sketch_stream
+from entrosketch.sketchfile import SketchConfig
 from entrosketch.stable import sample_g0
+from entrosketch.tailbounds import tail_constants
 from paper import _bias_terms, bias_correction, bias_correction_digamma
 
 
@@ -298,9 +300,15 @@ class TestQuadrature:
         assert abs(quadrature.bias_correction(k, 1.0) - bias_correction_digamma(k)) <= 2e-10
 
     def test_k_below_two_or_a_bad_zeta_raises(self):
-        for k, zeta in ((1, 1.0), (0, 1.0), (2, 0.0), (2, -1.0), (2, math.nan), (2, math.inf)):
-            with pytest.raises(ValueError, match="needs k >= 2 and a finite zeta > 0"):
-                quadrature.bias_correction(k, zeta)
+        with pytest.raises(ValueError, match="^k=1 has no finite bias correction"):
+            quadrature.bias_correction(1, 1.0)
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            quadrature.bias_correction(0, 1.0)
+        for zeta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as exc:
+                quadrature.bias_correction(2, zeta)
+            assert str(exc.value) == (
+                f"zeta={zeta!r} has no finite positive asymptotic standard error at k=2")
 
     @pytest.mark.parametrize("zeta", [1e-300, 1e-320])
     def test_zeta_without_an_asymptotic_se_raises(self, zeta):
@@ -332,9 +340,13 @@ class TestLogMeanVariance:
         # D falls as (zeta/v)^k, so int v D dv diverges at k <= 2
         assert quadrature.log_mean_variance(2, zeta) == math.inf
         assert quadrature.log_mean_variance(1, zeta) == math.inf
-        for k, z in ((0, zeta), (3, 0.0), (3, math.nan), (3, math.inf)):
-            with pytest.raises(ValueError, match="needs k >= 1 and a finite zeta > 0"):
-                quadrature.log_mean_variance(k, z)
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            quadrature.log_mean_variance(0, zeta)
+        for z in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as exc:
+                quadrature.log_mean_variance(3, z)
+            assert str(exc.value) == (
+                f"zeta={z!r} has no finite positive asymptotic standard error at k=3")
 
     @pytest.mark.parametrize("zeta", [0.9, 1.0, 1.15])
     def test_falls_to_the_asymptote_like_one_over_k(self, zeta):
@@ -487,3 +499,29 @@ class TestEfficiency:
 
     def test_fisher_info_constant(self):
         assert FISHER_INFO == 0.3445
+
+
+# every public entry point that takes zeta, with the k its message names
+ZETA_ENTRY_POINTS = {
+    "SketchConfig": (5, lambda zeta: SketchConfig(k=5, zeta=zeta)),
+    "asymptotic_std_error": (5, lambda zeta: asymptotic_std_error(5, zeta)),
+    "resolve_bias-auto": (5, lambda zeta: resolve_bias(5, zeta)),
+    "resolve_bias-none": (5, lambda zeta: resolve_bias(5, zeta, mode="none")),
+    "bias_correction": (5, lambda zeta: quadrature.bias_correction(5, zeta)),
+    "log_mean_variance": (5, lambda zeta: quadrature.log_mean_variance(5, zeta)),
+    "tail_constants": (1, lambda zeta: tail_constants(zeta, 0.1)),
+    "are": (1, are),
+    "log_mean": (5, lambda zeta: log_mean([0.5, -0.25, 1.0, 0.0, 2.0], zeta)),
+}
+
+
+@pytest.mark.parametrize("zeta", [math.nan, -1.0, 0.0, 1e-300, 600.0, math.inf])
+@pytest.mark.parametrize("entry", list(ZETA_ENTRY_POINTS))
+def test_one_rule_and_message_for_a_zeta_without_an_se(entry, zeta):
+    # nan, zeta <= 0, a zeta^2 that underflows and a 4^zeta that overflows: no
+    # ZeroDivisionError, OverflowError or nan, and one message from every entry point
+    k, call = ZETA_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as exc:
+        call(zeta)
+    message = f"zeta={zeta!r} has no finite positive asymptotic standard error at k={k}"
+    assert str(exc.value) == message

@@ -11,6 +11,7 @@ import os
 import struct
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -484,6 +485,34 @@ class TestUpdateMany:
         before, bound = s.to_bytes(), s._bound
         with pytest.raises(MemoryError, match="part failed"):
             s.update_many(_mixed_updates(9, 3))
+        assert s.to_bytes() == before and s._bound == bound
+
+    def test_a_failed_thread_start_waits_for_the_started_threads(self, monkeypatch):
+        # a start that fails ("can't start new thread") surfaces only once the
+        # thread already started is done, so none drains the queue after the raise
+        _split_blocks(monkeypatch, 2)
+        real_part_sum, real_start = sketch_mod._part_sum, threading.Thread.start
+        finished, starts = [], []
+
+        def slow_part_sum(*args):
+            time.sleep(0.05)
+            result = real_part_sum(*args)
+            finished.append(threading.current_thread())
+            return result
+
+        def start(thread):
+            starts.append(thread)
+            if len(starts) == 2:
+                raise RuntimeError("can't start new thread")
+            real_start(thread)
+
+        monkeypatch.setattr(sketch_mod, "_part_sum", slow_part_sum)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        s = _loop(_mixed_updates(5, 2), 16)
+        before, bound = s.to_bytes(), s._bound
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            s.update_many(_mixed_updates(9, 3))
+        assert finished == starts[:1]  # the first call had finished before the raise
         assert s.to_bytes() == before and s._bound == bound
 
     @pytest.mark.parametrize("kind", ["nan-in-a-later-block", "parse-error", "overflow"])
