@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 
 from .estimator import FISHER_INFO, estimate, resolve_bias
 from .oracle import AccumulationVector, shannon_entropy
 from .quadrature import log_mean_variance
+from .sketchfile import Record, asymptotic_std_error
 from .tailbounds import tail_constants
 
 KINDS = ("bias_table", "mse_curve", "tail_curve", "end_to_end")
@@ -29,22 +29,19 @@ KINDS = ("bias_table", "mse_curve", "tail_curve", "end_to_end")
 DEFAULT_DELTA = -math.log(4.0)
 
 
-@dataclass
-class ExperimentSpec:
-    kind: str = "bias_table"
-    k_values: list[int] = field(default_factory=lambda: [10])
-    zeta_values: list[float] = field(default_factory=lambda: [1.0])
-    reps: int = 1000
-    seed: int = 0
-    # tail_curve inputs
-    epsilons: list[float] = field(default_factory=list)
-    # end_to_end inputs
-    distribution: str = "uniform"  # or "zipf"
-    n_items: int = 4
-    n_updates: int = 100_000
-    zipf_s: float = 1.2
+class ExperimentSpec(Record):
+    """One experiment: its kind, the (k, zeta) grid and each kind's inputs
+    (``epsilons`` for tail_curve, empty for 0.01 to 1; ``distribution``,
+    "uniform" or "zipf", ``n_items``, ``n_updates`` and ``zipf_s`` for
+    end_to_end).  Every (k, zeta) of the grid asks the one rule first."""
 
-    def __post_init__(self):
+    __slots__ = ("kind", "k_values", "zeta_values", "reps", "seed", "epsilons",
+                 "distribution", "n_items", "n_updates", "zipf_s")
+    _defaults = {"kind": "bias_table", "k_values": (10,), "zeta_values": (1.0,), "reps": 1000,
+                 "seed": 0, "epsilons": (), "distribution": "uniform", "n_items": 4,
+                 "n_updates": 100_000, "zipf_s": 1.2}
+
+    def _validate(self):
         # the CLI's flags convert each value with argparse's type=; only ranges are checked here
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
@@ -54,14 +51,14 @@ class ExperimentSpec:
         for name in ("k_values", "zeta_values"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        if min(self.k_values) < 1:
-            raise ValueError("k_values must be >= 1")
+        for k in self.k_values:
+            for zeta in self.zeta_values:
+                asymptotic_std_error(k, zeta)
         if self.kind != "tail_curve" and min(self.k_values) < 2:
             # k=1 has no finite bias correction, so no corrected estimator
             raise ValueError(f"k_values must be >= 2 for {self.kind}")
-        for name in ("zeta_values", "epsilons"):
-            if not all(0.0 < x < math.inf for x in getattr(self, name)):
-                raise ValueError(f"{name} must be > 0 and finite")
+        if not all(0.0 < x < math.inf for x in self.epsilons):
+            raise ValueError("epsilons must be > 0 and finite")
         if not 0.0 < self.zipf_s < math.inf:
             raise ValueError("zipf_s must be > 0 and finite")
         if not 0 <= self.seed < 1 << 64:

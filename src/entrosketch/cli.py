@@ -5,7 +5,8 @@ numbers are printed as key=value with 17 significant digits so values
 round-trip.  The default master seed of ``ingest`` and ``bench`` comes
 from ENTROSKETCH_SEED.  ``bench`` takes flags only: each fills the
 ``bench.ExperimentSpec`` field of its ``dest``, an unset one leaves that
-field's default, and the spec rejects out-of-range values by field name.
+field's default.  The spec names the field of an out-of-range value, and
+refuses a (k, zeta) without an asymptotic SE with the one rule's message.
 Each subcommand imports the modules it runs inside its ``cmd_*``
 function, so building the parser, or running ``size``, loads no numpy.
 ``estimate`` and ``merge`` read sketch files through the stdlib-only
@@ -115,14 +116,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from dataclasses import fields
-
     from . import bench as bench_mod
 
     given = vars(args)
-    spec = bench_mod.ExperimentSpec(
-        **{f.name: given[f.name] for f in fields(bench_mod.ExperimentSpec) if f.name in given}
-    )
+    fields = bench_mod.ExperimentSpec.__slots__
+    spec = bench_mod.ExperimentSpec(**{name: given[name] for name in fields if name in given})
     bench_mod.run(spec, out_path=args.output)
     print(f"wrote {args.output}")
     return 0

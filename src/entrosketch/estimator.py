@@ -3,12 +3,14 @@
 The raw estimator is
     delta_raw = zeta^-1 * log( zeta^-zeta * k^-1 * sum_j exp(zeta*y_j) )
 with y_j = projections[j]/total, evaluated through a max-shifted
-log-sum-exp.  A small-sample additive bias BC = zeta^-1 E log(mean of
-k W's), W = exp(zeta X)/zeta^zeta, is subtracted; it is computed from
-the paper's moments E W^s = s^(zeta s) by ``quadrature.bias_correction``
-at every k >= 2.  At k = 1, BC = -inf, so a k = 1 sketch estimates only
-without a correction.  The Shannon entropy is -delta.  Each function
-here that takes zeta first asks the one rule, ``sketchfile.asymptotic_std_error``:
+log-sum-exp, or through log1p of the mean of expm1(zeta*y_j) where every
+|zeta*y_j| < 1, so that a small zeta keeps its digits.  A small-sample
+additive bias BC = zeta^-1 E log(mean of k W's), W = exp(zeta X)/zeta^zeta,
+is subtracted; it is computed from the paper's moments E W^s = s^(zeta s)
+by ``quadrature.bias_correction`` at every k >= 2.  At k = 1, BC = -inf,
+so a k = 1 sketch estimates only without a correction.  The Shannon
+entropy is -delta.  Each function here that takes zeta first asks the
+one rule, ``sketchfile.asymptotic_std_error``:
 "zeta=<repr> has no finite positive asymptotic standard error at k=<k>"
 (k = len(y) in ``log_mean``, 1 in ``are``).
 
@@ -38,10 +40,13 @@ class EstimateResult(Record):
 def log_mean(y, zeta: float) -> float:
     """zeta^-1 log(zeta^-zeta k^-1 sum_j exp(zeta y_j)) of a sequence of k
     floats, through a max-shifted log-sum-exp summed by ``math.fsum``.
+    Where every |zeta y_j| < 1 it is log1p of the mean of expm1(zeta y_j)
+    instead, which keeps the y-part's digits as zeta -> 0, where the
+    log-sum-exp's rounding near 1e-16 would be divided by zeta.
 
     Pure Python, so an estimate needs no numpy.  The test suite's Monte
-    Carlo engine (``_log_means`` in ``tests/paper.py``) computes the same
-    expression row-wise with numpy's SIMD ``exp`` and pairwise sum, which
+    Carlo engine (``_log_means`` in ``tests/paper.py``) computes the
+    log-sum-exp row-wise with numpy's SIMD ``exp`` and pairwise sum, which
     round differently: the two agree within 2 ulp of max(1, |m| + |log s|)/zeta,
     m the largest zeta*y_j and s the mean of exp(zeta*y_j - m).
     """
@@ -49,6 +54,8 @@ def log_mean(y, zeta: float) -> float:
         raise ValueError("log_mean needs at least one value")
     asymptotic_std_error(len(y), zeta)
     v = [zeta * float(x) for x in y]
+    if max(map(abs, v)) < 1.0:
+        return math.log1p(math.fsum(map(math.expm1, v)) / len(v)) / zeta - math.log(zeta)
     m = max(v)
     mean = math.fsum([math.exp(x - m) for x in v]) / len(v)
     return (m + math.log(mean)) / zeta - math.log(zeta)

@@ -26,7 +26,8 @@ rule), so no sketch holds a zeta that no estimate can use.
 
 Merge adds the integers.  Integer addition is exact, associative and
 invertible, so a merge equals the single-pass sketch bit for bit; a sum
-that reaches 2^53 raises OverflowError.
+that reaches 2^53 raises OverflowError.  That limit is the constructor's:
+``SketchFile`` holds no value that its loaders would refuse.
 """
 
 from __future__ import annotations
@@ -167,10 +168,25 @@ class SketchFile(Record):
     """The sketch value: config, projections and total in units of ``QUANTUM``.
 
     Fields: ``config`` (a ``SketchConfig``), ``scaled`` (a tuple of k
-    ints) and ``scaled_total`` (an int).
+    ints) and ``scaled_total`` (an int).  Anything else raises ValueError,
+    and a peak or |total| at or past 2^53 raises ``check_exact``'s
+    OverflowError, so every value can be written and loaded back.
     """
 
     __slots__ = ("config", "scaled", "scaled_total")
+
+    def _validate(self):
+        if not isinstance(self.config, SketchConfig):
+            raise ValueError("config must be a SketchConfig")
+        k = self.config.k
+        # type(), not isinstance: a bool is not a count
+        if not isinstance(self.scaled, tuple) or len(self.scaled) != k or (
+            not {*map(type, self.scaled)} <= {int}
+        ):
+            raise ValueError(f"scaled must be a tuple of k={k} ints")
+        if not _is_int(self.scaled_total):
+            raise ValueError("scaled_total must be an int")
+        check_exact(max(map(abs, self.scaled)), self.scaled_total)
 
     @property
     def total(self) -> float:
@@ -191,9 +207,7 @@ class SketchFile(Record):
         if self.config != other.config:
             raise ValueError("cannot merge sketches with different configs")
         scaled = tuple(a + b for a, b in zip(self.scaled, other.scaled))
-        total = self.scaled_total + other.scaled_total
-        check_exact(max(map(abs, scaled)), total)
-        return SketchFile(self.config, scaled, total)
+        return SketchFile(self.config, scaled, self.scaled_total + other.scaled_total)
 
     def to_bytes(self) -> bytes:
         config = self.config

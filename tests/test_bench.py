@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import paper
-from entrosketch import quadrature
+from entrosketch import quadrature, sketch
 from entrosketch.bench import (
     DEFAULT_DELTA,
+    KINDS,
     ExperimentSpec,
     run,
     run_bias_table,
@@ -43,6 +44,33 @@ class TestSpec:
         # no flag gives an empty list (nargs="+"), so this is checked here
         with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
             ExperimentSpec(**{name: []})
+
+    @pytest.mark.parametrize("zeta", [math.nan, -1.0, 0.0, 1e-300, 600.0, math.inf])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_rule_for_every_zeta_of_the_grid(self, kind, zeta):
+        # the rule's own message, when the spec is built, whatever the kind
+        with pytest.raises(ValueError) as exc:
+            ExperimentSpec(kind=kind, k_values=[3, 5], zeta_values=[1.0, zeta])
+        message = f"zeta={zeta!r} has no finite positive asymptotic standard error at k=3"
+        assert str(exc.value) == message
+
+    def test_k_below_one_is_refused_by_the_rule(self):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            ExperimentSpec(k_values=[0])
+
+    def test_end_to_end_refuses_before_any_sketch(self, monkeypatch):
+        # a check of zeta > 0 alone would run every zeta = 1 replicate before zeta = 600 failed
+        built, sketch_stream = [], sketch.sketch_stream
+        monkeypatch.setattr(sketch, "sketch_stream",
+                            lambda *a, **kw: built.append(a) or sketch_stream(*a, **kw))
+        with pytest.raises(ValueError, match="^zeta=600.0 has no finite positive"):
+            run(ExperimentSpec(kind="end_to_end", k_values=[4], zeta_values=[1.0, 600.0],
+                               reps=2, n_updates=10))
+        assert built == []
+
+    def test_grid_defaults_are_tuples(self):
+        spec = ExperimentSpec()
+        assert (spec.k_values, spec.zeta_values, spec.epsilons) == ((10,), (1.0,), ())
 
 
 class TestReplicates:

@@ -1,5 +1,6 @@
 """Log-mean entropy estimator and its small-sample bias correction."""
 
+import decimal
 import logging
 import math
 import os
@@ -52,6 +53,26 @@ class TestLogMean:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             log_mean(np.array([]), 1.0)
+
+    @pytest.mark.parametrize("zeta", [1e-2, 1e-4, 1e-8, 1e-12, 1.7e-16])
+    def test_keeps_its_digits_as_zeta_goes_to_zero(self, zeta):
+        # every |zeta y_j| < 1: log1p of the mean of expm1 keeps the y-part,
+        # where a log-sum-exp's rounding near 1e-16 is divided by zeta
+        y = (0.1, 0.5, -2.0)
+        with decimal.localcontext(decimal.Context(prec=60)):
+            z = decimal.Decimal(zeta)
+            mean = sum((z * decimal.Decimal(x)).exp() for x in y) / len(y)
+            expected = float(mean.ln() / z - z.ln())
+        assert abs(log_mean(y, zeta) - expected) <= 2 * math.ulp(expected)
+
+    @pytest.mark.parametrize("zeta, bits", [
+        (0.5, "-0x1.6924ba23563ccp+0"), (1.0, "-0x1.4c52cd40ba6e6p+0"),
+        (1.15, "-0x1.42f03dc523ba2p+0"), (2.0, "-0x1.0daec3d7ee24cp+0"),
+    ])
+    def test_log_sum_exp_keeps_its_bits(self, zeta, bits):
+        # max |zeta y_j| is near 100 here: the max-shifted log-sum-exp
+        s = sketch_stream([(str(i % 4), 1.0) for i in range(2000)], k=200, master_seed=9)
+        assert log_mean(s.normalized(), zeta).hex() == bits
 
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("k", [1, 20, 200, 2217])

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from entrosketch.estimator import EstimateResult
-from entrosketch.sketchfile import SketchConfig, SketchFile
+from entrosketch.sketchfile import LIMIT, OVERFLOW, SketchConfig, SketchFile
 from entrosketch.tailbounds import TailBoundResult
 from paper import HALF_PI, BiasEstimate, StableParams, UniformExpPair
 
@@ -24,7 +24,11 @@ RECORDS = [
     pytest.param(
         SketchFile, (SketchConfig(2), (1, -2), 3),
         "SketchFile(config=SketchConfig(k=2, zeta=1.0, master_seed=0), scaled=(1, -2), "
-        "scaled_total=3)", {}, {}, id="SketchFile"),
+        "scaled_total=3)", {},
+        {"config": (2, "config must be a SketchConfig"),
+         "scaled": ((1,), "scaled must be a tuple of k=2 ints"),
+         "scaled_total": (3.0, "scaled_total must be an int")},
+        id="SketchFile"),
     pytest.param(
         EstimateResult, (-1.5, 1.5, -0.25, 0.125),
         "EstimateResult(delta_hat=-1.5, entropy_hat=1.5, bias_correction=-0.25, "
@@ -89,3 +93,27 @@ def test_record_semantics(cls, values, text, defaults, bad):
     for field, (value, message) in bad.items():
         with pytest.raises(ValueError, match=re.escape(message)):
             cls(**{**by_name, field: value})
+
+
+@pytest.mark.parametrize("scaled, total, message", [
+    ([1, -2], 3, "scaled must be a tuple of k=2 ints"),
+    ((1, -2, 3), 3, "scaled must be a tuple of k=2 ints"),
+    ((1, True), 3, "scaled must be a tuple of k=2 ints"),
+    ((1, -2.0), 3, "scaled must be a tuple of k=2 ints"),
+    ((1, -2), True, "scaled_total must be an int"),
+], ids=["list", "long", "bool", "float", "bool-total"])
+def test_sketch_file_takes_only_ints(scaled, total, message):
+    # a float would merge inexactly, and a tuple of the wrong length fail in to_bytes
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SketchFile(SketchConfig(2), scaled, total)
+
+
+@pytest.mark.parametrize("scaled, total", [((2**60,) * 4, 1), ((1, 2, 3, 4), -(2**53))])
+def test_sketch_file_holds_no_value_its_loader_refuses(scaled, total):
+    # such a value would write bytes that from_bytes refuses as not below 2^37;
+    # one step inside the limit round-trips
+    with pytest.raises(OverflowError, match=re.escape(OVERFLOW)):
+        SketchFile(SketchConfig(4), scaled, total)
+    limit = tuple(min(s, LIMIT - 1) for s in scaled)
+    value = SketchFile(SketchConfig(4), limit, max(total, 1 - LIMIT))
+    assert SketchFile.from_bytes(value.to_bytes()) == value
