@@ -33,7 +33,8 @@ class ExperimentSpec(Record):
     """One experiment: its kind, the (k, zeta) grid and each kind's inputs
     (``epsilons`` for tail_curve, empty for 0.01 to 1; ``distribution``,
     "uniform" or "zipf", ``n_items``, ``n_updates`` and ``zipf_s`` for
-    end_to_end).  Every (k, zeta) of the grid asks the one rule first."""
+    end_to_end).  The three grids are stored as tuples, whatever sequence
+    they were given as.  Every (k, zeta) of the grid asks the one rule first."""
 
     __slots__ = ("kind", "k_values", "zeta_values", "reps", "seed", "epsilons",
                  "distribution", "n_items", "n_updates", "zipf_s")
@@ -42,6 +43,8 @@ class ExperimentSpec(Record):
                  "n_updates": 100_000, "zipf_s": 1.2}
 
     def _validate(self):
+        for name in ("k_values", "zeta_values", "epsilons"):  # as tuples, so a spec of lists hashes
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         # the CLI's flags convert each value with argparse's type=; only ranges are checked here
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")

@@ -318,7 +318,7 @@ def _moment_parts(k: int, zeta: float, nodes: int, powers: tuple[int, ...]):
             lo, hi = hi, 2.0 * hi
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: k=3.0 or True must not hit the entry of 3 or 1
 def bias_correction(k: int, zeta: float) -> float:
     """BC(k, zeta) = -zeta^-1 int D dv by quadrature, at k >= 2 and a zeta
     that ``asymptotic_std_error`` accepts."""
@@ -338,7 +338,7 @@ def bias_correction(k: int, zeta: float) -> float:
     return -total / zeta
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def log_mean_variance(k: int, zeta: float) -> float:
     """Var(log Ybar), Ybar the mean of k W's, by quadrature: inf at k <= 2.
 

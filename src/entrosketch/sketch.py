@@ -29,13 +29,15 @@ item's last delta and that delta's int64 increment, so a repeated update
 costs one dict lookup and one int64 add.  Variates come from
 ``hashing.variates_np`` and the increment is ``rint(v * delta * 2^16)``
 in int64, the arithmetic of ``hashing.accumulate_np``, so cached and
-uncached updates give the same bits.  ``update_many`` is the batch entry
-point for streams; ``sketch_stream`` and ``entrosketch ingest`` both use
-it.  It reads the stream in blocks of ``_STREAM_BLOCK`` raw
-``(item, delta)`` pairs, counts equal pairs, hashes each distinct item of
-a block once, all in one ``hashing.item_keys`` call, and adds
-``count * increment`` per pair, so its cost scales with the distinct
-items per block, not with the number of updates.  The variates are
+uncached updates give the same bits.  ``update_counts`` is the one block
+loop for streams: it takes blocks of counted ``(item, delta)`` pairs,
+hashes each distinct item of a block once, all in one
+``hashing.item_keys`` call, and adds ``count * increment`` per pair, so
+its cost scales with the distinct pairs per block, not with the number
+of updates.  ``update_many`` (and ``sketch_stream``) count blocks of
+``_STREAM_BLOCK`` raw pairs into it; ``entrosketch ingest`` feeds it
+``streams.count_stream_lines``, which parses each distinct line of a
+block of ``_STREAM_BLOCK`` raw lines once.  The variates are
 computed in a reused ``hashing.VariateWorkspace``, ``_BATCH_VARIATES``
 at a time.  A block of b >= 2 such batches is summed by min(b, CPUs)
 threads, each pinned to a CPU of its own (``_map_pinned``), that take the
@@ -59,7 +61,7 @@ Every state change commits fully or raises with the sketch unchanged.
 An update checks its increment against the 2^53 limit in float before
 any int64 cast, using a running upper bound on the projections that is
 replaced by an exact scan only when it reaches the limit, so churn that
-cancels never raises.  ``update_many`` sums its whole input before it
+cancels never raises.  ``update_counts`` sums its whole input before it
 checks the finished sketch once, so the order of the pairs cannot matter.
 """
 
@@ -87,13 +89,13 @@ from .sketchfile import (
 )
 
 CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
-# variates per VariateWorkspace.variates call in update_many, one batch of
+# variates per VariateWorkspace.variates call in update_counts, one batch of
 # the thread split: at most max(1, _BATCH_VARIATES // k) keys, 512 KiB per
 # work array.  The arrays are allocated once per thread and block, so no call
 # pays for fresh pages.  At k=2217 on the 2-vCPU Xeon, 2^14 / 2^15 / 2^16 took
 # 23 / 14.5 / 13.4 ns per variate on two threads and 23 / 21 / 22 on one.
 _BATCH_VARIATES = 1 << 16
-_STREAM_BLOCK = 1 << 16  # elements grouped together by update_many
+_STREAM_BLOCK = 1 << 16  # pairs, or ingest's raw lines, counted together per block
 # float64 sums of integers whose magnitudes sum below this are exact
 _EXACT_FLOAT_SUM = float(LIMIT // 2)
 _ints = np.frompyfunc(int, 1, 1)  # integer-valued floats -> Python ints (an object array)
@@ -132,8 +134,8 @@ class EntropySketch:
 
     def update_many(self, pairs) -> "EntropySketch":
         """Add every ``(item, delta)`` of an iterable, generators included,
-        as one state change: the blocks of ``_STREAM_BLOCK`` raw pairs are
-        summed exactly off to the side (``_block_sum``), then committed.
+        as one state change: ``update_counts`` of its blocks of
+        ``_STREAM_BLOCK`` raw pairs, each counted into a ``Counter``.
 
         The bytes equal one ``update`` per pair where that loop does not
         raise.  On failure the sketch is unchanged: ``ValueError`` if any
@@ -142,15 +144,29 @@ class EntropySketch:
         iterable or of a part.
         """
         pairs = iter(pairs)
+        # one Counter per block, until the first empty one
+        return self.update_counts(iter(lambda: Counter(islice(pairs, _STREAM_BLOCK)), Counter()))
+
+    def update_counts(self, blocks) -> "EntropySketch":
+        """Add blocks of counted updates, each a ``Counter`` of
+        ``(item, delta)`` -> count, as one state change: each block is
+        summed exactly off to the side (``_block_sum``), then the total
+        is checked and committed once.  ``update_many`` and ``entrosketch
+        ingest``, whose blocks come from ``streams.count_stream_lines``,
+        both add through this one loop; it raises as ``update_many`` says.
+        An error of ``blocks`` itself, such as a bad stream line, comes
+        before an overflow found in an earlier block.
+        """
+        blocks = iter(blocks)
         scaled, total = self._scaled.astype(object), self._scaled_total
-        while counts := Counter(islice(pairs, _STREAM_BLOCK)):
+        for counts in blocks:
             if not all(map(math.isfinite, {delta for _, delta in counts})):
                 raise ValueError("delta must be finite")
             try:
                 with np.errstate(over="ignore"):  # an infinite increment fails in _ints
                     block, block_total = self._block_sum(counts)
             except OverflowError:  # an infinite increment; a non-finite delta still comes first
-                if not all(math.isfinite(delta) for _, delta in pairs):
+                if not all(math.isfinite(delta) for counts in blocks for _, delta in counts):
                     raise ValueError("delta must be finite") from None
                 raise OverflowError(OVERFLOW) from None
             scaled += block

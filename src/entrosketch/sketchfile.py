@@ -124,11 +124,15 @@ def asymptotic_std_error(k: int, zeta: float) -> float:
     """Large-k standard deviation of the estimator: sqrt((4^z-1)/(z^2 k)).
 
     The one rule for a usable (k, zeta), asked by every entry point that
-    takes zeta.  k < 1 raises "k must be >= 1", and a zeta whose variance
-    is not a finite positive double (nan, zeta <= 0, 4^z overflows, z^2 or
-    4^z - 1 rounds to 0) raises "zeta=<repr> has no finite positive
-    asymptotic standard error at k=<k>".
+    takes zeta.  A k that is not an int (a bool, a float such as 2.0 or a
+    numpy integer) raises "k must be an integer, not <repr>", k < 1 raises
+    "k must be >= 1", and a zeta whose variance is not a finite positive
+    double (nan, zeta <= 0, 4^z overflows, z^2 or 4^z - 1 rounds to 0)
+    raises "zeta=<repr> has no finite positive asymptotic standard error
+    at k=<k>".
     """
+    if not _is_int(k):
+        raise ValueError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     try:

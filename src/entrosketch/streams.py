@@ -5,12 +5,21 @@ quantity field is optional and defaults to +1 (plain item lists).  A
 quantity is a finite ASCII decimal number, with no '_' ("+3", "1e3", ".5"
 and " 5 " are fine).  Blank lines and lines starting with '#' are skipped.
 A line that is not valid UTF-8, an empty item or any other quantity raises
-``StreamParseError``.
+``StreamParseError``, naming the line.
+
+``_parse_line`` is the one parser.  ``iter_stream_lines`` yields the
+pairs of every line in order; ``count_stream_lines``, the reader of
+``entrosketch ingest``, counts the raw lines of each block first and
+parses each distinct line once, so a stream of repeated lines costs
+about one parse per distinct line of a block.  Both raise the same
+``line N: ...`` for the first bad line.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # the generators import numpy themselves: parsing a file needs none
@@ -23,36 +32,76 @@ class StreamParseError(ValueError):
         self.lineno = lineno
 
 
+def _parse_line(line: str, delimiter: str, lineno: int):
+    """The ``(item, delta)`` of one raw line, or None for a blank or
+    comment line.  A bad line raises ``StreamParseError`` naming ``lineno``."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:  # a byte that surrogateescape decoding kept
+            raise StreamParseError(lineno, "not valid UTF-8") from None
+    line = line.rstrip("\n")
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    item, sep, qty = line.rpartition(delimiter)
+    if not sep:
+        item, qty = line, "1"
+    elif not item:
+        # the line starts with its only delimiter
+        raise StreamParseError(lineno, "empty item")
+    try:
+        if "_" in qty or not qty.isascii():  # float() takes "1_000" and non-ASCII digits
+            raise ValueError
+        delta = float(qty)
+    except ValueError:
+        raise StreamParseError(lineno, f"bad quantity {qty!r}") from None
+    if not math.isfinite(delta):
+        raise StreamParseError(lineno, f"non-finite quantity {qty!r}")
+    return item, delta
+
+
 def iter_stream_lines(lines, delimiter: str = ","):
     for lineno, line in enumerate(lines, start=1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:  # a byte that surrogateescape decoding kept
-                raise StreamParseError(lineno, "not valid UTF-8") from None
-        line = line.rstrip("\n")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        item, sep, qty = line.rpartition(delimiter)
-        if not sep:
-            item, qty = line, "1"
-        elif not item:
-            # the line starts with its only delimiter
-            raise StreamParseError(lineno, "empty item")
+        if (pair := _parse_line(line, delimiter, lineno)) is not None:
+            yield pair
+
+
+def count_stream_lines(lines, delimiter: str, block: int):
+    """The pairs of ``iter_stream_lines(lines, delimiter)`` as one
+    ``Counter`` of ``(item, delta)`` -> count per ``block`` raw lines.
+
+    The raw lines of a block are counted first (a C loop), then each
+    distinct line is parsed once, so equal pairs however spelled (``a``,
+    ``a,1`` and ``a,+1``) are one entry.  A block with a bad line is
+    parsed again in order, so the error names the first bad line of the
+    stream, as ``iter_stream_lines`` does.
+    """
+    lines = iter(lines)
+    start = 1
+    while raw := list(islice(lines, block)):
+        counts: Counter = Counter()
         try:
-            if "_" in qty or not qty.isascii():  # float() takes "1_000" and non-ASCII digits
-                raise ValueError
-            delta = float(qty)
-        except ValueError:
-            raise StreamParseError(lineno, f"bad quantity {qty!r}") from None
-        if not math.isfinite(delta):
-            raise StreamParseError(lineno, f"non-finite quantity {qty!r}")
-        yield item, delta
+            for line, n in Counter(raw).items():
+                if (pair := _parse_line(line, delimiter, start)) is not None:
+                    counts[pair] += n
+        except StreamParseError:
+            for lineno, line in enumerate(raw, start):
+                _parse_line(line, delimiter, lineno)
+            raise
+        start += len(raw)
+        yield counts
+
+
+def open_stream_file(path):
+    """A stream file opened as the format reads it: UTF-8 with
+    surrogateescape, so a byte that is not UTF-8 reaches the parser,
+    which names its line."""
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def iter_stream_file(path, delimiter: str = ","):
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fp:
+    with open_stream_file(path) as fp:
         yield from iter_stream_lines(fp, delimiter)
 
 

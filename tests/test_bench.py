@@ -3,6 +3,7 @@ suite's Monte Carlo replicates, which the acceptance criteria read."""
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,20 @@ class TestSpec:
     def test_grid_defaults_are_tuples(self):
         spec = ExperimentSpec()
         assert (spec.k_values, spec.zeta_values, spec.epsilons) == ((10,), (1.0,), ())
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, np.int64(3)])
+    def test_k_that_is_not_an_int_is_refused_by_the_rule(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer, not {re.escape(repr(k))}$"):
+            ExperimentSpec(k_values=(3, k))
+
+    def test_list_and_tuple_grids_are_one_spec(self):
+        # the CLI passes argparse's lists; a spec of lists once raised TypeError in hash()
+        given = ExperimentSpec(kind="tail_curve", k_values=[3], zeta_values=[0.9, 1.0],
+                               epsilons=[0.1])
+        stored = ExperimentSpec(kind="tail_curve", k_values=(3,), zeta_values=(0.9, 1.0),
+                                epsilons=(0.1,))
+        assert given == stored and hash(given) == hash(stored)
+        assert (given.k_values, given.zeta_values, given.epsilons) == ((3,), (0.9, 1.0), (0.1,))
 
 
 class TestReplicates:

@@ -1,5 +1,6 @@
 """CLI flows: ingest -> estimate -> merge, plus size/oracle/bench."""
 
+import gc
 import io
 import json
 import math
@@ -572,6 +573,38 @@ class TestStreamInput:
         assert capsys.readouterr() == ("", f"error: line 2: bad quantity {qty!r}\n")
         assert not (tmp_path / "out.bin").exists()
 
+    REPEATED = b"a,1\r\nb,2\r\n# note\r\na,+1\r\n\r\na\r\nb, 2\r\nc,-1\r\na,1\r\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_repeated_lines_fold_to_the_bytes_of_every_pair(self, monkeypatch, tmp_path, capsys,
+                                                            source):
+        # blocks of 3 raw lines: a block of one distinct line, a comment, a blank line
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 3)
+        assert self._run(monkeypatch, tmp_path, "ingest", source, self.REPEATED) == 0
+        pairs = [("a", 1.0), ("b", 2.0), ("a", 1.0), ("a", 1.0), ("b", 2.0), ("c", -1.0),
+                 ("a", 1.0)]
+        assert (tmp_path / "out.bin").read_bytes() == sketch_stream(pairs, k=8).to_bytes()
+
+    @pytest.mark.parametrize("block", [3, 4, 16])  # line 5 ends, starts or sits inside a block
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_bad_line_is_named_in_any_block(self, monkeypatch, tmp_path, capsys, source, block):
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", block)
+        lines = self.REPEATED.split(b"\r\n")
+        data = b"\r\n".join(lines[:4] + [b"a,1e"] + lines[5:] + [b"d,zz", b""])
+        assert self._run(monkeypatch, tmp_path, "ingest", source, data) == 1
+        assert capsys.readouterr() == ("", "error: line 5: bad quantity '1e'\n")
+        assert not (tmp_path / "out.bin").exists()
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_bad_line_beats_an_overflow_in_an_earlier_block(self, monkeypatch, tmp_path, capsys,
+                                                            source):
+        # block 1's 1e308 has an infinite increment; the stream is still read to its end
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 4)
+        data = b"x,1e308\na,1\nb,1\nc,1\nd,1\ne,zz\n"
+        assert self._run(monkeypatch, tmp_path, "ingest", source, data) == 1
+        assert capsys.readouterr() == ("", "error: line 6: bad quantity 'zz'\n")
+        assert not (tmp_path / "out.bin").exists()
+
     @pytest.mark.parametrize("command", ["ingest", "oracle"])
     def test_empty_delimiter_is_refused(self, monkeypatch, tmp_path, capsys, command):
         # once "error: empty separator", from str.rpartition
@@ -854,6 +887,67 @@ class TestBlasThreads:
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stderr == expected
+
+
+def unreachable_after(call) -> int:
+    """The objects that only the cyclic collector could free after
+    ``call()``, run with the collector off, as in a CLI process."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestCollector:
+    """``run`` turns the cyclic collector off; that is safe because the
+    ingest and bench loops make no reference cycles, so what a process
+    leaves to the collector does not grow with its input."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys, enabled):
+        src = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["ingest", "--input", src, "--output", str(tmp_path / "s.bin"),
+                         "--k", "8"]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_run_calls_main_with_the_collector_off(self):
+        probe = ("import gc, sys\n"
+                 "from entrosketch import cli\n"
+                 "cli.main = lambda: print(gc.isenabled(), 'main') or 0\n"
+                 "print(gc.isenabled(), 'import')\n"
+                 "cli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True import\nFalse main\n", "")
+
+    @pytest.mark.parametrize("k", [64, 2217])  # at k=2217 the blocks split over threads
+    def test_ingest_leaves_no_more_cycles_for_more_blocks(self, monkeypatch, tmp_path, capsys, k):
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 100)
+        found = []
+        for blocks in (1, 3, 1, 3):
+            lines = [f"it{i % 37},{1 + i % 3}" for i in range(100 * blocks)]
+            src = write_stream(tmp_path, "s.csv", lines)
+            found.append(unreachable_after(lambda: main(
+                ["ingest", "--input", src, "--output", str(tmp_path / "s.bin"), "--k", str(k)])))
+        assert found[3] <= found[2], found  # the first pair warms caches and imports
+
+    def test_end_to_end_bench_leaves_no_more_cycles_for_more_replicates(self, tmp_path, capsys):
+        found = []
+        for reps in (1, 3, 1, 3):
+            found.append(unreachable_after(lambda: main(
+                ["bench", "--kind", "end_to_end", "--k", "20", "--reps", str(reps), "--items", "30",
+                 "--updates", "300", "--output", str(tmp_path / "e.csv")])))
+        assert found[3] <= found[2], found
 
 
 def cli_process(args, stdout=subprocess.PIPE):

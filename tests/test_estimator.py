@@ -1,9 +1,11 @@
 """Log-mean entropy estimator and its small-sample bias correction."""
 
+import contextlib
 import decimal
 import logging
 import math
 import os
+import re
 import sys
 import tracemalloc
 import warnings
@@ -534,6 +536,27 @@ ZETA_ENTRY_POINTS = {
     "are": (1, are),
     "log_mean": (5, lambda zeta: log_mean([0.5, -0.25, 1.0, 0.0, 2.0], zeta)),
 }
+
+
+# every public entry point that takes k; a float, a bool or a numpy integer once
+# passed, so bias_correction(2.5, 1.0) returned -0.8798 and asymptotic_std_error(True, 1.0) 1.732
+K_ENTRY_POINTS = {
+    "asymptotic_std_error": lambda k: asymptotic_std_error(k, 1.0),
+    "resolve_bias-auto": lambda k: resolve_bias(k, 1.0),
+    "resolve_bias-none": lambda k: resolve_bias(k, 1.0, mode="none"),
+    "bias_correction": lambda k: quadrature.bias_correction(k, 1.0),
+    "log_mean_variance": lambda k: quadrature.log_mean_variance(k, 1.0),
+}
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True, np.int64(3)])
+@pytest.mark.parametrize("entry", list(K_ENTRY_POINTS))
+def test_one_rule_for_a_k_that_is_not_an_int(entry, k):
+    call = K_ENTRY_POINTS[entry]
+    with contextlib.suppress(ValueError):  # k = 1 has no bias correction
+        call(int(k))  # the int that k equals, cached where the entry caches: k must miss it
+    with pytest.raises(ValueError, match=f"^k must be an integer, not {re.escape(repr(k))}$"):
+        call(k)
 
 
 @pytest.mark.parametrize("zeta", [math.nan, -1.0, 0.0, 1e-300, 600.0, math.inf])

@@ -6,8 +6,11 @@ import re
 import numpy as np
 import pytest
 
+from entrosketch import sketch as sketch_mod
+from entrosketch.sketch import new_sketch, sketch_stream
 from entrosketch.streams import (
     StreamParseError,
+    count_stream_lines,
     counts_to_stream,
     iter_stream_file,
     iter_stream_lines,
@@ -84,6 +87,94 @@ class TestParsing:
         # the line a byte stream decoded with surrogateescape gives for b"b\xff,2"
         with pytest.raises(StreamParseError, match="^line 2: not valid UTF-8$"):
             list(iter_stream_lines(["\u00e9,1\n", "b\udcff,2\n"]))
+
+
+def zipf_lines(n, seed=0):
+    """Lines in the shape of the benchmark's Zipf workload: Zipf(1.1) items
+    over 10^4 ids with quantities 1-4, about 10% deletions of one unit,
+    plus comments, blank lines, CRLF ends, non-ASCII items and the
+    spellings "+1" and " 1" of a unit quantity."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(10_000, size=n, p=zipf_probabilities(10_000, 1.1))
+    qty = rng.integers(1, 5, size=n)
+    lines = []
+    for i, (j, q) in enumerate(zip(ids, qty)):
+        item = f"item{j}" if j % 5 else f"\u00e9t\u00e9{j}"
+        q = -1 if i % 10 == 3 else int(q)
+        spelling = {0: f"{item},{q:+d}", 1: f"{item}, {q}", 2: f"{item},{q}\r"}.get(i % 7, f"{item},{q}")
+        lines.append(spelling + "\n")
+        if i % 97 == 0:
+            lines.append("# a comment\n" if i % 2 else "\n")
+    return lines
+
+
+def counted(lines, block, delimiter=","):
+    return list(count_stream_lines(lines, delimiter, block))
+
+
+class TestCountedReader:
+    """``count_stream_lines``: one Counter of (item, delta) per block of raw
+    lines, each distinct line parsed once, and the errors of
+    ``iter_stream_lines``."""
+
+    def test_blocks_count_the_pairs_of_their_lines(self):
+        lines = ["a,1\n", "a,+1\n", "a\n", "# c\n", "b,2\n", "\n", "a, 1\n", "b,2.0\n", "c,-1\n"]
+        assert counted(lines, 4) == [{("a", 1.0): 3}, {("b", 2.0): 2, ("a", 1.0): 1},
+                                     {("c", -1.0): 1}]
+        assert counted(lines, 100) == [{("a", 1.0): 4, ("b", 2.0): 2, ("c", -1.0): 1}]
+        assert counted([], 4) == []
+
+    def test_each_distinct_line_is_parsed_once(self, monkeypatch):
+        import entrosketch.streams as streams_mod
+
+        parsed = []
+        parse = streams_mod._parse_line
+        monkeypatch.setattr(streams_mod, "_parse_line", lambda *a: parsed.append(a[0]) or parse(*a))
+        counted(["a,1\n"] * 5 + ["b,2\n"] * 3 + ["a,1\n"] * 2 + ["b,2\n"], 8)
+        assert parsed == ["a,1\n", "b,2\n", "a,1\n", "b,2\n"]  # two blocks, two lines each
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
+    def test_bytes_equal_update_many_of_the_parsed_pairs(self, block):
+        lines = zipf_lines(3000)
+        ref = sketch_stream(iter_stream_lines(lines), k=64, master_seed=5).to_bytes()
+        sketch = new_sketch(64, master_seed=5).update_counts(count_stream_lines(lines, ",", block))
+        assert sketch.to_bytes() == ref
+
+    @pytest.mark.parametrize("bad, message", [
+        ("b\udcff,2\n", "not valid UTF-8"),
+        ("b,1_000\n", "bad quantity '1_000'"),
+        (",5\n", "empty item"),
+        ("b,inf\n", "non-finite quantity 'inf'"),
+    ])
+    @pytest.mark.parametrize("lineno", [1, 2, 4, 6, 11])  # blocks of 4: first, mid, last, later
+    def test_error_names_the_line_iter_stream_lines_names(self, bad, message, lineno):
+        lines = ["a,1\n", "# c\n", "a,1\n", "\n", "z,2\n"] * 3
+        lines[lineno - 1] = bad
+        lines[lineno + 1] = "c,oops\n"  # a later bad line, in the same block or the next
+        with pytest.raises(StreamParseError) as ref:
+            list(iter_stream_lines(lines))
+        with pytest.raises(StreamParseError) as exc:
+            counted(lines, 4)
+        assert str(exc.value) == str(ref.value) == f"line {lineno}: {message}"
+        assert exc.value.lineno == lineno
+
+    def test_a_repeated_bad_line_is_named_where_it_first_appears(self):
+        lines = ["a,1\n", "b,x\n", "a,1\n", "c,y\n", "b,x\n"]
+        with pytest.raises(StreamParseError, match="^line 2: bad quantity 'x'$"):
+            counted(lines, 5)
+
+    def test_parse_error_beats_an_overflow_in_an_earlier_block(self, monkeypatch):
+        # an infinite increment in block 1 and a bad quantity in block 2:
+        # the whole stream is read, so the bad line wins, as in update_many
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 4)
+        lines = ["x,1e308\n", "a,1\n", "b,1\n", "c,1\n", "d,1\n", "e,zz\n"]
+        message = "^line 6: bad quantity 'zz'$"
+        with pytest.raises(StreamParseError, match=message):
+            new_sketch(8).update_many(iter_stream_lines(lines))
+        sketch = new_sketch(8)
+        with pytest.raises(StreamParseError, match=message):
+            sketch.update_counts(count_stream_lines(lines, ",", 4))
+        assert sketch == new_sketch(8)
 
 
 class TestGenerators:
