@@ -17,6 +17,8 @@ Before that, ``main`` sets
 ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to 1 where the caller
 left them unset.  A bad value, an overflow, a file error or
 an allocation too large for memory prints ``error: ...`` and exits 1.
+So does a closed stdout, before the command runs, or a closed stdin
+that ``ingest`` or ``oracle`` reads, before any file is written.
 
 ``ingest`` reads its input through ``streams.count_stream_lines``, so
 each distinct line of a block is parsed once, and adds the counted
@@ -61,6 +63,8 @@ def _input_lines(args):
         with open_stream_file(args.input) as fp:
             yield from fp
         return
+    if sys.stdin is None:  # Python's stdin when fd 0 is closed
+        raise OSError("stdin is closed")
     # read as a stream file is, whatever the locale; a str stream has no bytes
     if reconfigure := getattr(sys.stdin, "reconfigure", None):
         reconfigure(encoding="utf-8", errors="surrogateescape", newline=None)
@@ -210,6 +214,8 @@ def main(argv=None) -> int:
         os.environ.setdefault(var, "1")
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None:  # Python's stdout when fd 1 is closed
+            raise OSError("stdout is closed")
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
         return code
@@ -225,8 +231,8 @@ def run() -> None:
     code = main()
     try:
         # main flushed a successful command's stdout; this flushes what a failed one left
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None: a closed fd
+            stream.flush()
     except OSError:
         pass  # a closed pipe or a full disk: main has reported it and returned 1
     os._exit(code)

@@ -21,15 +21,15 @@ of these).  Accumulated values must stay below 2^37 in magnitude so
 they remain exactly representable as doubles; update and merge raise
 OverflowError if a projection or the total would leave that range.
 
-Ingestion: ``update`` is the one per-update path.  It keeps one entry
-per item it has seen, up to a fixed cap of ``CACHE_VARIATES`` variates
-(1 MiB) over all entries; later items are computed afresh every time.
-An entry holds the item's k variates, their largest magnitude, the
-item's last delta and that delta's int64 increment, so a repeated update
-costs one dict lookup and one int64 add.  Variates come from
-``hashing.variates_np`` and the increment is ``rint(v * delta * 2^16)``
-in int64, the arithmetic of ``hashing.accumulate_np``, so cached and
-uncached updates give the same bits.  ``update_counts`` is the one block
+Ingestion: ``update`` is the per-pair reference that the block path is
+tested against.  It keeps the k variates of each item it has seen, and
+their largest magnitude, up to a fixed cap of ``CACHE_VARIATES``
+variates (1 MiB) over all entries; later items are computed afresh every
+time.  Variates come from ``hashing.variates_np`` and the increment is
+``rint(v * delta * 2^16)``, the arithmetic of ``hashing.accumulate_np``,
+so cached and uncached updates give the same bits.  A cached update
+costs 4-8 us at k = 64-2217 on a 2-vCPU Xeon VM, so streams belong in
+``update_many`` or ``sketch_stream``.  ``update_counts`` is the one block
 loop for streams: it takes blocks of counted ``(item, delta)`` pairs,
 hashes each distinct item of a block once, all in one
 ``hashing.item_keys`` call, and adds ``count * increment`` per pair, so
@@ -57,12 +57,14 @@ Scaling ``v * (delta * 2^16)`` equals ``(v * delta) * 2^16`` bit for bit,
 since a power-of-two factor commutes with rounding (short of underflow,
 which only values far below one grid step reach).
 
-Every state change commits fully or raises with the sketch unchanged.
-An update checks its increment against the 2^53 limit in float before
-any int64 cast, using a running upper bound on the projections that is
-replaced by an exact scan only when it reaches the limit, so churn that
-cancels never raises.  ``update_counts`` sums its whole input before it
-checks the finished sketch once, so the order of the pairs cannot matter.
+Every state change commits fully or raises with the sketch unchanged,
+by one rule: sum the increments exactly off to the side, then check the
+finished projections and total once against the 2^53 limit
+(``check_exact``) and commit.  ``update`` first refuses, in float and
+before any int64 cast, an increment that would pass the limit whatever
+it is added to.  Only the finished state is checked, so churn that
+cancels never raises, and ``update_counts`` sums its whole input before
+the check, so the order of the pairs cannot matter.
 """
 
 from __future__ import annotations
@@ -108,9 +110,8 @@ class EntropySketch:
         self.config = config
         self._scaled = np.zeros(config.k, dtype=np.int64)
         self._scaled_total = 0
-        self._bound = 0  # upper bound on max |_scaled|, exact after a rescan
-        # item -> [variates, max |variate|, last delta, its int64 increment]
-        self._items: dict[bytes | str, list] = {}
+        # item -> (variates, max |variate|)
+        self._items: dict[bytes | str, tuple[np.ndarray, float]] = {}
 
     @property
     def projections(self) -> np.ndarray:
@@ -126,10 +127,18 @@ class EntropySketch:
         entry = self._items.get(item)
         if entry is None:
             v = variates_np(item_key(item, self.config.master_seed), self.config.k)
-            entry = [v, float(np.abs(v).max()), None, None]
+            entry = v, float(np.abs(v).max())
             if (len(self._items) + 1) * self.config.k <= CACHE_VARIATES:
                 self._items[item] = entry
-        self._add(entry, delta)
+        v, vmax = entry
+        # float rounding is monotone, so this bounds every |v * delta * 2^16| and
+        # |delta * 2^16|; past 2^54 an increment overflows whatever it is added to
+        if not max(vmax, 1.0) * abs(delta) * SCALE < 2 * LIMIT:
+            raise OverflowError(OVERFLOW)
+        scaled = self._scaled + np.rint(v * (delta * SCALE)).astype(np.int64)
+        total = self._scaled_total + round(delta * SCALE)
+        check_exact(int(np.abs(scaled).max()), total)
+        self._scaled, self._scaled_total = scaled, total
         return self
 
     def update_many(self, pairs) -> "EntropySketch":
@@ -171,36 +180,10 @@ class EntropySketch:
                 raise OverflowError(OVERFLOW) from None
             scaled += block
             total += block_total
-        bound = max(map(abs, scaled))
-        check_exact(bound, total)
+        check_exact(max(map(abs, scaled)), total)
         self._scaled = scaled.astype(np.int64)
         self._scaled_total = total
-        self._bound = bound
         return self
-
-    def _add(self, entry: list, delta: float) -> None:
-        """Add one update of an item entry, or raise OverflowError with the
-        sketch unchanged.  Keeps the increment of the entry's last delta."""
-        v, vmax, last, inc = entry
-        # float rounding is monotone, so step bounds every |v * delta * 2^16|
-        step = vmax * abs(delta) * SCALE
-        total_step = delta * SCALE
-        # past 2^54 an increment overflows whatever it is added to
-        if not (step < 2 * LIMIT and abs(total_step) < 2 * LIMIT):
-            raise OverflowError(OVERFLOW)
-        total = self._scaled_total + round(total_step)
-        if last != delta:
-            inc = np.rint(v * delta * SCALE).astype(np.int64)
-            entry[2:] = delta, inc
-        # the running bound is replaced by an exact scan only at the limit,
-        # so only the exact value raises and cancelling churn never does
-        bound = self._bound + math.ceil(step)
-        if bound >= LIMIT:
-            bound = int(np.abs(self._scaled + inc).max())
-        check_exact(bound, total)
-        self._scaled += inc
-        self._scaled_total = total
-        self._bound = bound
 
     def _block_sum(self, counts: Counter) -> tuple[np.ndarray, int]:
         """The exact sums of ``count * increment`` over a block's distinct
@@ -259,11 +242,10 @@ class EntropySketch:
 
     @classmethod
     def _from_file(cls, loaded: SketchFile) -> "EntropySketch":
-        """The accumulator holding a value, with an exact ``_bound``."""
+        """The accumulator holding a value."""
         sketch = cls(loaded.config)
         sketch._scaled = np.array(loaded.scaled, dtype=np.int64)
         sketch._scaled_total = loaded.scaled_total
-        sketch._bound = int(np.abs(sketch._scaled).max())
         return sketch
 
     def to_bytes(self) -> bytes:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -950,14 +951,17 @@ class TestCollector:
         assert found[3] <= found[2], found
 
 
-def cli_process(args, stdout=subprocess.PIPE):
+def cli_process(args, stdout=subprocess.PIPE, closed_fd=None):
     """``python -m entrosketch.cli args`` with stdout a block-buffered pipe,
     as in a shell pipeline (PYTHONUNBUFFERED is dropped): output that the
-    process did not flush before exiting is lost."""
+    process did not flush before exiting is lost.  ``closed_fd`` is closed
+    in the child, as a shell's ``fd<&-`` does."""
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
+    preexec = None if closed_fd is None else partial(os.close, closed_fd)
     return subprocess.run([sys.executable, "-m", "entrosketch.cli", *args], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=preexec)
 
 
 class TestProcessExit:
@@ -1000,6 +1004,27 @@ class TestProcessExit:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "error: [Errno 32] Broken pipe\n")
+
+    def test_closed_stdin_is_an_error(self, tmp_path):
+        out = tmp_path / "c.bin"
+        for args in (["ingest", "--output", str(out), "--k", "3"], ["oracle"]):
+            proc = cli_process(args, closed_fd=0)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: stdin is closed\n")
+        assert not out.exists()
+
+    def test_closed_stdout_is_an_error(self, tmp_path):
+        stream = write_stream(tmp_path, "s.csv", ["a,1", "b,2"])
+        sketch = _sketch_file(tmp_path, "a.bin", 8)
+        out = tmp_path / "c.bin"
+        for args in (["ingest", "--input", stream, "--output", str(out), "--k", "3"],
+                     ["estimate", sketch],
+                     ["merge", sketch, sketch, "--output", str(out)],
+                     ["size", "--epsilon", "0.1", "--gamma", "0.05"],
+                     ["oracle", "--input", stream],
+                     ["bench", "--kind", "bias_table", "--k", "4", "--output", str(out)]):
+            proc = cli_process(args, closed_fd=1)
+            assert (proc.returncode, proc.stderr) == (1, "error: stdout is closed\n"), args
+        assert not out.exists()  # each command stops before it writes
 
 
 def _sketch_file(tmp_path, name, k, zeta=1.0):
