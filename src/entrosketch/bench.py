@@ -89,21 +89,19 @@ def run_bias_table(spec: ExperimentSpec):
     return ["k", "zeta", "bc"], rows
 
 
-def run_mse_curve(spec: ExperimentSpec, delta: float = DEFAULT_DELTA):
+def run_mse_curve(spec: ExperimentSpec):
     """MSE of the bias-corrected estimator vs the CR floor.
 
     The corrected estimator is unbiased, so its MSE is its variance,
     Var(log Ybar)/zeta^2, inf at k = 2.
     Rows: (k, zeta, mse_abs, mse_rel, var, cr_bound, cr_bound_rel).
     """
-    if delta == 0.0:
-        raise ValueError("relative MSE undefined at delta = 0")
     rows = []
     for k in sorted(spec.k_values):
         for zeta in sorted(spec.zeta_values):
             mse = log_mean_variance(k, zeta) / zeta**2
             cr = 1.0 / (FISHER_INFO * k)
-            rows.append((k, zeta, mse, mse / delta**2, mse, cr, cr / delta**2))
+            rows.append((k, zeta, mse, mse / DEFAULT_DELTA**2, mse, cr, cr / DEFAULT_DELTA**2))
     return ["k", "zeta", "mse_abs", "mse_rel", "var", "cr_bound", "cr_bound_rel"], rows
 
 

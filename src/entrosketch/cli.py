@@ -20,9 +20,8 @@ an allocation too large for memory prints ``error: ...`` and exits 1.
 So does a closed stdout, before the command runs, or a closed stdin
 that ``ingest`` or ``oracle`` reads, before any file is written.
 
-``ingest`` reads its input through ``streams.count_stream_lines``, so
-each distinct line of a block is parsed once, and adds the counted
-blocks with ``EntropySketch.update_counts``.
+``ingest`` adds ``streams.iter_stream_lines`` of its input, which parses
+each distinct line once, with ``EntropySketch.update_many``.
 
 The program's entry point is ``run``: ``python -m entrosketch.cli`` and
 the ``entrosketch`` console script both call it.  It turns the cyclic
@@ -72,11 +71,11 @@ def _input_lines(args):
 
 
 def cmd_ingest(args) -> int:
-    from .sketch import _STREAM_BLOCK, new_sketch
-    from .streams import count_stream_lines
+    from .sketch import new_sketch
+    from .streams import iter_stream_lines
 
     sketch = new_sketch(k=args.k, zeta=args.zeta, master_seed=args.seed)
-    sketch.update_counts(count_stream_lines(_input_lines(args), args.delimiter, _STREAM_BLOCK))
+    sketch.update_many(iter_stream_lines(_input_lines(args), args.delimiter))
     with open(args.output, "wb") as fp:
         fp.write(sketch.to_bytes())
     print(f"k={sketch.config.k}")

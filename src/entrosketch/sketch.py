@@ -29,19 +29,17 @@ time.  Variates come from ``hashing.variates_np`` and the increment is
 ``rint(v * delta * 2^16)``, the arithmetic of ``hashing.accumulate_np``,
 so cached and uncached updates give the same bits.  A cached update
 costs 4-8 us at k = 64-2217 on a 2-vCPU Xeon VM, so streams belong in
-``update_many`` or ``sketch_stream``.  ``update_counts`` is the one block
-loop for streams: it takes blocks of counted ``(item, delta)`` pairs,
+``update_many`` or ``sketch_stream``.  ``update_many`` is the one block
+loop for streams, of ``sketch_stream`` and ``entrosketch ingest`` alike:
+it counts blocks of ``_STREAM_BLOCK`` pairs into a ``Counter`` each,
 hashes each distinct item of a block once, all in one
 ``hashing.item_keys`` call, and adds ``count * increment`` per pair, so
 its cost scales with the distinct pairs per block, not with the number
-of updates.  ``update_many`` (and ``sketch_stream``) count blocks of
-``_STREAM_BLOCK`` raw pairs into it; ``entrosketch ingest`` feeds it
-``streams.count_stream_lines``, which parses each distinct line of a
-block of ``_STREAM_BLOCK`` raw lines once.  The variates are
-computed in a reused ``hashing.VariateWorkspace``, ``_BATCH_VARIATES``
-at a time.  A block of b >= 2 such batches is summed by min(b, CPUs)
-threads, each pinned to a CPU of its own (``_map_pinned``), that take the
-batches from one shared queue; a block of one batch, on the calling thread.
+of updates.  The variates are computed in a reused
+``hashing.VariateWorkspace``, ``_BATCH_VARIATES`` at a time.  A block of
+b >= 2 such batches is summed by min(b, CPUs) threads, each pinned to a
+CPU of its own (``_map_pinned``), that take the batches from one shared
+queue; a block of one batch, on the calling thread.
 Integer sums are exact, so the bytes do not depend on the split:
 ``taskset -c 0`` gives serial ingest with the same bytes.
 
@@ -63,7 +61,7 @@ finished projections and total once against the 2^53 limit
 (``check_exact``) and commit.  ``update`` first refuses, in float and
 before any int64 cast, an increment that would pass the limit whatever
 it is added to.  Only the finished state is checked, so churn that
-cancels never raises, and ``update_counts`` sums its whole input before
+cancels never raises, and ``update_many`` sums its whole input before
 the check, so the order of the pairs cannot matter.
 """
 
@@ -91,13 +89,13 @@ from .sketchfile import (
 )
 
 CACHE_VARIATES = 1 << 17  # per-sketch cap of the update() variate cache
-# variates per VariateWorkspace.variates call in update_counts, one batch of
+# variates per VariateWorkspace.variates call in update_many, one batch of
 # the thread split: at most max(1, _BATCH_VARIATES // k) keys, 512 KiB per
 # work array.  The arrays are allocated once per thread and block, so no call
 # pays for fresh pages.  At k=2217 on the 2-vCPU Xeon, 2^14 / 2^15 / 2^16 took
 # 23 / 14.5 / 13.4 ns per variate on two threads and 23 / 21 / 22 on one.
 _BATCH_VARIATES = 1 << 16
-_STREAM_BLOCK = 1 << 16  # pairs, or ingest's raw lines, counted together per block
+_STREAM_BLOCK = 1 << 16  # pairs update_many counts together per block
 # float64 sums of integers whose magnitudes sum below this are exact
 _EXACT_FLOAT_SUM = float(LIMIT // 2)
 _ints = np.frompyfunc(int, 1, 1)  # integer-valued floats -> Python ints (an object array)
@@ -143,30 +141,21 @@ class EntropySketch:
 
     def update_many(self, pairs) -> "EntropySketch":
         """Add every ``(item, delta)`` of an iterable, generators included,
-        as one state change: ``update_counts`` of its blocks of
-        ``_STREAM_BLOCK`` raw pairs, each counted into a ``Counter``.
+        as one state change.  The pairs are counted into a ``Counter`` per
+        block of ``_STREAM_BLOCK`` pairs, each block is summed exactly off
+        to the side (``_block_sum``), then the total is checked and
+        committed once.
 
         The bytes equal one ``update`` per pair where that loop does not
         raise.  On failure the sketch is unchanged: ``ValueError`` if any
         delta is not finite, else ``OverflowError`` if and only if the
         finished sketch leaves the 2^53 range, or the error of the
-        iterable or of a part.
+        iterable or of a part.  An error of the iterable, such as a bad
+        stream line, comes before an overflow found in an earlier block.
         """
         pairs = iter(pairs)
         # one Counter per block, until the first empty one
-        return self.update_counts(iter(lambda: Counter(islice(pairs, _STREAM_BLOCK)), Counter()))
-
-    def update_counts(self, blocks) -> "EntropySketch":
-        """Add blocks of counted updates, each a ``Counter`` of
-        ``(item, delta)`` -> count, as one state change: each block is
-        summed exactly off to the side (``_block_sum``), then the total
-        is checked and committed once.  ``update_many`` and ``entrosketch
-        ingest``, whose blocks come from ``streams.count_stream_lines``,
-        both add through this one loop; it raises as ``update_many`` says.
-        An error of ``blocks`` itself, such as a bad stream line, comes
-        before an overflow found in an earlier block.
-        """
-        blocks = iter(blocks)
+        blocks = iter(lambda: Counter(islice(pairs, _STREAM_BLOCK)), Counter())
         scaled, total = self._scaled.astype(object), self._scaled_total
         for counts in blocks:
             if not all(map(math.isfinite, {delta for _, delta in counts})):

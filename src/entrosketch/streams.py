@@ -7,23 +7,24 @@ and " 5 " are fine).  Blank lines and lines starting with '#' are skipped.
 A line that is not valid UTF-8, an empty item or any other quantity raises
 ``StreamParseError``, naming the line.
 
-``_parse_line`` is the one parser.  ``iter_stream_lines`` yields the
-pairs of every line in order; ``count_stream_lines``, the reader of
-``entrosketch ingest``, counts the raw lines of each block first and
-parses each distinct line once, so a stream of repeated lines costs
-about one parse per distinct line of a block.  Both raise the same
-``line N: ...`` for the first bad line.
+``_parse_line`` is the one parser and ``iter_stream_lines`` the one
+reader, of ``entrosketch ingest`` and ``oracle`` alike.  It keeps the
+parse of each distinct line it has seen, up to ``_MEMO_LINES`` of them,
+then starts afresh, so a stream of repeated lines costs about one parse
+per distinct line.  A bad line is never kept, so the first bad line in
+file order raises ``line N: ...``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # the generators import numpy themselves: parsing a file needs none
     import numpy as np
+
+
+_MEMO_LINES = 1 << 16  # distinct parsed lines iter_stream_lines keeps before it starts afresh
 
 
 class StreamParseError(ValueError):
@@ -62,35 +63,17 @@ def _parse_line(line: str, delimiter: str, lineno: int):
 
 
 def iter_stream_lines(lines, delimiter: str = ","):
+    """The ``(item, delta)`` of every line in order, each distinct line
+    parsed once per ``_MEMO_LINES`` distinct lines."""
+    memo: dict[str, tuple[str, float] | None] = {}
     for lineno, line in enumerate(lines, start=1):
-        if (pair := _parse_line(line, delimiter, lineno)) is not None:
+        if (pair := memo.get(line, line)) is line:  # not seen: the line itself comes back
+            pair = _parse_line(line, delimiter, lineno)
+            if len(memo) >= _MEMO_LINES:
+                memo.clear()
+            memo[line] = pair
+        if pair is not None:
             yield pair
-
-
-def count_stream_lines(lines, delimiter: str, block: int):
-    """The pairs of ``iter_stream_lines(lines, delimiter)`` as one
-    ``Counter`` of ``(item, delta)`` -> count per ``block`` raw lines.
-
-    The raw lines of a block are counted first (a C loop), then each
-    distinct line is parsed once, so equal pairs however spelled (``a``,
-    ``a,1`` and ``a,+1``) are one entry.  A block with a bad line is
-    parsed again in order, so the error names the first bad line of the
-    stream, as ``iter_stream_lines`` does.
-    """
-    lines = iter(lines)
-    start = 1
-    while raw := list(islice(lines, block)):
-        counts: Counter = Counter()
-        try:
-            for line, n in Counter(raw).items():
-                if (pair := _parse_line(line, delimiter, start)) is not None:
-                    counts[pair] += n
-        except StreamParseError:
-            for lineno, line in enumerate(raw, start):
-                _parse_line(line, delimiter, lineno)
-            raise
-        start += len(raw)
-        yield counts
 
 
 def open_stream_file(path):

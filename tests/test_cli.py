@@ -579,14 +579,14 @@ class TestStreamInput:
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_repeated_lines_fold_to_the_bytes_of_every_pair(self, monkeypatch, tmp_path, capsys,
                                                             source):
-        # blocks of 3 raw lines: a block of one distinct line, a comment, a blank line
+        # blocks of 3 pairs, a,b,a | a,b,c | a, around a comment and a blank line
         monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 3)
         assert self._run(monkeypatch, tmp_path, "ingest", source, self.REPEATED) == 0
         pairs = [("a", 1.0), ("b", 2.0), ("a", 1.0), ("a", 1.0), ("b", 2.0), ("c", -1.0),
                  ("a", 1.0)]
         assert (tmp_path / "out.bin").read_bytes() == sketch_stream(pairs, k=8).to_bytes()
 
-    @pytest.mark.parametrize("block", [3, 4, 16])  # line 5 ends, starts or sits inside a block
+    @pytest.mark.parametrize("block", [3, 4, 16])  # line 5, pair 4, starts, ends or sits in a block
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_bad_line_is_named_in_any_block(self, monkeypatch, tmp_path, capsys, source, block):
         monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", block)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from entrosketch import sketch as sketch_mod
-from entrosketch.sketch import new_sketch, sketch_stream
+from entrosketch import streams as streams_mod
+from entrosketch.sketch import new_sketch
 from entrosketch.streams import (
     StreamParseError,
-    count_stream_lines,
+    _parse_line,
     counts_to_stream,
     iter_stream_file,
     iter_stream_lines,
@@ -108,37 +109,67 @@ def zipf_lines(n, seed=0):
     return lines
 
 
-def counted(lines, block, delimiter=","):
-    return list(count_stream_lines(lines, delimiter, block))
+def parsed(lines, delimiter=","):
+    """The pairs of ``lines``, each line parsed on its own: no memo."""
+    pairs = (_parse_line(line, delimiter, lineno) for lineno, line in enumerate(lines, start=1))
+    return [pair for pair in pairs if pair is not None]
+
+
+def loop_bytes(pairs, k=64, seed=5):
+    sketch = new_sketch(k, master_seed=seed)
+    for item, delta in pairs:
+        sketch.update(item, delta)
+    return sketch.to_bytes()
+
+
+def ingested(lines, k=64, seed=5):
+    """``entrosketch ingest``'s path: ``update_many`` of ``iter_stream_lines``."""
+    return new_sketch(k, master_seed=seed).update_many(iter_stream_lines(lines)).to_bytes()
 
 
 class TestCountedReader:
-    """``count_stream_lines``: one Counter of (item, delta) per block of raw
-    lines, each distinct line parsed once, and the errors of
-    ``iter_stream_lines``."""
+    """``iter_stream_lines`` parses each distinct line once per
+    ``_MEMO_LINES`` distinct lines; ``update_many``'s counted blocks of its
+    pairs give the bytes of one ``update`` per line, and the errors of a
+    parse without the memo."""
 
-    def test_blocks_count_the_pairs_of_their_lines(self):
+    def test_blocks_count_the_pairs_of_their_lines(self, monkeypatch):
+        # a, a,1, a,+1 and a, 1 are one pair
+        assert ingested(["a\n", "a,1\n", "a,+1\n", "a, 1\n"]) == loop_bytes([("a", 1.0)] * 4)
         lines = ["a,1\n", "a,+1\n", "a\n", "# c\n", "b,2\n", "\n", "a, 1\n", "b,2.0\n", "c,-1\n"]
-        assert counted(lines, 4) == [{("a", 1.0): 3}, {("b", 2.0): 2, ("a", 1.0): 1},
-                                     {("c", -1.0): 1}]
-        assert counted(lines, 100) == [{("a", 1.0): 4, ("b", 2.0): 2, ("c", -1.0): 1}]
-        assert counted([], 4) == []
+        ref = loop_bytes([("a", 1.0)] * 4 + [("b", 2.0)] * 2 + [("c", -1.0)])
+        for block in (4, 100):
+            monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", block)
+            assert ingested(lines) == ref
+        assert list(iter_stream_lines([])) == []
+
+    @staticmethod
+    def parses(monkeypatch, lines):
+        """The lines ``iter_stream_lines`` hands to ``_parse_line``."""
+        seen = []
+        parse = streams_mod._parse_line
+        monkeypatch.setattr(streams_mod, "_parse_line", lambda *a: seen.append(a[0]) or parse(*a))
+        pairs = list(iter_stream_lines(lines))
+        assert pairs == parsed(lines)
+        return seen
 
     def test_each_distinct_line_is_parsed_once(self, monkeypatch):
-        import entrosketch.streams as streams_mod
+        lines = ["a,1\n"] * 5 + ["b,2\n"] * 3 + ["\n"] * 2 + ["a,1\n"] * 2 + ["b,2\n", "\n"]
+        assert self.parses(monkeypatch, lines) == ["a,1\n", "b,2\n", "\n"]
 
-        parsed = []
-        parse = streams_mod._parse_line
-        monkeypatch.setattr(streams_mod, "_parse_line", lambda *a: parsed.append(a[0]) or parse(*a))
-        counted(["a,1\n"] * 5 + ["b,2\n"] * 3 + ["a,1\n"] * 2 + ["b,2\n"], 8)
-        assert parsed == ["a,1\n", "b,2\n", "a,1\n", "b,2\n"]  # two blocks, two lines each
+    def test_a_line_is_parsed_again_after_the_memo_is_cleared(self, monkeypatch):
+        # two distinct lines kept: c clears the memo, so a is parsed again, and then kept
+        monkeypatch.setattr(streams_mod, "_MEMO_LINES", 2)
+        assert self.parses(monkeypatch, ["a", "b", "c", "a", "c", "a"]) == ["a", "b", "c", "a"]
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1 << 16])
-    def test_bytes_equal_update_many_of_the_parsed_pairs(self, block):
+    def test_bytes_equal_update_many_of_the_parsed_pairs(self, monkeypatch, block):
         lines = zipf_lines(3000)
-        ref = sketch_stream(iter_stream_lines(lines), k=64, master_seed=5).to_bytes()
-        sketch = new_sketch(64, master_seed=5).update_counts(count_stream_lines(lines, ",", block))
-        assert sketch.to_bytes() == ref
+        ref = loop_bytes(parsed(lines))
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", block)
+        for memo in (1, 2, 1 << 16):
+            monkeypatch.setattr(streams_mod, "_MEMO_LINES", memo)
+            assert ingested(lines) == ref, memo
 
     @pytest.mark.parametrize("bad, message", [
         ("b\udcff,2\n", "not valid UTF-8"),
@@ -146,34 +177,50 @@ class TestCountedReader:
         (",5\n", "empty item"),
         ("b,inf\n", "non-finite quantity 'inf'"),
     ])
-    @pytest.mark.parametrize("lineno", [1, 2, 4, 6, 11])  # blocks of 4: first, mid, last, later
-    def test_error_names_the_line_iter_stream_lines_names(self, bad, message, lineno):
+    @pytest.mark.parametrize("lineno", [1, 2, 4, 6, 11])  # blocks of 4 pairs: first, mid, later
+    def test_error_names_the_line_iter_stream_lines_names(self, monkeypatch, bad, message,
+                                                          lineno):
         lines = ["a,1\n", "# c\n", "a,1\n", "\n", "z,2\n"] * 3
         lines[lineno - 1] = bad
         lines[lineno + 1] = "c,oops\n"  # a later bad line, in the same block or the next
         with pytest.raises(StreamParseError) as ref:
-            list(iter_stream_lines(lines))
-        with pytest.raises(StreamParseError) as exc:
-            counted(lines, 4)
-        assert str(exc.value) == str(ref.value) == f"line {lineno}: {message}"
-        assert exc.value.lineno == lineno
+            parsed(lines)
+        assert str(ref.value) == f"line {lineno}: {message}"
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 4)
+        for memo in (1, 2, 1 << 16):
+            monkeypatch.setattr(streams_mod, "_MEMO_LINES", memo)
+            with pytest.raises(StreamParseError) as exc:
+                list(iter_stream_lines(lines))
+            assert str(exc.value) == str(ref.value) and exc.value.lineno == lineno
+            with pytest.raises(StreamParseError) as exc:
+                ingested(lines)
+            assert str(exc.value) == str(ref.value) and exc.value.lineno == lineno
 
     def test_a_repeated_bad_line_is_named_where_it_first_appears(self):
         lines = ["a,1\n", "b,x\n", "a,1\n", "c,y\n", "b,x\n"]
         with pytest.raises(StreamParseError, match="^line 2: bad quantity 'x'$"):
-            counted(lines, 5)
+            list(iter_stream_lines(lines))
+        with pytest.raises(StreamParseError, match="^line 2: bad quantity 'x'$"):
+            ingested(lines)
+
+    def test_a_repeated_bad_line_is_named_after_a_memo_clear(self, monkeypatch):
+        # the memo is cleared at lines 3 and 5, and b,x is never kept
+        monkeypatch.setattr(streams_mod, "_MEMO_LINES", 2)
+        monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 2)
+        lines = ["a\n", "b\n", "c\n", "a\n", "b\n", "a\n", "b,x\n", "a\n", "b,x\n"]
+        with pytest.raises(StreamParseError, match="^line 7: bad quantity 'x'$"):
+            list(iter_stream_lines(lines))
+        with pytest.raises(StreamParseError, match="^line 7: bad quantity 'x'$"):
+            ingested(lines)
 
     def test_parse_error_beats_an_overflow_in_an_earlier_block(self, monkeypatch):
         # an infinite increment in block 1 and a bad quantity in block 2:
-        # the whole stream is read, so the bad line wins, as in update_many
+        # the whole stream is read, so the bad line wins
         monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 4)
         lines = ["x,1e308\n", "a,1\n", "b,1\n", "c,1\n", "d,1\n", "e,zz\n"]
-        message = "^line 6: bad quantity 'zz'$"
-        with pytest.raises(StreamParseError, match=message):
-            new_sketch(8).update_many(iter_stream_lines(lines))
         sketch = new_sketch(8)
-        with pytest.raises(StreamParseError, match=message):
-            sketch.update_counts(count_stream_lines(lines, ",", 4))
+        with pytest.raises(StreamParseError, match="^line 6: bad quantity 'zz'$"):
+            sketch.update_many(iter_stream_lines(lines))
         assert sketch == new_sketch(8)
 
 
