@@ -177,17 +177,19 @@ class EntropySketch:
     def _block_sum(self, counts: Counter) -> tuple[np.ndarray, int]:
         """The exact sums of ``count * increment`` over a block's distinct
         ``(item, delta)`` pairs: the projections (Python ints in an object
-        array) and the total.  The str and bytes forms of an item are two
-        groups with one key.  The key-sorted groups' batches go into one
-        shared queue, from which ``min(batches, _worker_count())`` pinned
-        threads take them (``_part_sum``); one batch runs on this thread.
+        array) and the total.  Each distinct item is keyed once, and its
+        groups are ordered by the item's first appearance, so an item's
+        groups are adjacent.  The str and bytes forms of an item are two
+        items with one key, whose equal variates are computed twice.  The
+        groups' batches go into one shared queue, from which
+        ``min(batches, _worker_count())`` pinned threads take them
+        (``_part_sum``); one batch runs on this thread.
         """
         k, seed = self.config.k, self.config.master_seed
-        index: dict[bytes | str, int] = {}
-        for item, _ in counts:
-            index.setdefault(item, len(index))
-        keys = item_keys(list(index), seed)[[index[item] for item, _ in counts]]
-        order = np.argsort(keys, kind="stable")
+        index: dict[bytes | str, int] = {}  # item -> its rank of first appearance
+        firsts = np.fromiter((index.setdefault(item, len(index)) for item, _ in counts),
+                             dtype=np.intp, count=len(counts))
+        order = np.argsort(firsts, kind="stable")
         c = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[order]
         d = np.fromiter((delta for _, delta in counts), dtype=np.float64, count=len(counts))[order]
 
@@ -196,7 +198,7 @@ class EntropySketch:
             total = int(inc @ c)
         else:
             total = int(_ints(c) @ _ints(inc))
-        distinct, where = np.unique(keys[order], return_inverse=True)
+        distinct, where = item_keys(list(index), seed), firsts[order]
         per = max(1, _BATCH_VARIATES // k)
         starts = range(0, len(counts), per)
         queues = [iter(starts)] * min(_worker_count(), len(starts))  # one iterator, shared
@@ -256,7 +258,8 @@ def _part_sum(k, distinct, where, d, c, per, batches):
     """The exact sum, as k Python ints in an object array, of
     ``c * rint(v * d * 2^16)`` over the groups [lo, lo + per) of each
     batch start lo that this call takes from ``batches``; v are the
-    variates of the group's key ``distinct[where]``.
+    variates of the group's item key ``distinct[where]``, ``where``
+    non-decreasing over the groups and taking every index of ``distinct``.
 
     Groups that are the call's keys in order (every all-distinct block)
     are scaled in the workspace's output; others are gathered first.  The
@@ -273,7 +276,7 @@ def _part_sum(k, distinct, where, d, c, per, batches):
             hi = min(lo + per, len(c))
             first, last = where[lo], where[hi - 1]
             scaled = workspace.variates(distinct[first : last + 1])
-            if last - first != hi - lo - 1:  # some key has several groups
+            if last - first != hi - lo - 1:  # some item has several groups
                 scaled = np.take(scaled, where[lo:hi] - first, axis=0, out=gather_buf[: hi - lo],
                                  mode="clip")
             scaled *= d[lo:hi, None] * SCALE  # (v * d) * 2^16 exactly: 2^16 is a power of two

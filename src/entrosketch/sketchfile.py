@@ -20,9 +20,9 @@ that is not finite or not below 2^37 in magnitude, and round a value off
 that grid to the nearest multiple.  ``from_json`` coerces no type: a
 version, k or master_seed that is not a JSON integer, or a zeta, total
 or projection that is not a JSON number, raises ValueError, as does a
-bool anywhere.  ``SketchConfig`` refuses a zeta without a finite
-positive asymptotic standard error (``asymptotic_std_error``, the one
-rule), so no sketch holds a zeta that no estimate can use.
+bool anywhere.  ``SketchConfig`` asks only ``asymptotic_std_error``, the
+one (k, zeta) rule, and its own master-seed check, so no sketch holds a
+k or zeta that no estimate can use.
 
 Merge adds the integers.  Integer addition is exact, associative and
 invertible, so a merge equals the single-pass sketch bit for bit; a sum
@@ -111,10 +111,6 @@ class SketchConfig(Record):
     _defaults = {"zeta": 1.0, "master_seed": 0}
 
     def _validate(self):
-        if not _is_int(self.k) or self.k < 1:
-            raise ValueError("k must be a positive integer")
-        if not _is_number(self.zeta):
-            raise ValueError("zeta must be a number")
         asymptotic_std_error(self.k, self.zeta)
         if not _is_int(self.master_seed) or not 0 <= self.master_seed < 1 << 64:
             raise ValueError("master_seed must be an integer that fits in 64 bits")
@@ -126,15 +122,19 @@ def asymptotic_std_error(k: int, zeta: float) -> float:
     The one rule for a usable (k, zeta), asked by every entry point that
     takes zeta.  A k that is not an int (a bool, a float such as 2.0 or a
     numpy integer) raises "k must be an integer, not <repr>", k < 1 raises
-    "k must be >= 1", and a zeta whose variance is not a finite positive
-    double (nan, zeta <= 0, 4^z overflows, z^2 or 4^z - 1 rounds to 0)
-    raises "zeta=<repr> has no finite positive asymptotic standard error
-    at k=<k>".
+    "k must be >= 1", a zeta that is not an int or a float (a bool, a str,
+    None or a numpy scalar other than float64) raises "zeta must be a
+    number, not <repr>", and a zeta whose variance is not a finite
+    positive double (nan, zeta <= 0, 4^z overflows, z^2 or 4^z - 1 rounds
+    to 0) raises "zeta=<repr> has no finite positive asymptotic standard
+    error at k=<k>".
     """
     if not _is_int(k):
         raise ValueError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (isinstance(zeta, float) or _is_int(zeta)):
+        raise ValueError(f"zeta must be a number, not {zeta!r}")
     try:
         variance = (4.0**zeta - 1.0) / (zeta**2 * k)
     except (OverflowError, ZeroDivisionError):
@@ -147,11 +147,6 @@ def asymptotic_std_error(k: int, zeta: float) -> float:
 def _is_int(value) -> bool:
     """An int and not a bool (JSON true is not 1)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """An int or a float, and not a bool."""
-    return isinstance(value, float) or _is_int(value)
 
 
 def check_exact(peak: int, total: int) -> None:

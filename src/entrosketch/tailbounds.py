@@ -113,7 +113,7 @@ def _size_and_bounds(epsilon: float, gamma: float, zeta: float) -> tuple[int, Ta
         raise ValueError("gamma must be in (0, 1)")
     bounds = tail_constants(zeta, epsilon)  # validates zeta and epsilon
     g_max = max(bounds.g_right, bounds.g_left)
-    hi = max(1, math.ceil(g_max / epsilon**2 * math.log(2.0 / gamma)))
+    hi = max(1, math.ceil(g_max / epsilon**2 * (_LOG2 - math.log(gamma))))
     if exceedance_bound(hi, epsilon, bounds) > gamma:
         raise RuntimeError("upper seed for k did not satisfy the bound")
     lo = 0  # invariant: k=lo fails (k=0 gives bound 2 > gamma)

@@ -15,6 +15,7 @@ import pytest
 
 import paper
 from entrosketch import quadrature
+from entrosketch.bench import ExperimentSpec
 from entrosketch.estimator import (
     FISHER_INFO,
     are,
@@ -535,6 +536,7 @@ ZETA_ENTRY_POINTS = {
     "tail_constants": (1, lambda zeta: tail_constants(zeta, 0.1)),
     "are": (1, are),
     "log_mean": (5, lambda zeta: log_mean([0.5, -0.25, 1.0, 0.0, 2.0], zeta)),
+    "ExperimentSpec": (5, lambda zeta: ExperimentSpec(k_values=(5,), zeta_values=(zeta,))),
 }
 
 
@@ -569,3 +571,19 @@ def test_one_rule_and_message_for_a_zeta_without_an_se(entry, zeta):
         call(zeta)
     message = f"zeta={zeta!r} has no finite positive asymptotic standard error at k={k}"
     assert str(exc.value) == message
+
+
+# a bool once passed as 1.0 or 0.0 (are(True) returned 0.9676), and a str or
+# None raised TypeError from 4.0**zeta
+@pytest.mark.parametrize("zeta", [True, False, "1", None, np.int64(1), np.float32(1.0)])
+@pytest.mark.parametrize("entry", list(ZETA_ENTRY_POINTS))
+def test_one_rule_for_a_zeta_that_is_not_a_number(entry, zeta):
+    _, call = ZETA_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"^zeta must be a number, not {re.escape(repr(zeta))}$"):
+        call(zeta)
+
+
+@pytest.mark.parametrize("entry", list(ZETA_ENTRY_POINTS))
+def test_an_int_or_float64_zeta_is_a_number(entry):
+    _, call = ZETA_ENTRY_POINTS[entry]
+    assert call(1) == call(np.float64(1.0)) == call(1.0)

@@ -17,7 +17,7 @@ RECORDS = [
     pytest.param(
         SketchConfig, (64, 1.0, 0), "SketchConfig(k=64, zeta=1.0, master_seed=0)",
         {"zeta": 1.0, "master_seed": 0},
-        {"k": (0, "k must be a positive integer"),
+        {"k": (0, "k must be >= 1"),
          "zeta": (math.inf, "zeta=inf has no finite positive asymptotic standard error at k=64"),
          "master_seed": (1 << 64, "master_seed must be an integer that fits in 64 bits")},
         id="SketchConfig"),

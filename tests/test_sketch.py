@@ -287,7 +287,7 @@ class TestSketchStream:
 
 
 def _split_blocks(monkeypatch, workers):
-    """Split every block of more than one (key, delta) group over ``workers``
+    """Split every block of more than one (item, delta) group over ``workers``
     threads: each group is a batch of its own.  The tests that take both 1
     and 2 loop over them in their body, which keeps their test ids."""
     monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", 1)
@@ -401,11 +401,36 @@ class TestUpdateMany:
                     s = new_sketch(k=8).update_many(updates)
             assert s._scaled.tolist() == scaled and s._scaled_total == total
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        updates=st.lists(
+            st.tuples(
+                st.sampled_from(["a", b"a", "b", "\u00e9", "\u00e9".encode()]),
+                st.sampled_from([1.0, -0.5, 2.75]) | deltas,
+            ),
+            max_size=60,
+        ),
+        block=st.integers(min_value=1, max_value=70),
+        batch_variates=st.integers(min_value=1, max_value=5 * 16),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_matches_the_update_loop_on_random_streams(self, updates, block, batch_variates,
+                                                       workers):
+        # str and bytes twins are two items with one key, and an item with
+        # several deltas has several groups, which small blocks, batches of
+        # 1-5 groups and two workers put across block, batch and part boundaries
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sketch_mod, "_STREAM_BLOCK", block)
+            mp.setattr(sketch_mod, "_BATCH_VARIATES", batch_variates)
+            mp.setattr(sketch_mod, "_worker_count", lambda: workers)
+            s = new_sketch(k=16, master_seed=3).update_many(updates)
+        assert s.to_bytes() == _loop(updates, 16, seed=3).to_bytes()
+
     def test_worker_counts_give_the_same_bytes(self, monkeypatch):
         # any split of a block over threads sums to the same int64 bits, also
         # with more threads than cores switching often.  Small blocks and
         # batches put block, batch and part boundaries inside the stream,
-        # and repeated items give one key several (key, delta) groups.
+        # and repeated items give one item several (item, delta) groups.
         monkeypatch.setattr(sketch_mod, "_STREAM_BLOCK", 50)
         monkeypatch.setattr(sketch_mod, "_BATCH_VARIATES", 3 * 16)
         parts = []

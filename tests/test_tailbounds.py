@@ -293,6 +293,11 @@ class TestSketchSize:
     def test_reference_sizes(self):
         assert required_sketch_size(0.1, 0.05) == 2217
         assert required_sketch_size(0.3, 0.1) == 202
+        assert required_sketch_size(0.1, 1e-300) == 430001
+        # subnormal gammas: 2/gamma overflowed to inf below about 1.1e-308, so the
+        # upper seed for k raised "cannot convert float infinity to integer"
+        assert required_sketch_size(0.1, 1e-320) == 458668
+        assert required_sketch_size(0.1, 5e-324) == 463155
 
     def test_bound_satisfied_and_tight(self):
         eps, gamma = 0.1, 0.05
